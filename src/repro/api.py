@@ -18,7 +18,7 @@ Three layers:
   mux=MuxConfig(), ...)`` shards mounts across K server nodes (placed
   by the build-time mount redirector), stripes file data across M data
   servers, and multiplexes mounts onto shared QPs.  :func:`connect`
-  accepts either and wires it.
+  accepts either and wires it through the one :class:`Cluster` builder.
 * :class:`Deployment` owns the simulated cluster; each
   :class:`MountHandle` exposes the NFSv3 verbs *synchronously* — every
   call steps the simulator until the reply arrives, so callers never
@@ -38,11 +38,7 @@ from typing import Optional
 from repro.errors import NfsStatusError, PoolExhausted, ReproError, TransportError
 from repro.experiments.cluster import Cluster, ClusterConfig, default_srq_entries
 from repro.experiments.registry import EXPERIMENTS, run as run_experiment
-from repro.experiments.topology import (
-    TOPOLOGY_KEYS,
-    MultiCluster,
-    TopologyConfig,
-)
+from repro.experiments.topology import TOPOLOGY_KEYS, TopologyConfig
 from repro.ib.mux import MuxConfig, default_mux_qps
 from repro.workloads import (
     IozoneParams,
@@ -60,7 +56,6 @@ __all__ = [
     "EXPERIMENTS",
     "IozoneParams",
     "MountHandle",
-    "MultiCluster",
     "MuxConfig",
     "NfsStatusError",
     "OltpParams",
@@ -141,12 +136,13 @@ class Deployment:
     Accepts either deployment description:
 
     * :class:`ClusterConfig` (or its field kwargs) — the historical
-      single-server surface, wired as a :class:`Cluster`;
+      single-server surface;
     * :class:`TopologyConfig` (or kwargs containing any topology field:
       ``servers``, ``data_servers``, ``mux``, ``client_hosts``,
-      ``stripe_unit_bytes``, ``credits``) — wired as a
-      :class:`~repro.experiments.topology.MultiCluster`, with mounts
-      placed across server shards by the build-time redirector.
+      ``stripe_unit_bytes``, ``credits``) — mounts placed across server
+      shards by the build-time redirector.
+
+    Both are wired as a :class:`Cluster`.
     """
 
     def __init__(self, config=None, **kwargs) -> None:
@@ -156,14 +152,11 @@ class Deployment:
             config = TopologyConfig(**kwargs)
         elif config is None:
             config = ClusterConfig(**kwargs)
-        if isinstance(config, TopologyConfig):
-            self.cluster = MultiCluster(config)
-        elif isinstance(config, ClusterConfig):
-            self.cluster = Cluster(config)
-        else:
+        if not isinstance(config, (ClusterConfig, TopologyConfig)):
             raise TypeError(
                 f"expected ClusterConfig or TopologyConfig, got "
                 f"{type(config).__name__}")
+        self.cluster = Cluster(config)
         self.mounts = [MountHandle(self.cluster, m) for m in self.cluster.mounts]
 
     def mount(self, index: int = 0) -> MountHandle:
@@ -177,10 +170,7 @@ class Deployment:
 
     def shard_of(self, index: int = 0) -> int:
         """Which server shard holds mount ``index`` (0 on single-node)."""
-        redirector = getattr(self.cluster, "redirector", None)
-        if redirector is None:
-            return 0
-        placed = redirector.index_of(index)
+        placed = self.cluster.redirector.index_of(index)
         return 0 if placed is None else placed
 
     def run(self, generator):
@@ -193,13 +183,13 @@ class Deployment:
 
     @property
     def config(self) -> ClusterConfig:
-        """The single-node knobs (the base config on a MultiCluster)."""
+        """The single-node knobs (the base config of a topology)."""
         return self.cluster.config
 
     @property
     def topology(self) -> Optional[TopologyConfig]:
         """The scale-out description, or ``None`` on a single-node wire."""
-        return getattr(self.cluster, "topology", None)
+        return self.cluster.topology
 
 
 def connect(config=None, **kwargs) -> Deployment:

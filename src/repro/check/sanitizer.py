@@ -367,35 +367,15 @@ class Sanitizer:
     def leak_report(self, cluster) -> list[str]:
         """Buffers still pinned/registered once a cluster is quiescent."""
         leaks: list[str] = []
-        strategies: list[tuple[str, object]] = []
-        stacks = getattr(cluster, "all_stacks", None)
-        if stacks is not None:
-            # Sharded deployment: every server/data-server stack has its
-            # own strategy; auditing only the first would hide leaks.
-            for stack in stacks:
-                strategies.append((stack.name, stack.strategy))
-        else:
-            server_strategy = getattr(cluster, "server_strategy", None)
-            if server_strategy is not None:
-                strategies.append(("server", server_strategy))
-        for mux in (getattr(cluster, "muxes", None) or {}).values():
-            for channel in mux.channels:
-                strategies.append((channel.name, channel.strategy))
-        for mount in getattr(cluster, "mounts", None) or []:
-            strategy = getattr(mount.transport, "strategy", None)
-            if strategy is not None:
-                strategies.append((mount.node.name, strategy))
-            # Striped mounts carry extra per-data-server transports.
-            for dclient in getattr(mount.nfs, "data", None) or []:
-                strategy = getattr(dclient.transport, "strategy", None)
-                if strategy is not None:
-                    strategies.append((dclient.name, strategy))
-        seen: set[int] = set()
+        # Every server/data-server stack has its own strategy (auditing
+        # only the first would hide leaks on the other shards), and so
+        # does every client connection: dedicated mounts, mux channels
+        # (their lanes share it) and striped data-server legs.
+        strategies: list[tuple[str, object]] = [
+            (stack.name, stack.strategy) for stack in cluster.all_stacks]
+        strategies += [(t.name, t.strategy) for t in cluster.client_transports
+                       if getattr(t, "strategy", None) is not None]
         for label, strategy in strategies:
-            # Mux lanes share their channel's strategy — audit each once.
-            if id(strategy) in seen:
-                continue
-            seen.add(id(strategy))
             held = strategy.acquires.events - strategy.releases.events
             if held > 0:
                 leaks.append(
@@ -410,7 +390,7 @@ class Sanitizer:
                         f"{label}/{strategy.name}: {mapped} FMR mapping(s) "
                         f"never unmapped"
                     )
-        for transport in getattr(cluster, "server_transports", None) or []:
+        for transport in cluster.server_transports:
             pending = getattr(transport, "pending_done", None)
             if pending:
                 leaks.append(

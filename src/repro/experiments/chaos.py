@@ -60,15 +60,17 @@ def recovery_summary(cluster: Cluster) -> ExperimentResult:
         ):
             if counter is not None:
                 rows.append([f"client{i}", label, counter.events])
-    if cluster.drc is not None:
-        rows.append(["server", "drc replays", cluster.drc.replays.events])
-        rows.append(["server", "drc duplicate drops", cluster.drc.drops.events])
-    strategy = cluster.server_strategy
-    if hasattr(strategy, "fallbacks"):
-        rows.append(["server", "fmr fallbacks", strategy.fallbacks.events])
-    if cluster.raid is not None:
-        hits = sum(d.transient_errors.events for d in cluster.raid.disks)
-        rows.append(["server", "disk transient errors", hits])
+    for stack in cluster.all_stacks:
+        if stack.drc is not None:
+            rows.append([stack.name, "drc replays", stack.drc.replays.events])
+            rows.append([stack.name, "drc duplicate drops",
+                         stack.drc.drops.events])
+        if hasattr(stack.strategy, "fallbacks"):
+            rows.append([stack.name, "fmr fallbacks",
+                         stack.strategy.fallbacks.events])
+        if stack.raid is not None:
+            hits = sum(d.transient_errors.events for d in stack.raid.disks)
+            rows.append([stack.name, "disk transient errors", hits])
     if cluster.faults is not None:
         for label, value in cluster.faults.summary().items():
             rows.append(["injector", label, value])
@@ -103,16 +105,18 @@ class ChaosSoakOutcome:
 
 
 def _instrument(cluster) -> dict:
+    """Count non-idempotent executions on every server stack."""
     executions: dict = {}
-    original = cluster.rpc_server._programs[(NFS_PROG, NFS_VERS)]
+    for stack in cluster.all_stacks:
+        programs = stack.rpc_server._programs
 
-    def wrapped(call):
-        if call.proc in NON_IDEMPOTENT:
-            key = (call.xid, call.proc)
-            executions[key] = executions.get(key, 0) + 1
-        return (yield from original(call))
+        def wrapped(call, original=programs[(NFS_PROG, NFS_VERS)]):
+            if call.proc in NON_IDEMPOTENT:
+                key = (call.xid, call.proc)
+                executions[key] = executions.get(key, 0) + 1
+            return (yield from original(call))
 
-    cluster.rpc_server._programs[(NFS_PROG, NFS_VERS)] = wrapped
+        programs[(NFS_PROG, NFS_VERS)] = wrapped
     return executions
 
 

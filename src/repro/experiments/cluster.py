@@ -1,17 +1,26 @@
 """Builds complete simulated NFS deployments.
 
-One call assembles the full stack of DESIGN.md §2 — nodes, fabric or
+One builder assembles the full stack of DESIGN.md §2 — nodes, fabric or
 TCP network, RPC transport (either RDMA design or TCP on IPoIB/GigE),
 registration strategy, RPC dispatcher, NFS server, backend file system
 — and hands back per-client NFS mounts.  Every test, example and
 benchmark builds on this.
+
+``Cluster(ClusterConfig)`` is the paper's testbed: one server, one
+client host and one connection per mount.  ``Cluster(TopologyConfig)``
+is the scale-out form behind fig13 (DESIGN.md §15): K server shards, M
+pNFS-style data servers, H client hosts and optional QP multiplexing.
+Both shapes run the same code: :class:`ServerStack` is the only place a
+serving stack is wired, and the cluster only places mounts, dials them
+and attaches faults and telemetry.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from math import isqrt
-from typing import Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 from repro.analysis.calibration import SOLARIS_SDR, TestbedProfile
 from repro.core import (
@@ -29,27 +38,40 @@ from repro.errors import TransportError
 from repro.faults import FaultInjector, FaultPlan
 from repro.fs import BlockFs, DiskConfig, Raid0, TmpFs
 from repro.ib.fabric import Fabric, IBNode
+from repro.ib.mux import MuxConfig, QpMux
 from repro.ib.srq import SharedReceivePool
 from repro.ib.verbs import QPState
 from repro.nfs import NfsClient, NfsServer
+from repro.nfs.redirector import MountRedirector
+from repro.nfs.striping import StripedNfsClient
 from repro.rpc import RpcServer, TcpRpcClient, TcpRpcServerTransport
 from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.svc import RpcServerCosts
 from repro.sim import Simulator
 from repro.tcpip import TcpConnection, TcpEndpoint
 
-__all__ = ["Cluster", "ClusterConfig", "Mount", "default_srq_entries"]
+if TYPE_CHECKING:
+    from repro.experiments.topology import TopologyConfig
+
+__all__ = ["Cluster", "ClusterConfig", "Mount", "ServerStack",
+           "default_srq_entries", "make_strategy"]
 
 
-def default_srq_entries(nclients: int) -> int:
-    """Auto-size the shared receive pool for ``nclients`` mounts.
+def default_srq_entries(lanes: int, connections: Optional[int] = None) -> int:
+    """Auto-size a shared receive pool for ``lanes`` mounts.
 
-    ``16·sqrt(n)`` grows sublinearly (the figure-11 contrast with the
-    per-connection ``credits·n``), floored at 64 (two rings' worth, so
-    small deployments lose nothing) and at ``n`` (every connection can
-    always hold at least one buffer).
+    ``16·sqrt(lanes)`` grows sublinearly (the figure-11 contrast with
+    the per-connection ``credits·n``), floored at 64 (two rings' worth,
+    so small deployments lose nothing) and at ``connections`` (every
+    connection can always hold at least one buffer).  ``connections``
+    defaults to ``lanes``: one QP per mount.  Multiplexed mounts share
+    fewer QPs, so the linear floor drops — the fig13 sublinear-memory
+    claim.
     """
-    return max(64, 16 * isqrt(nclients), nclients)
+    if connections is None:
+        connections = lanes
+    return max(64, 16 * isqrt(lanes), connections)
+
 
 TRANSPORTS = ("rdma-rw", "rdma-rr", "tcp-ipoib", "tcp-gige")
 STRATEGIES = ("dynamic", "fmr", "cache", "client-cache", "all-physical")
@@ -177,12 +199,292 @@ class Mount:
     nfs: NfsClient
 
 
-class Cluster:
-    """A fully wired simulated NFS deployment."""
+def make_strategy(config: ClusterConfig, node: IBNode,
+                  server: bool) -> RegistrationStrategy:
+    """The registration strategy ``config.strategy`` puts on ``node``."""
+    kind = config.strategy
+    if kind == "dynamic":
+        return DynamicRegistration(node)
+    if kind == "fmr":
+        return FmrStrategy(node)
+    if kind in ("cache", "client-cache") and server:
+        return RegistrationCacheStrategy(
+            node, budget_bytes=config.regcache_budget_bytes)
+    if kind == "cache":
+        # §4.3: the cache is a *server* design; clients register
+        # dynamically (the client-side variant is an extension).
+        return DynamicRegistration(node)
+    if kind == "client-cache":
+        # Extension (TR): registration caches on BOTH sides.
+        return ClientRegistrationCache(node)
+    if kind == "all-physical":
+        return AllPhysicalStrategy(node)
+    raise ValueError(kind)
 
-    def __init__(self, config: ClusterConfig):
-        self.config = config
+
+@dataclass(frozen=True)
+class Naming:
+    """The names one build path gives the nodes and transports it wires.
+
+    Node names seed each node's fabric RNG stream and client transport
+    names seed reply-timer jitter, so each path keeps its own scheme: a
+    ``ClusterConfig`` build uses ``server``, ``client{i}``, the
+    transports' default names and ``client{i}.nfs``; a ``TopologyConfig``
+    build uses ``server{i}``, ``ds{j}``, ``client{h}.m{m}.server{s}``
+    and ``client{h}.m{m}.nfs``.
+    """
+
+    single: bool
+
+    def server(self, index: int) -> str:
+        return "server" if self.single else f"server{index}"
+
+    def service(self, stack: str) -> str:
+        """The stack's RPC dispatcher (its DRC is ``<service>.drc``)."""
+        return "rpcsvc" if self.single else f"{stack}.rpcsvc"
+
+    def mount(self, host: str, m: int) -> str:
+        """Prefix of every name mount ``m`` on ``host`` owns."""
+        return host if self.single else f"{host}.m{m}"
+
+    def transport(self, mount: str, stack: str) -> str:
+        """A dedicated client transport ("" keeps the default name)."""
+        return "" if self.single else f"{mount}.{stack}"
+
+
+class ServerStack:
+    """One server node's complete serving stack.
+
+    The only place the backend file system, DRC, RPC dispatcher, NFS
+    program, server registration strategy, shared receive pool, credit
+    clamp, hardening overrides and misbehavior policy are wired.  Flow
+    control waits for :meth:`size_flow_control`, because it is sized
+    from the cluster's full lane plan.  Every connection to the node
+    attaches through :meth:`make_transport` (RDMA) or :meth:`accept`
+    (TCP) and detaches through :meth:`teardown`.
+    """
+
+    def __init__(self, cluster: "Cluster", name: str):
+        config = cluster.config
         profile = config.profile
+        self.sim = cluster.sim
+        self.fabric = cluster.fabric
+        self.config = config
+        self.name = name
+        self.node = cluster._add_node(name, profile.server_cpu,
+                                      profile.server_hca)
+        if config.backend == "tmpfs":
+            self.fs = TmpFs(self.sim, self.node.cpu)
+            self.raid = None
+        else:
+            self.raid = Raid0(
+                self.sim,
+                ndisks=config.ndisks,
+                disk_config=DiskConfig(streaming_mb_s=config.disk_mb_s),
+                stripe_unit_bytes=config.page_bytes,
+            )
+            self.fs = BlockFs(
+                self.sim, self.node.cpu, self.raid,
+                cache_bytes=config.cache_bytes,
+                page_bytes=config.page_bytes,
+            )
+        # The DRC is on by default: any transport-level retry (TCP
+        # retransmit, RDMA recovery) must not re-execute non-idempotent
+        # procedures.
+        service = cluster.names.service(name)
+        self.drc = (
+            DuplicateRequestCache(config.drc_entries, name=f"{service}.drc")
+            if config.drc_entries > 0 else None
+        )
+        self.rpc_server = RpcServer(
+            self.sim, self.node.cpu,
+            nthreads=config.server_workers or profile.server_threads,
+            costs=RpcServerCosts(), drc=self.drc, name=service,
+            max_queue=config.server_queue_depth,
+        )
+        self.nfs_server = NfsServer(
+            self.rpc_server, self.fs,
+            max_transfer_bytes=profile.rpcrdma.max_transfer_bytes,
+        )
+        # One strategy shared by every connection (the registration
+        # cache is a server-global structure; dynamic/FMR are stateless
+        # enough that sharing matches a real kernel transport).
+        self.strategy = make_strategy(config, self.node, server=True)
+        self.server_transports: list = []
+        self.srq: Optional[SharedReceivePool] = None
+        self.credit_policy = None
+        self.security_policy = None
+        self.rpcrdma = profile.rpcrdma
+        #: TCP NIC profile (None on RDMA), and the one physical server
+        #: port every accepted endpoint shares so aggregate bandwidth is
+        #: capped correctly.
+        self.nic = (None if config.is_rdma else
+                    profile.ipoib if config.transport == "tcp-ipoib"
+                    else profile.gige)
+        self._tcp_port = None
+
+    def size_flow_control(self, lanes: int, connections: int,
+                          credits: Optional[int] = None) -> None:
+        """Shared pool, credit clamp, hardening and misbehavior policy.
+
+        ``lanes`` mounts reach this stack over ``connections`` QPs
+        (equal unless mounts are multiplexed); ``credits`` overrides the
+        profile's per-connection grant.
+        """
+        config = self.config
+        base_credits = credits or self.rpcrdma.credits
+        overrides: dict = {"credits": base_credits}
+        if config.srq:
+            # One registered pool per server HCA, sized sublinearly in
+            # client count, with credit grants clamped so their sum never
+            # outruns the pool (the RNR-avoidance invariant).
+            entries = (config.srq_entries if config.srq_entries is not None
+                       else default_srq_entries(lanes, connections))
+            # Read-Read DONE messages consume receives beyond the credit
+            # grant; budget two pool buffers per outstanding call.
+            demand = 2 if config.transport == "rdma-rr" else 1
+            per_conn = max(1, min(base_credits,
+                                  entries // max(1, demand * connections)))
+            self.srq = SharedReceivePool(
+                self.node, entries, self.rpcrdma.inline_threshold,
+                name=f"{self.name}.srq",
+            )
+            self.sim.process(self.srq.setup(), name=f"{self.name}.srq.setup")
+            overrides["credits"] = per_conn
+            self.credit_policy = SrqCreditPolicy(self.srq, max_grant=per_conn)
+        # Hardened data plane: fold the mitigation knobs into the
+        # transport config and stand up the misbehavior policy.  At
+        # defaults nothing below runs and security_policy stays None —
+        # zero hooks on the hot path.
+        if config.lease_timeout_us is not None:
+            overrides["lease_timeout_us"] = config.lease_timeout_us
+        if config.exposure_quota_bytes is not None:
+            overrides["exposure_quota_bytes"] = config.exposure_quota_bytes
+        if config.quarantine:
+            overrides.update(misbehavior_warn=5, misbehavior_throttle=10,
+                             misbehavior_quarantine=20)
+        if config.aes_payload:
+            overrides["aes_payload"] = True
+        self.rpcrdma = replace(self.rpcrdma, **overrides)
+        if config.quarantine or config.lease_timeout_us is not None or \
+                config.exposure_quota_bytes is not None:
+            from repro.security.policy import SecurityPolicy
+
+            policy = SecurityPolicy(self.sim, self.rpcrdma,
+                                    quarantine_enabled=config.quarantine)
+            self.node.hca.protection_nak_hook = policy.record_nak
+            self.rpc_server.security_policy = self.security_policy = policy
+
+    # -- connections --------------------------------------------------------
+    def make_transport(self, qp_s):
+        """Build + attach one RDMA server transport for ``qp_s``."""
+        cls = (ReadWriteServer if self.config.transport == "rdma-rw"
+               else ReadReadServer)
+        server = cls(self.node, qp_s, self.rpcrdma, self.strategy,
+                     credit_policy=self.credit_policy, srq=self.srq,
+                     policy=self.security_policy)
+        server.attach(self.rpc_server)
+        self.server_transports.append(server)
+        if self.security_policy is not None:
+            self.security_policy.register_transport(server.client_id, server)
+        return server
+
+    def accept(self, host: IBNode) -> TcpRpcClient:
+        """TCP connect from ``host``; returns the client transport."""
+        client_ep = TcpEndpoint(self.sim, host.cpu, host.irq, self.nic,
+                                name=f"{host.name}.tcp")
+        server_ep = TcpEndpoint(self.sim, self.node.cpu, self.node.irq,
+                                self.nic, name=f"{self.name}.tcp.{host.name}")
+        if self._tcp_port is None:
+            self._tcp_port = server_ep.port
+        server_ep.port = self._tcp_port
+        conn = TcpConnection(client_ep, server_ep)
+        client = TcpRpcClient(client_ep, conn)
+        server = TcpRpcServerTransport(server_ep, conn)
+        server.attach(self.rpc_server)
+        self.server_transports.append(server)
+        return client
+
+    def admit(self, client: str) -> None:
+        """Refuse a (re)dial from a quarantined client.
+
+        The ban outlives the evicted connection: a quarantined mount
+        never gets a fresh one.
+        """
+        policy = self.security_policy
+        if policy is not None and policy.is_banned(client):
+            policy.redials_refused.add()
+            raise TransportError(f"{client}: redial refused (quarantined)")
+
+    def teardown(self, client) -> Generator:
+        """Forget and drain the server end of ``client``'s connection.
+
+        Matched by connection identity (the client QP's peer, or the TCP
+        connection), so a mount reconnected twice never targets a stale
+        entry.  RDMA server transports then reclaim anything the client
+        pinned (§4.1's operational defense); TCP ones hold nothing.
+        """
+        tcp = self.nic is not None
+        server = next((s for s in self.server_transports
+                       if (s.conn is client.conn if tcp
+                           else s.qp is client.qp.peer)), None)
+        if server is None:
+            return
+        self.server_transports.remove(server)
+        if not tcp:
+            yield from server.disconnect()
+
+    def redial(self, client):
+        """Transport recovery policy (installed as ``client.reconnector``).
+
+        Tear down the dead connection, then hand back a fresh QP and the
+        new server transport's ready event for the CM handshake.
+        """
+        self.admit(client.node.name)
+        old_qp = client.qp
+        if old_qp.state is not QPState.ERROR:
+            old_qp.enter_error("client-initiated redial")
+        if old_qp.peer is not None and old_qp.peer.state is not QPState.ERROR:
+            old_qp.peer.enter_error("client-initiated redial (remote)")
+        yield from self.teardown(client)
+        qp_c, qp_s = self.fabric.connect(client.node, self.node)
+        return qp_c, self.make_transport(qp_s).ready
+
+    def recv_buffer_bytes(self) -> int:
+        """Registered receive-buffer memory on this node.
+
+        The figure-11 scaling metric: the shared pool's one-time
+        registration vs the per-connection rings' ``credits ×
+        inline_threshold`` per mount.  TCP transports pre-register
+        nothing (socket buffers are not HCA-registered).
+        """
+        if self.srq is not None:
+            return self.srq.registered_bytes
+        pools = [getattr(t, "recv_pool", None) for t in self.server_transports]
+        return sum(p.count * p.size for p in pools if p is not None)
+
+
+def _first_stack(attr: str) -> property:
+    """A one-server convenience: delegate to ``server_stacks[0]``."""
+    return property(lambda self: getattr(self.server_stacks[0], attr),
+                    doc=f"``server_stacks[0].{attr}``")
+
+
+class Cluster:
+    """A fully wired simulated NFS deployment (see the module docstring)."""
+
+    def __init__(self, config):
+        # A ClusterConfig is the paper's testbed: one server, and a host
+        # and a QP per mount.
+        topology = None if isinstance(config, ClusterConfig) else config
+        self.topology: Optional[TopologyConfig] = topology
+        self.config = config = config if topology is None else topology.cluster
+        servers, data_servers, client_hosts, credits, mux = (
+            (1, 0, None, None, None) if topology is None else
+            (topology.servers, topology.data_servers, topology.client_hosts,
+             topology.credits, topology.mux))
+        hosts = min(client_hosts or config.nclients, config.nclients)
+        self.names = Naming(single=topology is None)
         if config.perturb_seed is not None:
             from repro.check.races import PerturbedSimulator
 
@@ -196,136 +498,56 @@ class Cluster:
 
             self.sim.sanitizer = Sanitizer(self.sim)
         self.fabric = Fabric(self.sim, seed=config.seed)
-        allow_phys = config.strategy == "all-physical"
 
-        self.server_node = self.fabric.add_node(
-            "server",
-            cpu_config=profile.server_cpu,
-            hca_config=profile.server_hca,
-            link_config=profile.link,
-            interrupt_cost_us=profile.interrupt_cost_us,
-            allow_physical=allow_phys,
-        )
+        self.server_stacks = [ServerStack(self, self.names.server(i))
+                              for i in range(servers)]
+        self.data_stacks = [ServerStack(self, f"ds{j}")
+                            for j in range(data_servers)]
+        profile = config.profile
         self.client_nodes = [
-            self.fabric.add_node(
-                f"client{i}",
-                cpu_config=profile.client_cpu,
-                hca_config=profile.client_hca,
-                link_config=profile.link,
-                interrupt_cost_us=profile.interrupt_cost_us,
-                allow_physical=allow_phys,
-            )
-            for i in range(config.nclients)
+            self._add_node(f"client{h}", profile.client_cpu, profile.client_hca)
+            for h in range(hosts)
         ]
 
-        # Backend file system.
-        if config.backend == "tmpfs":
-            self.fs = TmpFs(self.sim, self.server_node.cpu)
-            self.raid = None
-        else:
-            self.raid = Raid0(
-                self.sim,
-                ndisks=config.ndisks,
-                disk_config=DiskConfig(streaming_mb_s=config.disk_mb_s),
-                stripe_unit_bytes=config.page_bytes,
-            )
-            self.fs = BlockFs(
-                self.sim,
-                self.server_node.cpu,
-                self.raid,
-                cache_bytes=config.cache_bytes,
-                page_bytes=config.page_bytes,
-            )
+        # Placement first — flow-control sizing and mux pool sizing both
+        # need the full lane plan before any connection is dialed.
+        self.redirector = MountRedirector(self.server_stacks)
+        placements = [(m % hosts, self.redirector.place(m)[0])
+                      for m in range(config.nclients)]
+        lanes = Counter(placements)
+        host_mounts = Counter(h for h, _ in placements)
 
-        # RPC dispatcher + NFS program.  The DRC is on by default: any
-        # transport-level retry (TCP retransmit, RDMA recovery) must not
-        # re-execute non-idempotent procedures.
-        self.drc = (
-            DuplicateRequestCache(config.drc_entries, name="rpcsvc.drc")
-            if config.drc_entries > 0 else None
-        )
-        self.rpc_server = RpcServer(
-            self.sim,
-            self.server_node.cpu,
-            nthreads=config.server_workers or profile.server_threads,
-            costs=RpcServerCosts(),
-            drc=self.drc,
-            name="rpcsvc",
-            max_queue=config.server_queue_depth,
-        )
-        self.nfs_server = NfsServer(
-            self.rpc_server, self.fs,
-            max_transfer_bytes=profile.rpcrdma.max_transfer_bytes,
-        )
+        def channels(n: int) -> int:
+            return mux.qps_for(n) if mux is not None else n
 
-        # One shared server-side registration strategy (the registration
-        # cache is a server-global structure; dynamic/FMR are stateless
-        # enough that sharing matches a real kernel transport).
-        self.server_strategy = self._make_strategy(config.strategy, self.server_node)
+        for s, stack in enumerate(self.server_stacks):
+            stack.size_flow_control(
+                sum(n for (_, si), n in lanes.items() if si == s),
+                sum(channels(n) for (_, si), n in lanes.items() if si == s),
+                credits)
+        for stack in self.data_stacks:
+            # Every mount stripes to every data server: lane count per
+            # host is simply that host's mount count.
+            stack.size_flow_control(
+                config.nclients,
+                sum(channels(n) for n in host_mounts.values()), credits)
 
-        # Shared receive pool (tentpole of the scale-out design): one
-        # registered pool per server HCA, sized sublinearly in client
-        # count, with client credit grants clamped so their sum never
-        # outruns the pool (the RNR-avoidance invariant).
-        self.srq: Optional[SharedReceivePool] = None
-        self.credit_policy = None
-        self.rpcrdma = profile.rpcrdma
-        if config.srq:
-            entries = (config.srq_entries if config.srq_entries is not None
-                       else default_srq_entries(config.nclients))
-            # Read-Read DONE messages consume receives beyond the credit
-            # grant; budget two pool buffers per outstanding call.
-            demand = 2 if config.transport == "rdma-rr" else 1
-            per_client = max(1, min(profile.rpcrdma.credits,
-                                    entries // (demand * config.nclients)))
-            self.srq = SharedReceivePool(
-                self.server_node, entries, profile.rpcrdma.inline_threshold,
-                name="server.srq",
-            )
-            self.sim.process(self.srq.setup(), name="server.srq.setup")
-            self.rpcrdma = replace(profile.rpcrdma, credits=per_client)
-            self.credit_policy = SrqCreditPolicy(
-                self.srq, max_grant=per_client,
-            )
-
-        # Hardened data plane (PR 6): fold the cluster-level mitigation
-        # knobs into the transport config and stand up the misbehavior
-        # policy.  With everything at defaults, nothing below runs and
-        # self.security_policy stays None — zero hooks on the hot path.
-        overrides = {}
-        if config.lease_timeout_us is not None:
-            overrides["lease_timeout_us"] = config.lease_timeout_us
-        if config.exposure_quota_bytes is not None:
-            overrides["exposure_quota_bytes"] = config.exposure_quota_bytes
-        if config.quarantine:
-            overrides.update(
-                misbehavior_warn=5,
-                misbehavior_throttle=10,
-                misbehavior_quarantine=20,
-            )
-        if config.aes_payload:
-            overrides["aes_payload"] = True
-        self.security_policy = None
-        if overrides:
-            self.rpcrdma = replace(self.rpcrdma, **overrides)
-        if config.quarantine or config.lease_timeout_us is not None or \
-                config.exposure_quota_bytes is not None:
-            from repro.security.policy import SecurityPolicy
-
-            self.security_policy = SecurityPolicy(
-                self.sim, self.rpcrdma,
-                quarantine_enabled=config.quarantine,
-            )
-            self.server_node.hca.protection_nak_hook = \
-                self.security_policy.record_nak
-            self.rpc_server.security_policy = self.security_policy
-
-        self.server_transports: list = []
-        self.mounts: list[Mount] = []
-
-        for node in self.client_nodes:
-            mount = self._connect_client(node)
-            self.mounts.append(mount)
+        #: every client transport the builder dialed (dedicated mounts,
+        #: mux channels, data-server legs), in dial order.
+        self.client_transports: list = []
+        # Channel pools per (host, target stack), dialed eagerly so the
+        # lane plan above matches what actually exists.
+        self.muxes: dict[tuple[int, str], QpMux] = {}
+        if mux is not None:
+            for h, host in enumerate(self.client_nodes):
+                for s, stack in enumerate(self.server_stacks):
+                    if lanes[(h, s)]:
+                        self._add_mux(h, host, stack, lanes[(h, s)], mux)
+                for stack in self.data_stacks:
+                    if host_mounts[h]:
+                        self._add_mux(h, host, stack, host_mounts[h], mux)
+        self.mounts = [self._build_mount(m, h, s)
+                       for m, (h, s) in enumerate(placements)]
 
         # Fault injection (off unless a plan is supplied): hooks install
         # only when armed, so fault-free runs schedule no extra events.
@@ -358,113 +580,75 @@ class Cluster:
         return self.telemetry
 
     # -- wiring -----------------------------------------------------------
-    def _make_strategy(self, kind: str, node: IBNode) -> RegistrationStrategy:
-        if kind == "dynamic":
-            return DynamicRegistration(node)
-        if kind == "fmr":
-            return FmrStrategy(node)
-        if kind == "cache":
-            if node is self.server_node:
-                return RegistrationCacheStrategy(
-                    node, budget_bytes=self.config.regcache_budget_bytes
-                )
-            # §4.3: the cache is a *server* design; clients register
-            # dynamically (the client-side variant is an extension).
-            return DynamicRegistration(node)
-        if kind == "client-cache":
-            # Extension (TR): registration caches on BOTH sides.
-            if node is self.server_node:
-                return RegistrationCacheStrategy(
-                    node, budget_bytes=self.config.regcache_budget_bytes
-                )
-            return ClientRegistrationCache(node)
-        if kind == "all-physical":
-            return AllPhysicalStrategy(node)
-        raise ValueError(kind)
-
-    def _make_server_transport(self, qp_s):
-        """Build + attach one RDMA server transport for ``qp_s``."""
-        cls = ReadWriteServer if self.config.transport == "rdma-rw" else ReadReadServer
-        server = cls(self.server_node, qp_s, self.rpcrdma, self.server_strategy,
-                     credit_policy=self.credit_policy, srq=self.srq,
-                     policy=self.security_policy)
-        server.attach(self.rpc_server)
-        self.server_transports.append(server)
-        if self.security_policy is not None:
-            self.security_policy.register_transport(server.client_id, server)
-        return server
-
-    def _redial(self, client):
-        """Transport recovery policy (installed as ``client.reconnector``).
-
-        What `reconnect_client` used to do by hand, promoted into the
-        transport's own error path: tear down the dead connection (the
-        server side reclaims anything the old client pinned — §4.1's
-        operational defense), then hand back a fresh QP and the new
-        server transport's ready event for the CM handshake.
-        """
-        if (self.security_policy is not None
-                and self.security_policy.is_banned(client.node.name)):
-            # Quarantined mount: the redial is refused outright — the
-            # ban outlives the evicted connection.
-            self.security_policy.redials_refused.add()
-            raise TransportError(
-                f"{client.node.name}: redial refused (quarantined)")
-        old_qp = client.qp
-        old_server = next(
-            (s for s in self.server_transports
-             if getattr(s, "qp", None) is old_qp.peer),
-            None,
+    def _add_node(self, name: str, cpu_config, hca_config) -> IBNode:
+        profile = self.config.profile
+        return self.fabric.add_node(
+            name, cpu_config=cpu_config, hca_config=hca_config,
+            link_config=profile.link,
+            interrupt_cost_us=profile.interrupt_cost_us,
+            allow_physical=self.config.strategy == "all-physical",
         )
-        if old_qp.state is not QPState.ERROR:
-            old_qp.enter_error("client-initiated redial")
-        if old_qp.peer is not None and old_qp.peer.state is not QPState.ERROR:
-            old_qp.peer.enter_error("client-initiated redial (remote)")
-        if old_server is not None:
-            self.server_transports.remove(old_server)
-            yield from old_server.disconnect()
-        qp_c, qp_s = self.fabric.connect(client.node, self.server_node)
-        server = self._make_server_transport(qp_s)
-        return qp_c, server.ready
 
-    def _connect_client(self, node: IBNode) -> Mount:
+    def _dial(self, host: IBNode, stack: ServerStack, name: str = ""):
+        """One client connection from ``host`` to ``stack``."""
         config = self.config
-        profile = config.profile
         if config.is_rdma:
-            qp_c, qp_s = self.fabric.connect(node, self.server_node)
-            client_strategy = self._make_strategy(config.strategy, node)
-            client_cls = (
-                ReadWriteClient if config.transport == "rdma-rw" else ReadReadClient
-            )
-            client = client_cls(node, qp_c, self.rpcrdma, client_strategy)
-            server = self._make_server_transport(qp_s)
-            # CM handshake: the client may not send until the server side
-            # has pre-posted its receives.
+            qp_c, qp_s = self.fabric.connect(host, stack.node)
+            client_cls = (ReadWriteClient if config.transport == "rdma-rw"
+                          else ReadReadClient)
+            client = client_cls(host, qp_c, stack.rpcrdma,
+                                make_strategy(config, host, server=False),
+                                name=name)
+            server = stack.make_transport(qp_s)
+            # CM handshake: the client may not send until the server
+            # side has pre-posted its receives.
             client.peer_ready = server.ready
             if config.auto_reconnect:
-                client.reconnector = self._redial
-            transport = client
+                client.reconnector = stack.redial
         else:
-            nic = profile.ipoib if config.transport == "tcp-ipoib" else profile.gige
-            client_ep = TcpEndpoint(self.sim, node.cpu, node.irq, nic,
-                                    name=f"{node.name}.tcp")
-            server_ep = TcpEndpoint(
-                self.sim, self.server_node.cpu, self.server_node.irq, nic,
-                name=f"server.tcp.{node.name}",
-            )
-            # All per-client server endpoints share the single physical
-            # server port so aggregate bandwidth is capped correctly.
-            if not hasattr(self, "_server_port"):
-                self._server_port = server_ep.port
-            server_ep.port = self._server_port
-            conn = TcpConnection(client_ep, server_ep)
-            transport = TcpRpcClient(client_ep, conn)
-            server = TcpRpcServerTransport(server_ep, conn)
-            server.attach(self.rpc_server)
-            self.server_transports.append(server)
-        nfs = NfsClient(transport, self.nfs_server.root_handle(),
-                        name=f"{node.name}.nfs")
-        return Mount(node=node, transport=transport, nfs=nfs)
+            client = stack.accept(host)
+        self.client_transports.append(client)
+        return client
+
+    def _add_mux(self, h: int, host: IBNode, stack: ServerStack,
+                 lanes: int, mux: MuxConfig) -> None:
+        name = f"{host.name}.{stack.name}.mux"
+        self.muxes[(h, stack.name)] = QpMux(
+            name, lanes,
+            lambda i: self._dial(host, stack, f"{name}.ch{i}"),
+            config=mux,
+        )
+
+    def _transport_for(self, m: int, h: int, stack: ServerStack,
+                       prefix: str):
+        """Mount ``m``'s transport to ``stack``: lane or dedicated QP."""
+        if self.muxes:
+            return self.muxes[(h, stack.name)].add_lane(m)
+        return self._dial(self.client_nodes[h], stack,
+                          self.names.transport(prefix, stack.name))
+
+    def _build_mount(self, m: int, h: int, s: int) -> Mount:
+        host = self.client_nodes[h]
+        stack = self.server_stacks[s]
+        prefix = self.names.mount(host.name, m)
+        transport = self._transport_for(m, h, stack, prefix)
+        mds = NfsClient(transport, stack.nfs_server.root_handle(),
+                        name=f"{prefix}.nfs")
+        if not self.data_stacks:
+            return Mount(node=host, transport=transport, nfs=mds)
+        data_clients = [
+            NfsClient(self._transport_for(m, h, ds, prefix),
+                      ds.nfs_server.root_handle(),
+                      name=f"{prefix}.{ds.name}.nfs")
+            for ds in self.data_stacks
+        ]
+        striped = StripedNfsClient(
+            mds, data_clients,
+            stripe_unit=self.topology.stripe_unit_bytes,
+            name=f"{prefix}.pnfs",
+            component_tag=f".s{s}.m{m}",
+        )
+        return Mount(node=host, transport=transport, nfs=striped)
 
     def reconnect_client(self, index: int) -> Mount:
         """Re-establish a client's connection after a fatal QP error.
@@ -472,60 +656,70 @@ class Cluster:
         Mirrors what a kernel RPC transport does on connection loss:
         tear down the old endpoint (the server side reclaims anything
         the dead client pinned — §4.1's operational defense), build a
-        fresh QP pair and transport, and resume with the same file
-        handles (NFS is stateless; handles survive reconnection).
+        fresh connection and transport, and resume with the same file
+        handles (NFS is stateless; handles survive reconnection).  Only
+        dedicated, unstriped mounts have a connection of their own; mux
+        channels and striped legs redial themselves.
         """
+        if self.muxes or self.data_stacks:
+            raise ValueError("reconnect_client needs a dedicated, unstriped mount")
         old = self.mounts[index]
-        if self.config.is_rdma:
-            qp = old.transport.qp
-            dead_server = next(
-                (s for s in self.server_transports
-                 if getattr(s, "qp", None) is qp.peer),
-                None,
-            )
-        else:
-            dead_server = self.server_transports[index] if index < len(
-                self.server_transports) else None
-        if dead_server is not None and hasattr(dead_server, "disconnect"):
-            self.server_transports.remove(dead_server)
-            self.sim.process(dead_server.disconnect(),
-                             name="server.disconnect")
-        mount = self._connect_client(old.node)
+        s = self.redirector.index_of(index)
+        self.client_transports.remove(old.transport)
+        self.sim.process(self.server_stacks[s].teardown(old.transport),
+                         name="server.disconnect")
+        mount = self._build_mount(index, self.client_nodes.index(old.node), s)
         self.mounts[index] = mount
         return mount
 
+    # -- aggregate views ----------------------------------------------------
+    @property
+    def all_stacks(self) -> list[ServerStack]:
+        return [*self.server_stacks, *self.data_stacks]
+
+    @property
+    def server_nodes(self) -> list[IBNode]:
+        return [stack.node for stack in self.all_stacks]
+
+    @property
+    def server_transports(self) -> list:
+        return [t for stack in self.all_stacks
+                for t in stack.server_transports]
+
+    def qp_count(self) -> int:
+        """Live server-side connections across every stack — the fig13
+        "total QPs" column (each costs HCA QP context on both ends)."""
+        return len(self.server_transports)
+
+    server_node = _first_stack("node")
+    rpc_server = _first_stack("rpc_server")
+    nfs_server = _first_stack("nfs_server")
+    fs = _first_stack("fs")
+    raid = _first_stack("raid")
+    drc = _first_stack("drc")
+    srq = _first_stack("srq")
+    server_strategy = _first_stack("strategy")
+    security_policy = _first_stack("security_policy")
+    rpcrdma = _first_stack("rpcrdma")
+
     # -- measurement helpers ----------------------------------------------
     def server_recv_buffer_bytes(self) -> int:
-        """Registered receive-buffer memory on the server.
-
-        The figure-11 scaling metric: the shared pool's one-time
-        registration vs the per-connection rings' ``credits ×
-        inline_threshold`` per mount.  TCP transports pre-register
-        nothing (socket buffers are not HCA-registered), so they report
-        zero.
-        """
-        if self.srq is not None:
-            return self.srq.registered_bytes
-        total = 0
-        for transport in self.server_transports:
-            pool = getattr(transport, "recv_pool", None)
-            if pool is not None:
-                total += pool.count * pool.size
-        return total
+        """Registered receive-buffer memory across every server node."""
+        return sum(stack.recv_buffer_bytes() for stack in self.all_stacks)
 
     def reset_utilization_windows(self) -> None:
-        self.server_node.cpu.reset_utilization_window()
-        for node in self.client_nodes:
+        for node in [*self.server_nodes, *self.client_nodes]:
             node.cpu.reset_utilization_window()
 
     def client_cpu_utilization(self) -> float:
         """Mean utilization across client nodes (fraction of all cores)."""
-        if not self.client_nodes:
-            return 0.0
-        return sum(n.cpu.utilization() for n in self.client_nodes) / len(self.client_nodes)
+        return (sum(n.cpu.utilization() for n in self.client_nodes)
+                / len(self.client_nodes))
 
     def server_cpu_utilization(self) -> float:
-        return self.server_node.cpu.utilization()
+        """Mean utilization across server nodes."""
+        nodes = self.server_nodes
+        return sum(n.cpu.utilization() for n in nodes) / len(nodes)
 
     def run(self, proc):
         """Run one process to completion and return its value."""

@@ -50,6 +50,7 @@ class Point:
 
 def _build_cluster(spec: dict):
     from repro.experiments.cluster import Cluster, ClusterConfig
+    from repro.experiments.topology import TOPOLOGY_KEYS, TopologyConfig
 
     kwargs = dict(spec)
     profile = kwargs.pop("profile", None)
@@ -57,15 +58,10 @@ def _build_cluster(spec: dict):
         profile = PROFILES[profile]
     if profile is not None:
         kwargs["profile"] = profile
-    from repro.experiments.topology import TOPOLOGY_KEYS
-
     topo_kwargs = {k: kwargs.pop(k) for k in TOPOLOGY_KEYS if k in kwargs}
-    if topo_kwargs:
-        from repro.experiments.topology import MultiCluster, TopologyConfig
-
-        return MultiCluster(TopologyConfig(cluster=ClusterConfig(**kwargs),
-                                           **topo_kwargs))
-    return Cluster(ClusterConfig(**kwargs))
+    config = ClusterConfig(**kwargs)
+    return Cluster(TopologyConfig(cluster=config, **topo_kwargs)
+                   if topo_kwargs else config)
 
 
 def run_point(point: Point, cluster=None) -> dict:
@@ -98,9 +94,7 @@ def run_point(point: Point, cluster=None) -> dict:
             "recv_registered_bytes": cluster.server_recv_buffer_bytes(),
             # Fig 13's connection axis: live server-side connections
             # (each one costs QP context on both ends).
-            "qp_total": (cluster.qp_count()
-                         if hasattr(cluster, "qp_count")
-                         else len(getattr(cluster, "server_transports", []))),
+            "qp_total": cluster.qp_count(),
         }
     elif point.kind == "oltp":
         from repro.workloads import OltpParams, run_oltp
@@ -126,9 +120,8 @@ def run_point(point: Point, cluster=None) -> dict:
 
         run_iozone(cluster, IozoneParams(**point.params))
         cluster.sim.run(until=cluster.sim.now + 100_000.0)
-        report = audit_server_exposure(
-            getattr(cluster, "server_nodes", cluster.server_node),
-            cluster.server_transports)
+        report = audit_server_exposure(cluster.server_nodes,
+                                       cluster.server_transports)
         out = {
             "stags_exposed_ever": report["stags_exposed_ever"],
             "exposed_regions_now": report["exposed_regions_now"],

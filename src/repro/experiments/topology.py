@@ -1,75 +1,25 @@
-"""Multi-node deployments: sharded servers, data servers, QP sharing.
+"""Scale-out deployment descriptions (DESIGN.md §15).
 
-:class:`~repro.experiments.cluster.Cluster` wires the paper's testbed —
-one server, N clients, one QP each.  This module is the scale-out
-generalisation behind fig13 and the ``repro.api`` Deployment surface:
-
-* **K server shards** — independent full serving stacks (file system,
-  DRC, dispatcher, NFS program, registration strategy, optional shared
-  receive pool), with a :class:`~repro.nfs.redirector.MountRedirector`
-  load-balancing mounts across them at build time;
-* **M data servers** — pNFS-style striping
-  (:class:`~repro.nfs.striping.StripedNfsClient`): each mount keeps its
-  namespace on its assigned shard (the MDS) and stripes file contents
-  across the data-server stacks;
-* **H client hosts** — mounts co-located ``m % H``, the substrate QP
-  sharing needs (dedicated-per-mount hosts cannot share anything);
-* **QP multiplexing** (:class:`~repro.ib.mux.QpMux`) — per
-  (host, target) channel pools of ``ceil(sqrt(lanes))`` shared QPs with
-  per-mount virtual lanes, riding each stack's shared receive pool.
-
-With mux on, the shared pool no longer needs one buffer per *mount* —
-only one per *channel* — so SRQ sizing drops the linear floor
-:func:`~repro.experiments.cluster.default_srq_entries` keeps for
-dedicated connections: registered receive memory scales with
-``sqrt(N)``, the fig13 claim.
-
-:class:`MultiCluster` exposes the same measurement surface as
-``Cluster`` (``mounts``/``run``/``server_recv_buffer_bytes``/CPU
-utilization/aggregated ``server_transports``), so workloads, the
-sanitizer, telemetry and the health checks drive both unchanged.
+A :class:`TopologyConfig` adds K server shards (mounts placed by a
+build-time :class:`~repro.nfs.redirector.MountRedirector`), M pNFS-style
+data servers (:class:`~repro.nfs.striping.StripedNfsClient`), H client
+hosts (mount ``m`` lives on host ``m % H``) and optional QP multiplexing
+(:class:`~repro.ib.mux.QpMux`) to a ``ClusterConfig``'s single-node
+knobs.  :class:`~repro.experiments.cluster.Cluster` builds it on the same
+path as a one-server ``ClusterConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from math import isqrt
 from typing import Optional
 
-from repro.core import (
-    ClientRegistrationCache,
-    ReadReadClient,
-    ReadReadServer,
-    ReadWriteClient,
-    ReadWriteServer,
-    RegistrationCacheStrategy,
-    SrqCreditPolicy,
-)
-from repro.core.strategies import (
-    AllPhysicalStrategy,
-    DynamicRegistration,
-    FmrStrategy,
-    RegistrationStrategy,
-)
-from repro.errors import TransportError
-from repro.experiments.cluster import ClusterConfig, Mount
-from repro.fs import BlockFs, DiskConfig, Raid0, TmpFs
-from repro.ib.fabric import Fabric, IBNode
-from repro.ib.mux import MuxConfig, QpMux
-from repro.ib.srq import SharedReceivePool
-from repro.ib.verbs import QPState
-from repro.nfs import NfsClient, NfsServer
-from repro.nfs.redirector import MountRedirector
-from repro.nfs.striping import StripedNfsClient
-from repro.rpc import RpcServer
-from repro.rpc.drc import DuplicateRequestCache
-from repro.rpc.svc import RpcServerCosts
-from repro.sim import Simulator
+from repro.experiments.cluster import ClusterConfig
+from repro.ib.mux import MuxConfig
 
-__all__ = ["MultiCluster", "ServerStack", "TopologyConfig", "TOPOLOGY_KEYS"]
+__all__ = ["TopologyConfig", "TOPOLOGY_KEYS"]
 
-#: Point-spec keys that route :func:`repro.experiments.sweep._build_cluster`
-#: to a :class:`MultiCluster` instead of a single-node ``Cluster``.
+#: Point-spec keys that make :func:`repro.experiments.sweep._build_cluster`
+#: build from a :class:`TopologyConfig` instead of a ``ClusterConfig``.
 TOPOLOGY_KEYS = ("servers", "data_servers", "mux", "client_hosts",
                  "stripe_unit_bytes", "credits")
 
@@ -126,418 +76,3 @@ class TopologyConfig:
         if not self.cluster.is_rdma:
             raise ValueError("multi-node topologies require an RDMA "
                              "transport (use ClusterConfig for TCP)")
-        if self.cluster.quarantine:
-            raise ValueError("quarantine is not supported on multi-node "
-                             "topologies yet")
-        if self.cluster.fault_plan is not None:
-            raise ValueError("fault plans are not supported on multi-node "
-                             "topologies yet")
-
-    @property
-    def is_multi(self) -> bool:
-        """Anything beyond what a single-node ``Cluster`` wires."""
-        return (self.servers > 1 or self.data_servers > 0
-                or self.mux is not None or self.client_hosts is not None)
-
-
-class ServerStack:
-    """One server node's complete serving stack."""
-
-    def __init__(self, cluster: "MultiCluster", name: str):
-        config = cluster.config
-        profile = config.profile
-        self.name = name
-        self.node = cluster.fabric.add_node(
-            name,
-            cpu_config=profile.server_cpu,
-            hca_config=profile.server_hca,
-            link_config=profile.link,
-            interrupt_cost_us=profile.interrupt_cost_us,
-            allow_physical=config.strategy == "all-physical",
-        )
-        if config.backend == "tmpfs":
-            self.fs = TmpFs(cluster.sim, self.node.cpu)
-            self.raid = None
-        else:
-            self.raid = Raid0(
-                cluster.sim,
-                ndisks=config.ndisks,
-                disk_config=DiskConfig(streaming_mb_s=config.disk_mb_s),
-                stripe_unit_bytes=config.page_bytes,
-            )
-            self.fs = BlockFs(
-                cluster.sim, self.node.cpu, self.raid,
-                cache_bytes=config.cache_bytes,
-                page_bytes=config.page_bytes,
-            )
-        self.drc = (
-            DuplicateRequestCache(config.drc_entries, name=f"{name}.drc")
-            if config.drc_entries > 0 else None
-        )
-        self.rpc_server = RpcServer(
-            cluster.sim,
-            self.node.cpu,
-            nthreads=config.server_workers or profile.server_threads,
-            costs=RpcServerCosts(),
-            drc=self.drc,
-            name=f"{name}.rpcsvc",
-            max_queue=config.server_queue_depth,
-        )
-        self.nfs_server = NfsServer(
-            self.rpc_server, self.fs,
-            max_transfer_bytes=profile.rpcrdma.max_transfer_bytes,
-        )
-        self.strategy = cluster._make_strategy(config.strategy, self.node,
-                                               server=True)
-        self.server_transports: list = []
-        # Flow control is sized by MultiCluster once the lane plan is
-        # known (connection count drives SRQ entries + credit clamps).
-        self.srq: Optional[SharedReceivePool] = None
-        self.credit_policy = None
-        self.rpcrdma = profile.rpcrdma
-
-    def size_flow_control(self, cluster: "MultiCluster",
-                          lanes: int, connections: int) -> None:
-        """Shared pool + per-connection credit clamp for this stack."""
-        config = cluster.config
-        base_credits = cluster.topology.credits or self.rpcrdma.credits
-        overrides = dict(cluster._hardening_overrides(), credits=base_credits)
-        if config.srq:
-            if cluster.topology.mux is not None:
-                # Shared QPs: the pool only needs to cover *channels*,
-                # so the per-mount linear floor goes away — this is the
-                # fig13 sublinear-memory claim.
-                entries = max(64, 16 * isqrt(max(1, lanes)), connections)
-            else:
-                from repro.experiments.cluster import default_srq_entries
-
-                entries = (config.srq_entries
-                           if config.srq_entries is not None
-                           else default_srq_entries(max(1, connections)))
-            demand = 2 if config.transport == "rdma-rr" else 1
-            per_conn = max(1, min(base_credits,
-                                  entries // max(1, demand * connections)))
-            self.srq = SharedReceivePool(
-                self.node, entries, self.rpcrdma.inline_threshold,
-                name=f"{self.name}.srq",
-            )
-            cluster.sim.process(self.srq.setup(),
-                                name=f"{self.name}.srq.setup")
-            overrides["credits"] = per_conn
-            self.credit_policy = SrqCreditPolicy(self.srq,
-                                                 max_grant=per_conn)
-        self.rpcrdma = replace(self.rpcrdma, **overrides)
-
-    def make_transport(self, cluster: "MultiCluster", qp_s):
-        """Build + attach one RDMA server transport for ``qp_s``."""
-        cls = (ReadWriteServer if cluster.config.transport == "rdma-rw"
-               else ReadReadServer)
-        server = cls(self.node, qp_s, self.rpcrdma, self.strategy,
-                     credit_policy=self.credit_policy, srq=self.srq)
-        server.attach(self.rpc_server)
-        self.server_transports.append(server)
-        return server
-
-    def recv_buffer_bytes(self) -> int:
-        if self.srq is not None:
-            return self.srq.registered_bytes
-        total = 0
-        for transport in self.server_transports:
-            pool = getattr(transport, "recv_pool", None)
-            if pool is not None:
-                total += pool.count * pool.size
-        return total
-
-
-class MultiCluster:
-    """A fully wired sharded deployment (drop-in ``Cluster`` surface)."""
-
-    def __init__(self, topology: TopologyConfig):
-        self.topology = topology
-        config = topology.cluster
-        self.config = config
-        profile = config.profile
-        if config.perturb_seed is not None:
-            from repro.check.races import PerturbedSimulator
-
-            self.sim = PerturbedSimulator(config.perturb_seed)
-        else:
-            self.sim = Simulator()
-        if config.sanitizer:
-            from repro.check.sanitizer import Sanitizer
-
-            self.sim.sanitizer = Sanitizer(self.sim)
-        self.fabric = Fabric(self.sim, seed=config.seed)
-        self._client_cls = (ReadWriteClient if config.transport == "rdma-rw"
-                            else ReadReadClient)
-
-        self.server_stacks = [ServerStack(self, f"server{i}")
-                              for i in range(topology.servers)]
-        self.data_stacks = [ServerStack(self, f"ds{j}")
-                            for j in range(topology.data_servers)]
-
-        nclients = config.nclients
-        hosts = min(topology.client_hosts or nclients, nclients)
-        allow_phys = config.strategy == "all-physical"
-        self.client_nodes = [
-            self.fabric.add_node(
-                f"client{h}",
-                cpu_config=profile.client_cpu,
-                hca_config=profile.client_hca,
-                link_config=profile.link,
-                interrupt_cost_us=profile.interrupt_cost_us,
-                allow_physical=allow_phys,
-            )
-            for h in range(hosts)
-        ]
-
-        # Placement first — flow-control sizing and mux pool sizing both
-        # need the full lane plan before any connection is dialed.
-        self.redirector = MountRedirector(self.server_stacks)
-        placements: list[tuple[int, int]] = []
-        server_lanes: dict[tuple[int, int], int] = {}
-        host_mounts: dict[int, int] = {}
-        for m in range(nclients):
-            h = m % hosts
-            s, _ = self.redirector.place(m)
-            placements.append((h, s))
-            server_lanes[(h, s)] = server_lanes.get((h, s), 0) + 1
-            host_mounts[h] = host_mounts.get(h, 0) + 1
-
-        mux_cfg = topology.mux
-
-        def channels_for(lanes: int) -> int:
-            return mux_cfg.qps_for(lanes) if mux_cfg is not None else lanes
-
-        for s, stack in enumerate(self.server_stacks):
-            lanes = sum(n for (h, si), n in server_lanes.items() if si == s)
-            conns = sum(channels_for(n)
-                        for (h, si), n in server_lanes.items() if si == s)
-            stack.size_flow_control(self, lanes, conns)
-        for stack in self.data_stacks:
-            # Every mount stripes to every data server: lane count per
-            # host is simply that host's mount count.
-            lanes = nclients
-            conns = sum(channels_for(n) for n in host_mounts.values())
-            stack.size_flow_control(self, lanes, conns)
-
-        # Channel pools per (host, target stack), dialed eagerly so the
-        # lane plan above matches what actually exists.
-        self.muxes: dict[tuple[int, str], QpMux] = {}
-        if mux_cfg is not None:
-            for h, host in enumerate(self.client_nodes):
-                for s, stack in enumerate(self.server_stacks):
-                    lanes = server_lanes.get((h, s), 0)
-                    if lanes:
-                        self._add_mux(h, host, stack, lanes, mux_cfg)
-                for stack in self.data_stacks:
-                    lanes = host_mounts.get(h, 0)
-                    if lanes:
-                        self._add_mux(h, host, stack, lanes, mux_cfg)
-
-        self.mounts: list[Mount] = []
-        for m, (h, s) in enumerate(placements):
-            self.mounts.append(self._build_mount(m, h, s))
-
-        self.faults = None
-        self.telemetry = None
-        if config.telemetry:
-            self.enable_telemetry()
-
-    # -- wiring ------------------------------------------------------------
-    def _hardening_overrides(self) -> dict:
-        config = self.config
-        overrides = {}
-        if config.lease_timeout_us is not None:
-            overrides["lease_timeout_us"] = config.lease_timeout_us
-        if config.exposure_quota_bytes is not None:
-            overrides["exposure_quota_bytes"] = config.exposure_quota_bytes
-        if config.aes_payload:
-            overrides["aes_payload"] = True
-        return overrides
-
-    def _make_strategy(self, kind: str, node: IBNode,
-                       server: bool) -> RegistrationStrategy:
-        if kind == "dynamic":
-            return DynamicRegistration(node)
-        if kind == "fmr":
-            return FmrStrategy(node)
-        if kind == "cache":
-            if server:
-                return RegistrationCacheStrategy(
-                    node, budget_bytes=self.config.regcache_budget_bytes)
-            return DynamicRegistration(node)
-        if kind == "client-cache":
-            if server:
-                return RegistrationCacheStrategy(
-                    node, budget_bytes=self.config.regcache_budget_bytes)
-            return ClientRegistrationCache(node)
-        if kind == "all-physical":
-            return AllPhysicalStrategy(node)
-        raise ValueError(kind)
-
-    def _make_redial(self, stack: ServerStack):
-        """Recovery policy redialing ``stack`` (see ``Cluster._redial``)."""
-
-        def redial(client):
-            old_qp = client.qp
-            old_server = next(
-                (s for s in stack.server_transports
-                 if getattr(s, "qp", None) is old_qp.peer),
-                None,
-            )
-            if old_qp.state is not QPState.ERROR:
-                old_qp.enter_error("client-initiated redial")
-            if old_qp.peer is not None and \
-                    old_qp.peer.state is not QPState.ERROR:
-                old_qp.peer.enter_error("client-initiated redial (remote)")
-            if old_server is not None:
-                stack.server_transports.remove(old_server)
-                yield from old_server.disconnect()
-            qp_c, qp_s = self.fabric.connect(client.node, stack.node)
-            server = stack.make_transport(self, qp_s)
-            return qp_c, server.ready
-
-        return redial
-
-    def _dial(self, host: IBNode, stack: ServerStack, name: str):
-        """One client connection from ``host`` to ``stack``."""
-        qp_c, qp_s = self.fabric.connect(host, stack.node)
-        strategy = self._make_strategy(self.config.strategy, host,
-                                       server=False)
-        client = self._client_cls(host, qp_c, stack.rpcrdma, strategy,
-                                  name=name)
-        server = stack.make_transport(self, qp_s)
-        client.peer_ready = server.ready
-        if self.config.auto_reconnect:
-            client.reconnector = self._make_redial(stack)
-        return client
-
-    def _add_mux(self, h: int, host: IBNode, stack: ServerStack,
-                 lanes: int, mux_cfg: MuxConfig) -> None:
-        name = f"{host.name}.{stack.name}.mux"
-        self.muxes[(h, stack.name)] = QpMux(
-            name, lanes,
-            lambda i, host=host, stack=stack, name=name:
-                self._dial(host, stack, f"{name}.ch{i}"),
-            config=mux_cfg,
-        )
-
-    def _transport_for(self, m: int, h: int, stack: ServerStack):
-        """Mount ``m``'s transport to ``stack``: lane or dedicated QP."""
-        if self.topology.mux is not None:
-            return self.muxes[(h, stack.name)].add_lane(m)
-        host = self.client_nodes[h]
-        return self._dial(host, stack,
-                          f"{host.name}.m{m}.{stack.name}")
-
-    def _build_mount(self, m: int, h: int, s: int) -> Mount:
-        host = self.client_nodes[h]
-        stack = self.server_stacks[s]
-        transport = self._transport_for(m, h, stack)
-        mds = NfsClient(transport, stack.nfs_server.root_handle(),
-                        name=f"{host.name}.m{m}.nfs")
-        if not self.data_stacks:
-            return Mount(node=host, transport=transport, nfs=mds)
-        data_clients = [
-            NfsClient(self._transport_for(m, h, ds),
-                      ds.nfs_server.root_handle(),
-                      name=f"{host.name}.m{m}.{ds.name}.nfs")
-            for ds in self.data_stacks
-        ]
-        striped = StripedNfsClient(
-            mds, data_clients,
-            stripe_unit=self.topology.stripe_unit_bytes,
-            name=f"{host.name}.m{m}.pnfs",
-            component_tag=f".s{s}.m{m}",
-        )
-        return Mount(node=host, transport=transport, nfs=striped)
-
-    def enable_telemetry(self, tracing: bool = True):
-        """Attach telemetry (see ``Cluster.enable_telemetry``)."""
-        from repro.telemetry import Telemetry
-
-        if self.telemetry is None:
-            self.telemetry = Telemetry(self.sim, tracing=tracing)
-            self.sim.telemetry = self.telemetry
-            self.telemetry.attach_cluster(self)
-        elif tracing:
-            self.telemetry.enable_tracing()
-        return self.telemetry
-
-    # -- aggregate views (the single-node compat surface) ------------------
-    @property
-    def all_stacks(self) -> list[ServerStack]:
-        return [*self.server_stacks, *self.data_stacks]
-
-    @property
-    def server_nodes(self) -> list[IBNode]:
-        return [stack.node for stack in self.all_stacks]
-
-    @property
-    def server_node(self) -> IBNode:
-        return self.server_stacks[0].node
-
-    @property
-    def server_transports(self) -> list:
-        return [t for stack in self.all_stacks
-                for t in stack.server_transports]
-
-    @property
-    def server_strategy(self):
-        return self.server_stacks[0].strategy
-
-    @property
-    def rpc_server(self):
-        return self.server_stacks[0].rpc_server
-
-    @property
-    def nfs_server(self):
-        return self.server_stacks[0].nfs_server
-
-    @property
-    def fs(self):
-        return self.server_stacks[0].fs
-
-    @property
-    def drc(self):
-        return self.server_stacks[0].drc
-
-    @property
-    def srq(self):
-        return self.server_stacks[0].srq
-
-    @property
-    def node_count(self) -> int:
-        """Real node count (health's ``hca`` check compares to this)."""
-        return len(self.all_stacks) + len(self.client_nodes)
-
-    def qp_count(self) -> int:
-        """Live server-side connections across every stack — the fig13
-        "total QPs" column (each costs HCA QP context on both ends)."""
-        return sum(len(stack.server_transports) for stack in self.all_stacks)
-
-    # -- measurement helpers ----------------------------------------------
-    def server_recv_buffer_bytes(self) -> int:
-        return sum(stack.recv_buffer_bytes() for stack in self.all_stacks)
-
-    def reset_utilization_windows(self) -> None:
-        for stack in self.all_stacks:
-            stack.node.cpu.reset_utilization_window()
-        for node in self.client_nodes:
-            node.cpu.reset_utilization_window()
-
-    def client_cpu_utilization(self) -> float:
-        if not self.client_nodes:
-            return 0.0
-        return (sum(n.cpu.utilization() for n in self.client_nodes)
-                / len(self.client_nodes))
-
-    def server_cpu_utilization(self) -> float:
-        stacks = self.all_stacks
-        return (sum(s.node.cpu.utilization() for s in stacks)
-                / len(stacks))
-
-    def run(self, proc):
-        """Run one process to completion and return its value."""
-        return self.sim.run_until_complete(self.sim.process(proc))

@@ -32,8 +32,9 @@ __all__ = ["FaultInjector"]
 class FaultInjector(LinkFaultHook):
     """Deterministic executor for a :class:`FaultPlan`.
 
-    ``cluster`` is duck-typed: anything exposing ``sim``, ``mounts``,
-    ``server_node``, ``client_nodes`` and (optionally) ``raid`` works.
+    ``cluster`` is a :class:`~repro.experiments.cluster.Cluster` of any
+    shape: hooks go on every server and client node and every server
+    stack's RAID, and whole-server faults hit every server stack.
     """
 
     def __init__(self, cluster, plan: FaultPlan):
@@ -71,15 +72,12 @@ class FaultInjector(LinkFaultHook):
         if self._armed:
             raise RuntimeError("fault plan already armed")
         self._armed = True
-        nodes = [self.cluster.server_node, *self.cluster.client_nodes]
-        for node in nodes:
+        for node in self._nodes():
             port = node.hca.port
             self._port_nodes[id(port)] = node.name
             port.fault_hook = self
-        raid = getattr(self.cluster, "raid", None)
-        if raid is not None:
-            for disk in raid.disks:
-                disk.fault_hook = self
+        for disk in self._disks():
+            disk.fault_hook = self
         for spec in self.plan.qp_kills:
             self.sim.process(self._qp_kill(spec), name="faults.qpkill")
         for spec in self.plan.disk_faults:
@@ -91,15 +89,20 @@ class FaultInjector(LinkFaultHook):
 
     def disarm(self) -> None:
         """Remove the hooks (scheduled one-shot faults may still fire)."""
-        for node in [self.cluster.server_node, *self.cluster.client_nodes]:
+        for node in self._nodes():
             if node.hca.port.fault_hook is self:
                 node.hca.port.fault_hook = None
-        raid = getattr(self.cluster, "raid", None)
-        if raid is not None:
-            for disk in raid.disks:
-                if disk.fault_hook is self:
-                    disk.fault_hook = None
+        for disk in self._disks():
+            if disk.fault_hook is self:
+                disk.fault_hook = None
         self._armed = False
+
+    def _nodes(self) -> list:
+        return [*self.cluster.server_nodes, *self.cluster.client_nodes]
+
+    def _disks(self) -> list:
+        return [disk for stack in self.cluster.all_stacks
+                if stack.raid is not None for disk in stack.raid.disks]
 
     # -- LinkFaultHook interface ------------------------------------------
     def drop_message(self, link: DuplexLink) -> bool:
@@ -175,49 +178,61 @@ class FaultInjector(LinkFaultHook):
         yield self._wait_until(spec.at_us)
         mounts = self.cluster.mounts
         mount = mounts[spec.client_index % len(mounts)]
-        qp = getattr(mount.transport, "qp", None)
+        # A muxed mount rides its lane's shared channel QP.
+        transport = getattr(mount.transport, "channel", mount.transport)
+        qp = getattr(transport, "qp", None)
         if self._kill_connection(qp, "injected fault: qp kill"):
             self.qp_kills_fired.add()
             self._instant("fault.qp_kill", mount.node.name)
 
     def _disk_fault(self, spec):
         yield self._wait_until(spec.at_us)
-        raid = getattr(self.cluster, "raid", None)
-        if raid is None:
+        disks = self._disks()
+        if not disks:
             return  # tmpfs backend: nothing to fail
         if spec.disk_index is None:
             self._disk_errors_any += spec.count
         else:
-            disk = raid.disks[spec.disk_index % len(raid.disks)]
+            # Every stack's RAID names its disks alike, so the error
+            # lands on whichever stack first touches that disk position.
+            disk = disks[spec.disk_index % len(disks)]
             self._disk_errors_by_name[disk.name] = (
                 self._disk_errors_by_name.get(disk.name, 0) + spec.count
             )
         self.disk_errors_armed.add(spec.count)
 
+    def _stall_servers(self, duration_us: float):
+        """Stall every server node at once (the first one in-process)."""
+        first, *rest = self.cluster.server_nodes
+        for node in rest:
+            self.sim.process(node.cpu.stall(duration_us), name="faults.stall")
+        yield from first.cpu.stall(duration_us)
+
     def _stall(self, spec):
         yield self._wait_until(spec.at_us)
         self.stalls_fired.add()
-        self._instant("fault.server_stall", "server", duration_us=spec.duration_us)
-        yield from self.cluster.server_node.cpu.stall(spec.duration_us)
+        for node in self.cluster.server_nodes:
+            self._instant("fault.server_stall", node.name,
+                          duration_us=spec.duration_us)
+        yield from self._stall_servers(spec.duration_us)
 
     def _crash(self, spec):
         yield self._wait_until(spec.at_us)
         self.crashes_fired.add()
-        self._instant("fault.server_crash", "server", restart_us=spec.restart_us)
-        # Every connection dies with the server...
-        for mount in self.cluster.mounts:
-            self._kill_connection(getattr(mount.transport, "qp", None),
+        for node in self.cluster.server_nodes:
+            self._instant("fault.server_crash", node.name,
+                          restart_us=spec.restart_us)
+        # Every connection dies with the servers...
+        for transport in self.cluster.client_transports:
+            self._kill_connection(getattr(transport, "qp", None),
                                   "injected fault: server crash")
-        # ...and the node is unresponsive until it has rebooted; clients
-        # redialing during the window queue behind the restart.
-        yield from self.cluster.server_node.cpu.stall(spec.restart_us)
+        # ...and the nodes are unresponsive until they have rebooted;
+        # clients redialing during the window queue behind the restart.
+        yield from self._stall_servers(spec.restart_us)
 
     # -- reporting ----------------------------------------------------------
     def summary(self) -> dict[str, int]:
-        disks = []
-        raid = getattr(self.cluster, "raid", None)
-        if raid is not None:
-            disks = raid.disks
+        disks = self._disks()
         return {
             "messages dropped": self.messages_dropped.events,
             "delay spikes": self.delay_spikes_injected.events,

@@ -88,7 +88,7 @@ def health_of_cluster(cluster: Any, slo: SloPolicy,
     """Grade one already-run, telemetry-enabled cluster."""
     from repro.telemetry.nfsstat import stats_dict
 
-    telemetry = getattr(cluster, "telemetry", None)
+    telemetry = cluster.telemetry
     if telemetry is None:
         raise ValueError(
             "health checks need telemetry; build the cluster with "
@@ -98,7 +98,7 @@ def health_of_cluster(cluster: Any, slo: SloPolicy,
         slo=slo,
         experiment=slo.experiment,
         label=label,
-        nodes=getattr(cluster, "node_count", 1 + cluster.config.nclients),
+        nodes=len(cluster.server_nodes) + len(cluster.client_nodes),
         queue_depth=cluster.config.server_queue_depth,
     )
     return PointHealth(

@@ -37,6 +37,7 @@ from typing import Generator, Optional
 from repro.analysis.latency import LatencyRecorder
 from repro.core import ReadWriteClient
 from repro.errors import TransportError
+from repro.experiments.cluster import make_strategy
 from repro.nfs import NfsClient
 from repro.payload import Payload
 from repro.security.adversary import (
@@ -145,13 +146,12 @@ def _qp_factory(cluster, node, servers: list, with_ready: bool = False):
     adversaries whose sends must land (the flooder) rather than fire
     into an RNR wall."""
 
+    stack = cluster.server_stacks[0]
+
     def factory():
-        policy = cluster.security_policy
-        if policy is not None and policy.is_banned(node.name):
-            policy.redials_refused.add()
-            raise TransportError(f"{node.name}: redial refused (quarantined)")
-        qp_c, qp_s = cluster.fabric.connect(node, cluster.server_node)
-        server = cluster._make_server_transport(qp_s)
+        stack.admit(node.name)
+        qp_c, qp_s = cluster.fabric.connect(node, stack.node)
+        server = stack.make_transport(qp_s)
         servers.append(server)
         if with_ready:
             return qp_c, server.ready
@@ -162,14 +162,15 @@ def _qp_factory(cluster, node, servers: list, with_ready: bool = False):
 
 def _mal_client_mount(cluster, node, client_cls, servers: list) -> _MalMount:
     """A full NFS mount for a protocol-speaking adversary."""
-    qp_c, qp_s = cluster.fabric.connect(node, cluster.server_node)
-    strategy = cluster._make_strategy(cluster.config.strategy, node)
-    client = client_cls(node, qp_c, cluster.rpcrdma, strategy)
-    server = cluster._make_server_transport(qp_s)
+    stack = cluster.server_stacks[0]
+    qp_c, qp_s = cluster.fabric.connect(node, stack.node)
+    strategy = make_strategy(cluster.config, node, server=False)
+    client = client_cls(node, qp_c, stack.rpcrdma, strategy)
+    server = stack.make_transport(qp_s)
     servers.append(server)
     client.peer_ready = server.ready
-    client.reconnector = cluster._redial
-    nfs = NfsClient(client, cluster.nfs_server.root_handle(),
+    client.reconnector = stack.redial
+    nfs = NfsClient(client, stack.nfs_server.root_handle(),
                     name=f"{node.name}.nfs")
     return _MalMount(node=node, transport=client, nfs=nfs,
                      server_transports=servers)
@@ -357,22 +358,22 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     if flooder is not None:
         result.flood_garbage = flooder.garbage_sent.events
 
-    policy = cluster.security_policy
+    stack = cluster.server_stacks[0]
+    policy = stack.security_policy
     if policy is not None:
         result.quarantined = len(policy.quarantined)
         result.redials_refused = policy.redials_refused.events
 
-    if cluster.rpcrdma.aes_payload:
-        result.aes_crypt_bytes = int(
-            cluster.server_node.cpu.crypt_bytes.value)
+    if stack.rpcrdma.aes_payload:
+        result.aes_crypt_bytes = int(stack.node.cpu.crypt_bytes.value)
 
     # -- drain: disconnect every malicious connection so the sanitizer's
     # teardown leak check sees only what the mitigations failed to
     # reclaim on the *legitimate* transports (which is: nothing).
     def drain() -> Generator:
         for server in mal_servers:
-            if server in cluster.server_transports:
-                cluster.server_transports.remove(server)
+            if server in stack.server_transports:
+                stack.server_transports.remove(server)
             yield from server.disconnect()
 
     cluster.run(drain())

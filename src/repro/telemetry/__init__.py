@@ -23,7 +23,7 @@ either way.
 from __future__ import annotations
 
 from repro.ib.verbs import QPState
-from typing import Any, Optional
+from typing import Any
 
 from repro.telemetry.registry import Counter, Gauge, Histogram, Registry, Sample
 from repro.telemetry.spans import Span, SpanTracer
@@ -90,34 +90,10 @@ class Telemetry:
         at collect time.
         """
         reg = self.registry
-        stacks = getattr(cluster, "server_stacks", None)
-        multi = stacks is not None
 
         for mount in cluster.mounts:
-            t = mount.transport
-            m = mount.nfs.name
-            reg.attach("rpc_calls_sent", _events(t.calls_sent),
-                       "RPC calls handed to the transport", mount=m)
-            # A MuxLane has no timers or recovery of its own — those
-            # live on the shared channel, attached below per channel.
-            if hasattr(t, "retransmissions"):
-                reg.attach("rpc_retransmits", _events(t.retransmissions),
-                           "timer-driven resends (same xid)", mount=m)
-            if hasattr(t, "reconnects"):
-                reg.attach("rpc_reconnects", _events(t.reconnects),
-                           "transport redials after fatal QP errors", mount=m)
-                reg.attach("rpc_calls_recovered", _events(t.calls_recovered),
-                           "calls replayed across a reconnect", mount=m)
-            credits = getattr(t, "credits", None)
-            if credits is not None:
-                reg.attach("rpc_credit_waits", _events(credits.waits),
-                           "calls that stalled on an exhausted credit grant",
-                           mount=m)
-                reg.attach("rpc_credit_outstanding_peak",
-                           lambda c=credits: float(c.outstanding_peak),
-                           "deepest concurrent-call level seen", mount=m)
-
-        for mux in getattr(cluster, "muxes", {}).values():
+            self._attach_transport(mount.transport, mount.nfs.name)
+        for mux in cluster.muxes.values():
             reg.attach("mux_channels",
                        lambda x=mux: float(x.qp_count),
                        "shared QPs in this channel pool", mux=mux.name)
@@ -125,56 +101,20 @@ class Telemetry:
                        lambda x=mux: float(len(x.lanes)),
                        "virtual lanes attached to this pool", mux=mux.name)
             for channel in mux.channels:
-                cn = channel.name
-                reg.attach("rpc_calls_sent", _events(channel.calls_sent),
-                           "RPC calls handed to the transport", mount=cn)
-                reg.attach("rpc_retransmits",
-                           _events(channel.retransmissions),
-                           "timer-driven resends (same xid)", mount=cn)
-                if hasattr(channel, "reconnects"):
-                    reg.attach("rpc_reconnects", _events(channel.reconnects),
-                               "transport redials after fatal QP errors",
-                               mount=cn)
-                    reg.attach("rpc_calls_recovered",
-                               _events(channel.calls_recovered),
-                               "calls replayed across a reconnect", mount=cn)
-                reg.attach("rpc_credit_waits", _events(channel.credits.waits),
-                           "calls that stalled on an exhausted credit grant",
-                           mount=cn)
+                self._attach_transport(channel, channel.name)
 
-        if multi:
-            for stack in cluster.all_stacks:
-                self._attach_serving_stack(
-                    stack.rpc_server, stack.srq, stack.drc, stack.nfs_server,
-                    {"server": stack.name})
-                reg.attach("lane_order_violations",
-                           lambda st=stack: float(sum(
-                               t.lanes.order_violations.events
-                               for t in st.server_transports
-                               if getattr(t, "lanes", None) is not None)),
-                           "per-lane FIFO violations flagged by the server",
+        for stack in cluster.all_stacks:
+            self._attach_serving_stack(stack)
+        # Placement is only a choice with more than one shard.
+        if len(cluster.server_stacks) > 1:
+            for index, stack in enumerate(cluster.server_stacks):
+                reg.attach("shard_mounts",
+                           lambda r=cluster.redirector, i=index: float(
+                               r.counts()[i]),
+                           "mounts the redirector placed on this shard",
                            server=stack.name)
-                reg.attach("server_connections",
-                           lambda st=stack: float(len(st.server_transports)),
-                           "live server-side connections (QPs)",
-                           server=stack.name)
-            redirector = getattr(cluster, "redirector", None)
-            if redirector is not None:
-                for index, stack in enumerate(cluster.server_stacks):
-                    reg.attach("shard_mounts",
-                               lambda r=redirector, i=index: float(
-                                   r.counts()[i]),
-                               "mounts the redirector placed on this shard",
-                               server=stack.name)
-        else:
-            self._attach_serving_stack(
-                cluster.rpc_server, getattr(cluster, "srq", None),
-                cluster.drc, cluster.nfs_server, {})
 
-        nodes = getattr(cluster, "server_nodes", None)
-        if nodes is None:
-            nodes = [cluster.server_node]
-        for node in [*nodes, *cluster.client_nodes]:
+        for node in [*cluster.server_nodes, *cluster.client_nodes]:
             hca = node.hca
             n = node.name
             reg.attach("hca_send_ops", _events(hca.sends),
@@ -213,86 +153,23 @@ class Telemetry:
                            lambda s=san, r=rule: float(s.counts.get(r, 0)),
                            "sanitizer violations for one rule", rule=rule)
 
-        if multi:
-            for stack in cluster.all_stacks:
-                self._attach_strategy(stack.strategy, side=stack.name)
-            for mux in cluster.muxes.values():
-                for channel in mux.channels:
-                    self._attach_strategy(channel.strategy, side=channel.name)
-        else:
-            self._attach_strategy(cluster.server_strategy, side="server")
+        for stack in cluster.all_stacks:
+            self._attach_strategy(stack.strategy, side=stack.name)
+        for mux in cluster.muxes.values():
+            for channel in mux.channels:
+                self._attach_strategy(channel.strategy, side=channel.name)
         for mount in cluster.mounts:
             strategy = getattr(mount.transport, "strategy", None)
             if strategy is not None and not hasattr(mount.transport, "channel"):
                 self._attach_strategy(strategy, side=mount.nfs.name)
 
-        for fs, labels in (
-                [(stack.fs, {"server": stack.name})
-                 for stack in cluster.all_stacks] if multi
-                else [(cluster.fs, {})]):
-            cache = getattr(fs, "cache", None)
-            if cache is not None and hasattr(cache, "hits"):
-                reg.attach("pagecache_hits", _events(cache.hits),
-                           "server page-cache hits", **labels)
-                reg.attach("pagecache_misses", _events(cache.misses),
-                           "server page-cache misses", **labels)
-                reg.attach("pagecache_evictions", _events(cache.evictions),
-                           "pages evicted under memory pressure", **labels)
-                reg.attach("pagecache_writebacks", _events(cache.writebacks),
-                           "dirty pages written back", **labels)
-                reg.attach("pagecache_resident_pages",
-                           lambda c=cache: float(c.resident_pages),
-                           "pages currently cached", **labels)
+        clients = sorted({m.node.name for m in cluster.mounts})
+        for stack in cluster.all_stacks:
+            self._attach_pagecache(stack)
+            if stack.security_policy is not None:
+                self._attach_security(stack, clients)
 
-        policy = getattr(cluster, "security_policy", None)
-        if policy is not None:
-            reg.attach("security_naks", _events(policy.naks),
-                       "protection NAKs recorded by the policy")
-            from repro.security.policy import NAK_CAUSES
-            for cause in NAK_CAUSES:
-                reg.attach("security_naks_by_cause",
-                           lambda p=policy, c=cause: float(
-                               p.naks_by_cause.get(c, 0)),
-                           "protection NAKs broken down by TPT cause",
-                           cause=cause)
-            reg.attach("security_malformed_wrs", _events(policy.malformed_wrs),
-                       "receives that failed RPC/RDMA header decode")
-            reg.attach("security_bad_calls", _events(policy.bad_calls),
-                       "RPC calls rejected at dispatch")
-            reg.attach("security_lease_reclaims", _events(policy.lease_reclaims),
-                       "exposure leases reclaimed by deadline")
-            reg.attach("security_lease_reclaimed_bytes",
-                       _value(policy.lease_reclaims),
-                       "bytes un-exposed by lease reclamation")
-            reg.attach("security_quota_evictions",
-                       _events(policy.quota_evictions),
-                       "exposures evicted by per-client quota")
-            reg.attach("security_quota_evicted_bytes",
-                       _value(policy.quota_evictions),
-                       "bytes un-exposed by quota eviction")
-            reg.attach("security_warnings", _events(policy.warnings),
-                       "clients that crossed the WARN threshold")
-            reg.attach("security_throttles", _events(policy.throttles),
-                       "clients escalated to throttling")
-            reg.attach("security_quarantined_mounts",
-                       lambda p=policy: float(len(p.quarantined)),
-                       "clients evicted and banned")
-            reg.attach("security_redials_refused",
-                       _events(policy.redials_refused),
-                       "redial attempts refused for banned clients")
-            reg.attach("security_active_exposures",
-                       lambda c=cluster: float(sum(
-                           len(getattr(t, "pending_done", ()) or ())
-                           for t in c.server_transports)),
-                       "chunk exposures currently awaiting RDMA_DONE")
-            for client in sorted({m.node.name for m in cluster.mounts}):
-                reg.attach("security_exposure_bytes",
-                           lambda p=policy, c=client: float(
-                               p.exposure_bytes_by_client().get(c, 0)),
-                           "currently exposed (pending-DONE) bytes",
-                           client=client)
-
-        if getattr(cluster, "faults", None) is not None:
+        if cluster.faults is not None:
             f = cluster.faults
             reg.attach("faults_messages_dropped", _events(f.messages_dropped),
                        "messages eaten by the wire")
@@ -305,16 +182,42 @@ class Telemetry:
             reg.attach("faults_server_crashes", _events(f.crashes_fired),
                        "server crash-restarts fired")
 
-    def _attach_serving_stack(self, rpc: Any, srq: Any, drc: Any,
-                              nfs_server: Any, labels: dict) -> None:
-        """One serving stack's dispatch/SRQ/DRC gauges.
+    def _attach_transport(self, t: Any, mount: str) -> None:
+        """One client transport's call, retry and credit gauges.
 
-        ``labels`` is empty on a single-node cluster (the historical
-        unlabeled form) and ``{"server": ...}`` per stack on a
-        :class:`~repro.experiments.topology.MultiCluster`, so the
-        registry-summing health checks aggregate across nodes for free.
+        A MuxLane has no timers or recovery of its own — those live on
+        its shared channel, which is attached as a transport too.
         """
         reg = self.registry
+        reg.attach("rpc_calls_sent", _events(t.calls_sent),
+                   "RPC calls handed to the transport", mount=mount)
+        if hasattr(t, "retransmissions"):
+            reg.attach("rpc_retransmits", _events(t.retransmissions),
+                       "timer-driven resends (same xid)", mount=mount)
+        if hasattr(t, "reconnects"):
+            reg.attach("rpc_reconnects", _events(t.reconnects),
+                       "transport redials after fatal QP errors", mount=mount)
+            reg.attach("rpc_calls_recovered", _events(t.calls_recovered),
+                       "calls replayed across a reconnect", mount=mount)
+        credits = getattr(t, "credits", None)
+        if credits is not None:
+            reg.attach("rpc_credit_waits", _events(credits.waits),
+                       "calls that stalled on an exhausted credit grant",
+                       mount=mount)
+            reg.attach("rpc_credit_outstanding_peak",
+                       lambda c=credits: float(c.outstanding_peak),
+                       "deepest concurrent-call level seen", mount=mount)
+
+    def _attach_serving_stack(self, stack: Any) -> None:
+        """One serving stack's dispatch/SRQ/DRC/connection gauges.
+
+        Every series carries ``server=<stack name>``, whatever the
+        cluster's shape, so the registry-summing health checks aggregate
+        across nodes for free.
+        """
+        reg = self.registry
+        rpc, srq, drc = stack.rpc_server, stack.srq, stack.drc
+        labels = {"server": stack.name}
         reg.attach("rpc_server_calls", _events(rpc.calls_served),
                    "RPCs dispatched by the server", **labels)
         reg.attach("rpc_server_failed", _events(rpc.calls_failed),
@@ -366,8 +269,88 @@ class Telemetry:
                        "duplicate xids answered from the cache", **labels)
             reg.attach("drc_drops", _events(drc.drops),
                        "duplicates dropped while the original ran", **labels)
-        reg.attach("nfsd_errors", _events(nfs_server.errors),
+        reg.attach("nfsd_errors", _events(stack.nfs_server.errors),
                    "NFS procedures that returned an error status", **labels)
+        reg.attach("lane_order_violations",
+                   lambda st=stack: float(sum(
+                       t.lanes.order_violations.events
+                       for t in st.server_transports
+                       if getattr(t, "lanes", None) is not None)),
+                   "per-lane FIFO violations flagged by the server", **labels)
+        reg.attach("server_connections",
+                   lambda st=stack: float(len(st.server_transports)),
+                   "live server-side connections (QPs)", **labels)
+
+    def _attach_pagecache(self, stack: Any) -> None:
+        """A block file system's page-cache gauges (tmpfs has none)."""
+        reg = self.registry
+        cache = getattr(stack.fs, "cache", None)
+        if cache is None or not hasattr(cache, "hits"):
+            return
+        labels = {"server": stack.name}
+        reg.attach("pagecache_hits", _events(cache.hits),
+                   "server page-cache hits", **labels)
+        reg.attach("pagecache_misses", _events(cache.misses),
+                   "server page-cache misses", **labels)
+        reg.attach("pagecache_evictions", _events(cache.evictions),
+                   "pages evicted under memory pressure", **labels)
+        reg.attach("pagecache_writebacks", _events(cache.writebacks),
+                   "dirty pages written back", **labels)
+        reg.attach("pagecache_resident_pages",
+                   lambda c=cache: float(c.resident_pages),
+                   "pages currently cached", **labels)
+
+    def _attach_security(self, stack: Any, clients: list) -> None:
+        """One stack's misbehavior-policy gauges (hardened data plane)."""
+        from repro.security.policy import NAK_CAUSES
+
+        reg = self.registry
+        policy = stack.security_policy
+        labels = {"server": stack.name}
+        reg.attach("security_naks", _events(policy.naks),
+                   "protection NAKs recorded by the policy", **labels)
+        for cause in NAK_CAUSES:
+            reg.attach("security_naks_by_cause",
+                       lambda p=policy, c=cause: float(
+                           p.naks_by_cause.get(c, 0)),
+                       "protection NAKs broken down by TPT cause",
+                       cause=cause, **labels)
+        reg.attach("security_malformed_wrs", _events(policy.malformed_wrs),
+                   "receives that failed RPC/RDMA header decode", **labels)
+        reg.attach("security_bad_calls", _events(policy.bad_calls),
+                   "RPC calls rejected at dispatch", **labels)
+        reg.attach("security_lease_reclaims", _events(policy.lease_reclaims),
+                   "exposure leases reclaimed by deadline", **labels)
+        reg.attach("security_lease_reclaimed_bytes",
+                   _value(policy.lease_reclaims),
+                   "bytes un-exposed by lease reclamation", **labels)
+        reg.attach("security_quota_evictions",
+                   _events(policy.quota_evictions),
+                   "exposures evicted by per-client quota", **labels)
+        reg.attach("security_quota_evicted_bytes",
+                   _value(policy.quota_evictions),
+                   "bytes un-exposed by quota eviction", **labels)
+        reg.attach("security_warnings", _events(policy.warnings),
+                   "clients that crossed the WARN threshold", **labels)
+        reg.attach("security_throttles", _events(policy.throttles),
+                   "clients escalated to throttling", **labels)
+        reg.attach("security_quarantined_mounts",
+                   lambda p=policy: float(len(p.quarantined)),
+                   "clients evicted and banned", **labels)
+        reg.attach("security_redials_refused",
+                   _events(policy.redials_refused),
+                   "redial attempts refused for banned clients", **labels)
+        reg.attach("security_active_exposures",
+                   lambda st=stack: float(sum(
+                       len(getattr(t, "pending_done", ()) or ())
+                       for t in st.server_transports)),
+                   "chunk exposures currently awaiting RDMA_DONE", **labels)
+        for client in clients:
+            reg.attach("security_exposure_bytes",
+                       lambda p=policy, c=client: float(
+                           p.exposure_bytes_by_client().get(c, 0)),
+                       "currently exposed (pending-DONE) bytes",
+                       client=client, **labels)
 
     def _attach_strategy(self, strategy: Any, side: str) -> None:
         """Registration-strategy gauges: FMR occupancy, regcache hit rate."""

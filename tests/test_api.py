@@ -4,6 +4,7 @@ import pytest
 
 import repro.api as api
 from repro.api import (
+    Cluster,
     ClusterConfig,
     Deployment,
     MountHandle,
@@ -78,12 +79,12 @@ def test_mount_handle_rejects_unknown_verbs():
 
 
 # ---------------------------------------------------------------- topology
-def test_topology_kwargs_route_to_multicluster():
-    from repro.api import MultiCluster
-
+def test_topology_kwargs_route_to_sharded_cluster():
     dep = connect(transport="rdma-rw", strategy="dynamic",
                   nclients=6, servers=2, mux=True, srq=True)
-    assert isinstance(dep.cluster, MultiCluster)
+    assert isinstance(dep.cluster, Cluster)
+    assert len(dep.cluster.server_stacks) == 2
+    assert not hasattr(api, "MultiCluster")
     assert dep.topology is not None and dep.topology.servers == 2
     assert dep.config.nclients == 6   # base knobs still visible
 

@@ -197,7 +197,7 @@ def test_fmr_pool_exhaustion_falls_back_not_fails():
     small = FmrStrategy(c.server_node, pool_size=2)
     for st in c.server_transports:
         st.strategy = small
-    c.server_strategy = small
+    c.server_stacks[0].strategy = small
     nfs = c.mounts[0].nfs
     done = []
 
@@ -251,6 +251,27 @@ def test_reconnect_tcp_transport():
         return data
 
     assert c.run(after()) == b"tcp data"
+
+
+def test_tcp_reconnect_replaces_its_server_transport():
+    """Regression: TCP reconnects matched the dead server transport by
+    list index and never removed it, so the list grew per reconnect."""
+    c = Cluster(ClusterConfig(transport="tcp-gige", nclients=2))
+    c.reconnect_client(0)
+    c.reconnect_client(0)
+
+    def roundtrip(mount, name):
+        nfs = mount.nfs
+        fh, _ = yield from nfs.create(nfs.root, name)
+        yield from nfs.write(fh, 0, name.encode())
+        data, _, _ = yield from nfs.read(fh, 0, len(name))
+        return data
+
+    for i, mount in enumerate(c.mounts):
+        assert c.run(roundtrip(mount, f"m{i}")) == f"m{i}".encode()
+    assert len(c.server_transports) == 2
+    conns = {t.conn for t in c.server_transports}
+    assert conns == {m.transport.conn for m in c.mounts}
 
 
 def test_experiment_runners_smoke():

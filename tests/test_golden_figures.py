@@ -13,7 +13,7 @@ Regenerate (only when deliberately changing simulated behaviour)::
 
     PYTHONPATH=src python -m tests.test_golden_figures --capture
 
-``test_full_figure_tables`` re-runs the complete quick-scale fig 5-7
+``test_full_figure_tables`` re-runs the complete quick-scale fig 5-13
 tables (a few minutes of CPU); it is skipped unless
 ``REPRO_GOLDEN_FULL=1`` so the tier-1 suite stays fast.  The small grid
 below covers every transport (RR, RW, IPoIB, GigE), every registration
@@ -94,6 +94,11 @@ GRID = [
 ]
 
 
+#: Every figure whose quick table is part of the behaviour contract.
+FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+           "fig12", "fig13")
+
+
 def _profiles():
     from repro.analysis import LINUX_DDR_RAID, LINUX_SDR, SOLARIS_SDR
     return {p.name: p for p in (SOLARIS_SDR, LINUX_SDR, LINUX_DDR_RAID)}
@@ -155,7 +160,7 @@ def run_point(spec) -> dict:
 def _figure_tables() -> dict:
     from repro.experiments import figures
     out = {}
-    for fig in ("fig5", "fig6", "fig7"):
+    for fig in FIGURES:
         result = getattr(figures, f"run_{fig}")("quick")
         out[fig] = {"headers": result.headers, "rows": result.rows}
     return out
@@ -185,9 +190,10 @@ def test_golden_grid_points():
 def test_full_figure_tables():
     if os.environ.get("REPRO_GOLDEN_FULL") != "1":
         import pytest
-        pytest.skip("set REPRO_GOLDEN_FULL=1 to re-run full fig5-7 tables")
+        pytest.skip("set REPRO_GOLDEN_FULL=1 to re-run full fig5-13 tables")
     golden = _load("seed_figures.json")
     got = _figure_tables()
+    assert sorted(golden) == sorted(FIGURES)
     for fig, want in golden.items():
         assert got[fig]["headers"] == want["headers"]
         assert got[fig]["rows"] == want["rows"], f"{fig} table diverged"

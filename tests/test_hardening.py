@@ -33,7 +33,7 @@ def _withholder_cluster(**knobs):
     qc, qs = c.fabric.connect(c.mounts[0].node, c.server_node)
     withholder = DoneWithholdingClient(
         c.mounts[0].node, qc, c.rpcrdma, c.mounts[0].transport.strategy)
-    server = c._make_server_transport(qs)
+    server = c.server_stacks[0].make_transport(qs)
     withholder.peer_ready = server.ready
     nfs = NfsClient(withholder, c.nfs_server.root_handle())
     return c, nfs, withholder, server

@@ -18,11 +18,14 @@ from repro.core.header import (
     MessageType,
     RpcRdmaHeader,
 )
+from repro.errors import TransportError
 from repro.experiments.cluster import Cluster, ClusterConfig
-from repro.experiments.topology import MultiCluster, TopologyConfig
+from repro.experiments.topology import TopologyConfig
+from repro.faults import FaultPlan, QpKill, ServerCrash
 from repro.ib.mux import MuxConfig, default_mux_qps
 from repro.security import audit_server_exposure
 from repro.sim import AllOf
+from repro.workloads import IozoneParams, run_iozone
 
 
 def topo(**kw):
@@ -92,17 +95,17 @@ def test_mux_config_validates():
 def test_qp_count_sqrt_bound_vs_linear():
     """Muxed deployments stay under 2*sqrt(N)+hosts; per-conn is N."""
     for n in (10, 100, 1000):
-        mc = MultiCluster(topo(nclients=n))
+        mc = Cluster(topo(nclients=n))
         assert mc.qp_count() <= 2 * math.isqrt(n) + 4
-        per_conn = MultiCluster(topo(nclients=n, mux=False, srq=False))
+        per_conn = Cluster(topo(nclients=n, mux=False, srq=False))
         assert per_conn.qp_count() == n
 
 
 def test_srq_sizing_sublinear_and_safe():
     """Mux-mode pools drop the per-mount linear floor but still cover
     every channel's full credit grant (no overcommit)."""
-    small = MultiCluster(topo(nclients=10))
-    big = MultiCluster(topo(nclients=1000))
+    small = Cluster(topo(nclients=10))
+    big = Cluster(topo(nclients=1000))
     assert big.server_stacks[0].srq.entries < 1000  # sublinear
     for mc in (small, big):
         stack = mc.server_stacks[0]
@@ -115,7 +118,7 @@ def test_srq_sizing_sublinear_and_safe():
 def test_lane_fifo_under_perturbation(seed):
     """The server-side ledger sees every lane in order even when the
     event queue's tie-breaking is adversarially perturbed."""
-    mc = MultiCluster(topo(nclients=8, sanitizer=True, perturb_seed=seed))
+    mc = Cluster(topo(nclients=8, sanitizer=True, perturb_seed=seed))
     run_all_mounts(mc)
     ledgers = [t.lanes for t in mc.server_transports
                if getattr(t, "lanes", None) is not None]
@@ -127,7 +130,7 @@ def test_lane_fifo_under_perturbation(seed):
 
 def test_lane_fifo_without_mux_never_allocates_ledger():
     """Dedicated connections never pay for lane accounting."""
-    mc = MultiCluster(topo(nclients=4, mux=False, srq=False))
+    mc = Cluster(topo(nclients=4, mux=False, srq=False))
     run_all_mounts(mc)
     assert all(getattr(t, "lanes", None) is None
                for t in mc.server_transports)
@@ -137,7 +140,7 @@ def test_lane_fifo_without_mux_never_allocates_ledger():
 def test_killed_shared_qp_heals_all_lanes_without_srq_leak():
     """One redial revives every lane on the shared channel, and the
     dead QP's parked SRQ slots all come back to the pool."""
-    mc = MultiCluster(topo(nclients=6, client_hosts=1))
+    mc = Cluster(topo(nclients=6, client_hosts=1))
     mux = next(iter(mc.muxes.values()))
     assert mux.qp_count == 3  # ceil(sqrt(6)) shared channels
     victim = mux.channels[0]
@@ -179,7 +182,7 @@ def test_striped_roundtrip_matches_single_server():
     single = Cluster(ClusterConfig(transport="rdma-rw", strategy="dynamic"))
     want = single.run(script(single.mounts[0].nfs))
 
-    mc = MultiCluster(TopologyConfig(
+    mc = Cluster(TopologyConfig(
         transport="rdma-rw", strategy="dynamic", nclients=1,
         data_servers=3, stripe_unit_bytes=64 * 1024, mux=True, srq=True))
     got = mc.run(script(mc.mounts[0].nfs))
@@ -190,7 +193,7 @@ def test_striped_roundtrip_matches_single_server():
 
 
 def test_striped_remove_cleans_components():
-    mc = MultiCluster(TopologyConfig(
+    mc = Cluster(TopologyConfig(
         transport="rdma-rw", strategy="dynamic", nclients=1,
         data_servers=2, mux=True, srq=True))
     nfs = mc.mounts[0].nfs
@@ -209,7 +212,7 @@ def test_striped_remove_cleans_components():
 
 # ---------------------------------------------------------- redirector
 def test_redirector_balances_within_one():
-    mc = MultiCluster(topo(nclients=10, servers=4))
+    mc = Cluster(topo(nclients=10, servers=4))
     counts = mc.redirector.counts()
     assert sum(counts) == 10
     assert max(counts) - min(counts) <= 1
@@ -223,7 +226,7 @@ def test_redirector_balances_within_one():
 # ------------------------------------------------- multi-node aggregation
 def test_audit_aggregates_across_server_nodes():
     """Regression: the single-node audit silently missed K-1 shards."""
-    mc = MultiCluster(topo(nclients=8, servers=2, transport="rdma-rr"))
+    mc = Cluster(topo(nclients=8, servers=2, transport="rdma-rr"))
     run_all_mounts(mc)
     mc.sim.run(until=mc.sim.now + 1_000_000.0)
     per_node = [
@@ -242,7 +245,7 @@ def test_audit_aggregates_across_server_nodes():
 
 def test_stats_aggregate_across_server_nodes():
     """Regression: nfsstat/health payloads must carry every shard."""
-    mc = MultiCluster(topo(nclients=8, servers=2,
+    mc = Cluster(topo(nclients=8, servers=2,
                            **{"telemetry": True}))
     run_all_mounts(mc)
     from repro.telemetry.nfsstat import render_stats, stats_dict
@@ -256,6 +259,55 @@ def test_stats_aggregate_across_server_nodes():
     assert sorted(shard_counts) == [4.0, 4.0]
     text = render_stats(mc)
     assert "server=server1" in text and "shared QPs" in text
+
+
+# ------------------------------------------------- faults and quarantine
+@pytest.mark.parametrize("mux", [False, True])
+def test_qp_kill_and_crash_on_sharded_topology(mux):
+    """A QP kill and a server crash on two shards: iozone completes,
+    every connection heals, and the sanitizer stays clean.
+
+    The fault times are fixed.  Some other timings strand a server
+    registration or trip the stale-STag rule on every topology, the
+    one-server testbed included — a known recovery-path gap.
+    """
+    plan = FaultPlan(seed=3, qp_kills=(QpKill(at_us=2000.0, client_index=1),),
+                     server_crashes=(ServerCrash(at_us=8500.0,
+                                                 restart_us=20_000.0),))
+    mc = Cluster(TopologyConfig(
+        transport="rdma-rw", nclients=4, client_hosts=2, servers=2, mux=mux,
+        srq=mux, sanitizer=True, fault_plan=plan))
+    run_iozone(mc, IozoneParams(record_bytes=64 * 1024, file_bytes=1 << 20,
+                                ops_per_thread=16))
+    mc.sim.run(until=mc.sim.now + 1_000_000.0)
+    summary = mc.faults.summary()
+    assert summary["qp kills"] == 1 and summary["server crashes"] == 1
+    assert sum(t.reconnects.events for t in mc.client_transports) >= 1
+    assert sum(s.rpc_server.calls_failed.events for s in mc.all_stacks) == 0
+    assert mc.sim.sanitizer.violations == []
+    mc.sim.sanitizer.check_teardown(mc)
+
+
+def test_quarantine_refuses_redial_on_own_shard():
+    """Each shard runs its own misbehavior policy: a client banned by
+    its shard is refused on redial, and the other shard is unaffected."""
+    mc = Cluster(topo(nclients=4, servers=2, mux=False, srq=False,
+                      quarantine=True))
+    shard = mc.redirector.index_of(1)
+    mount = mc.mounts[1]
+    own, other = mc.server_stacks[shard], mc.server_stacks[1 - shard]
+    assert own.security_policy is not other.security_policy
+    nfs = mount.nfs
+
+    def getattr_root():
+        yield from nfs.getattr(nfs.root)
+
+    mc.run(getattr_root())
+    own.security_policy.quarantine(mount.node.name)
+    with pytest.raises(TransportError, match="redial refused"):
+        mc.run(getattr_root())
+    assert own.security_policy.redials_refused.events == 1
+    assert not other.security_policy.is_banned(mount.node.name)
 
 
 def test_topology_validation():

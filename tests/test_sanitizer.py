@@ -255,7 +255,8 @@ def test_unbalanced_strategy_counters_report_as_leak():
     strategy.acquires.add()
     strategy.releases.add()
     cluster = SimpleNamespace(
-        server_strategy=strategy, mounts=[],
+        all_stacks=[SimpleNamespace(name="server", strategy=strategy)],
+        client_transports=[],
         server_transports=[SimpleNamespace(name="rr0",
                                            pending_done={0x9: ["region"]})],
     )
