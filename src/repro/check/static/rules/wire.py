@@ -15,6 +15,15 @@ sequence:
 * primitive ops on the encoder/decoder handle (``u32``, ``u64``,
   ``opaque``, ``string``, ``boolean``; ``raw`` pairs with
   ``remainder``), including chained calls (``enc.u32(0).opaque(b"")``);
+* ``pack:<LAYOUT>`` for a fused fixed-layout run, ``enc.pack(_L, ...)``
+  on one side and ``dec.unpack(_L)`` on the other: both must name the
+  same layout.  ``_L`` must be a module-level ``struct.Struct`` literal
+  of big-endian ``I``/``i``/``Q``/``q`` words, ``pack`` must pass as
+  many values as it has fields, and a tuple target of ``unpack`` must
+  bind as many names;
+* any other op on the handle counts as a field under its own name
+  (``?op``), so a codec the rule does not understand never reads as
+  empty and skipped;
 * ``array(...)`` / ``optional(...)`` combinators, recursing into their
   lambda (or named-function) item codecs;
 * ``nested`` for a sub-codec invocation (``self.chunks.encode(enc)`` /
@@ -32,6 +41,7 @@ happens on every path.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Optional, Union
 
 from repro.check.purity import Finding
@@ -59,8 +69,38 @@ _PRIMITIVES = {
     "raw": "raw", "remainder": "raw",
 }
 _COMBINATORS = {"array", "optional"}
+#: fused fixed-layout ops; both spell their token ``pack:<LAYOUT>``.
+_FUSED = {"pack", "unpack"}
+#: handle methods that write or read no field (plus any ``peek*``,
+#: which looks ahead without consuming).
+_NON_FIELD = {"take", "done"}
+
+#: an XDR layout: big-endian, 4- and 8-byte integer words only.
+_LAYOUT_FORMAT = re.compile(r"[>!](?:\d*[IiQq])+")
+_LAYOUT_FIELD = re.compile(r"(\d*)[IiQq]")
 
 Token = Union[str, tuple]  # "u32" | ("opt"|"many"|"array"|"optional", [...]) | "nested"
+
+
+def _module_layouts(module: Module) -> dict[str, Optional[int]]:
+    """Module-level ``NAME = struct.Struct("fmt")`` literals: name ->
+    field count, or None when ``fmt`` is not an XDR layout."""
+    layouts: dict[str, Optional[int]] = {}
+    for stmt in module.tree.body:
+        if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)):
+            continue
+        call = stmt.value
+        if (dotted(call.func) or "").split(".")[-1] != "Struct":
+            continue
+        fmt = (call.args[0].value if len(call.args) == 1
+               and isinstance(call.args[0], ast.Constant) else None)
+        count = None
+        if isinstance(fmt, str) and _LAYOUT_FORMAT.fullmatch(fmt):
+            count = sum(int(n or 1) for n in _LAYOUT_FIELD.findall(fmt))
+        for target in stmt.targets:
+            if isinstance(target, ast.Name):
+                layouts[target.id] = count
+    return layouts
 
 
 def _fmt(tokens: list[Token]) -> str:
@@ -76,9 +116,15 @@ def _fmt(tokens: list[Token]) -> str:
 class _TokenExtractor:
     """Ordered codec-op tokens for one encode/decode body."""
 
-    def __init__(self, handles: set[str]):
+    def __init__(self, handles: set[str], layouts: dict[str, Optional[int]],
+                 problems: list[tuple[int, str]]):
         #: names bound to the encoder/decoder (parameter or local).
         self.handles = set(handles)
+        #: the module's ``struct.Struct`` layouts (see _module_layouts).
+        self.layouts = layouts
+        #: (line, message) for layout and arity errors, shared across
+        #: nested extractors.
+        self.problems = problems
 
     def _is_handle(self, node: ast.expr) -> bool:
         return isinstance(node, ast.Name) and node.id in self.handles
@@ -99,10 +145,64 @@ class _TokenExtractor:
             return list(reversed(chain))
         return []
 
+    def _layout(self, call: ast.Call, op: str) -> tuple[str, Optional[int]]:
+        """The layout named by a pack/unpack call and its field count
+        (None, with a problem recorded, when it cannot be checked)."""
+        name = dotted(call.args[0]) if call.args else None
+        if name is None:
+            self.problems.append(
+                (call.lineno, f"{op}() needs a layout name as its first argument"))
+            return "?", None
+        if name not in self.layouts:
+            self.problems.append(
+                (call.lineno, f"{op}({name}): {name} is not a module-level "
+                              f"struct.Struct literal"))
+            return name, None
+        fields = self.layouts[name]
+        if fields is None:
+            self.problems.append(
+                (call.lineno, f"{op}({name}): {name} is not an XDR layout "
+                              f"(big-endian I/i/Q/q words only)"))
+        return name, fields
+
+    def _fused(self, call: ast.Call, op: str) -> str:
+        name, fields = self._layout(call, op)
+        if op == "pack" and fields is not None:
+            values = call.args[1:]
+            if call.keywords or any(isinstance(v, ast.Starred) for v in values):
+                self.problems.append(
+                    (call.lineno, f"pack({name}, ...): pass each value "
+                                  f"positionally so its arity can be checked"))
+            elif len(values) != fields:
+                self.problems.append(
+                    (call.lineno, f"pack({name}, ...) passes {len(values)} "
+                                  f"value(s), {name} has {fields} field(s)"))
+        return f"{op}:{name}"
+
+    def _check_unpack_targets(self, stmt: ast.Assign) -> None:
+        """``a, b = dec.unpack(_L)`` must bind one name per field."""
+        call, target = stmt.value, stmt.targets[0]
+        if not (len(stmt.targets) == 1 and isinstance(target, ast.Tuple)
+                and isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "unpack"
+                and self._is_handle(call.func.value)):
+            return
+        names = target.elts
+        if any(isinstance(n, ast.Starred) for n in names):
+            return
+        layout = dotted(call.args[0]) if call.args else None
+        fields = self.layouts.get(layout) if layout is not None else None
+        if fields is not None and len(names) != fields:
+            self.problems.append(
+                (stmt.lineno, f"unpack({layout}) binds {len(names)} name(s), "
+                              f"{layout} has {fields} field(s)"))
+
     def _lambda_tokens(self, fn: ast.expr) -> list[Token]:
         """Tokens of an item-codec argument (lambda or function ref)."""
         if isinstance(fn, ast.Lambda):
-            inner = _TokenExtractor({a.arg for a in fn.args.args})
+            inner = _TokenExtractor({a.arg for a in fn.args.args},
+                                    self.layouts, self.problems)
             return inner.expr_tokens(fn.body)
         if isinstance(fn, (ast.Name, ast.Attribute)):
             return ["nested"]
@@ -130,6 +230,10 @@ class _TokenExtractor:
                         for arg in link.args:
                             inner = self._lambda_tokens(arg) or inner
                         out.append((op, inner))
+                    elif op in _FUSED:
+                        out.append(self._fused(link, op))
+                    elif not (op in _NON_FIELD or op.startswith("peek")):
+                        out.append(f"?{op}")
                 return out
             # a call that receives the handle is a nested sub-codec
             tokens: list[Token] = []
@@ -162,6 +266,7 @@ class _TokenExtractor:
             if isinstance(stmt, (ast.Expr, ast.Return)):
                 out.extend(self.expr_tokens(stmt.value))
             elif isinstance(stmt, ast.Assign):
+                self._check_unpack_targets(stmt)
                 out.extend(self.expr_tokens(stmt.value))
             elif isinstance(stmt, ast.AnnAssign):
                 out.extend(self.expr_tokens(stmt.value))
@@ -217,16 +322,24 @@ def _codec_handles(info: FunctionInfo) -> set[str]:
     return handles
 
 
-def _tokens_for(info: FunctionInfo) -> list[Token]:
-    extractor = _TokenExtractor(_codec_handles(info))
+def _tokens_for(info: FunctionInfo, layouts: dict[str, Optional[int]],
+                problems: list[tuple[int, str]]) -> list[Token]:
+    extractor = _TokenExtractor(_codec_handles(info), layouts, problems)
     return extractor.block_tokens(list(info.node.body))
+
+
+def _kind(token: Token) -> str:
+    """Comparable kind of a token: ``unpack:L`` pairs with ``pack:L``."""
+    if isinstance(token, tuple):
+        return token[0]
+    return token[2:] if token.startswith("unpack:") else token
 
 
 def _match(enc: list[Token], dec: list[Token]) -> Optional[str]:
     """None when symmetric, else a first-divergence description."""
     for index, (a, b) in enumerate(zip(enc, dec)):
-        a_kind = a[0] if isinstance(a, tuple) else a
-        b_kind = b[0] if isinstance(b, tuple) else b
+        a_kind = _kind(a)
+        b_kind = _kind(b)
         group_kinds = {"opt", "many", "array", "optional"}
         if a_kind in group_kinds and b_kind in group_kinds:
             if a_kind != b_kind and {a_kind, b_kind} != {"opt", "opt"}:
@@ -240,8 +353,8 @@ def _match(enc: list[Token], dec: list[Token]) -> Optional[str]:
                 return inner
             continue
         if a_kind != b_kind:
-            return (f"field {index}: encode writes '{a_kind}' but decode "
-                    f"reads '{b_kind}'")
+            return (f"field {index}: encode writes '{_fmt([a])}' but decode "
+                    f"reads '{_fmt([b])}'")
     if len(enc) != len(dec):
         if len(enc) > len(dec):
             extra = _fmt(enc[len(dec):])
@@ -266,7 +379,7 @@ def _pairs(program: Program, module: Module
     for info in program.functions.values():
         if info.module is not module or info.cls is not None:
             continue
-        if info.name.startswith("encode_") or info.name == "_encode_segment":
+        if info.name.startswith(("encode_", "_encode_")):
             suffix = info.name.replace("encode", "decode", 1)
             partner = program.functions.get(f"{module.name}.{suffix}")
             if partner is not None:
@@ -280,9 +393,11 @@ def run(program: Program) -> list[Finding]:
         module = program.module(name)
         if module is None:
             continue
+        layouts = _module_layouts(module)
+        problems: list[tuple[int, str]] = []
         for pair_name, enc, dec in _pairs(program, module):
-            enc_tokens = _tokens_for(enc)
-            dec_tokens = _tokens_for(dec)
+            enc_tokens = _tokens_for(enc, layouts, problems)
+            dec_tokens = _tokens_for(dec, layouts, problems)
             if not enc_tokens and not dec_tokens:
                 continue
             divergence = _match(enc_tokens, dec_tokens)
@@ -292,6 +407,8 @@ def run(program: Program) -> list[Finding]:
                     f"{pair_name}: encode/decode field sequences diverge "
                     f"— {divergence} (encode: {_fmt(enc_tokens)}; decode: "
                     f"{_fmt(dec_tokens)})"))
+        for line, message in sorted(set(problems)):
+            findings.append(Finding(module.path, line, RULE, message))
     return findings
 
 

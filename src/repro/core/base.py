@@ -225,19 +225,20 @@ class _RdmaEndpoint:
             pool.regions.clear()
 
     # -- inline send -----------------------------------------------------
-    def send_header(self, header: RpcRdmaHeader) -> Generator:
-        """Process: ship one RPC/RDMA header (plus inline body) via Send."""
-        payload = header.encode()
-        if len(payload) > self.config.inline_threshold:
+    def send_header(self, wire: bytes) -> Generator:
+        """Process: ship one encoded RPC/RDMA header (plus inline body)
+        via Send.  Callers encode each message once and size-test those
+        same bytes; a retransmit resends them unchanged."""
+        if len(wire) > self.config.inline_threshold:
             raise TransportError(
-                f"header of {len(payload)} bytes exceeds inline threshold "
+                f"header of {len(wire)} bytes exceeds inline threshold "
                 f"{self.config.inline_threshold}"
             )
         region = yield self.send_pool.free.get()
-        yield from self.node.cpu.copy(len(payload))  # marshal into send buffer
-        region.fill(payload)
+        yield from self.node.cpu.copy(len(wire))  # marshal into send buffer
+        region.fill(wire)
         seg = region.segments[0]
-        wr = SendWR(self.sim, segments=[Segment(seg.stag, seg.addr, len(payload))])
+        wr = SendWR(self.sim, segments=[Segment(seg.stag, seg.addr, len(wire))])
         telemetry = self.sim.telemetry
         if telemetry is not None and telemetry.tracer is not None:
             wr.tspan = telemetry.tracer.task_span()
@@ -439,15 +440,15 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
         ctx: dict = {"regions": [], "call": call}
         self._contexts[call.xid] = ctx
         try:
-            header = yield from self._build_call(call, ctx)
+            header, wire = yield from self._build_call(call, ctx)
             san = self.sim.sanitizer
             if san is not None:
                 san.advertise(self.node.hca.tpt.name, call.xid, header.chunks)
             waiter = Event(self.sim)
             self._pending[call.xid] = waiter
-            yield from self.send_header(header)
+            yield from self.send_header(wire)
             self.calls_sent.add()
-            reply_header: RpcRdmaHeader = yield from self._await_reply(call, header, waiter)
+            reply_header: RpcRdmaHeader = yield from self._await_reply(call, wire, waiter)
             reply = yield from self._handle_reply(reply_header, ctx)
             return reply
         finally:
@@ -460,11 +461,12 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 yield from self.strategy.release(region)
             self.credits.release(ctx.get("new_grant"))
 
-    def _await_reply(self, call: RpcCall, header: RpcRdmaHeader,
+    def _await_reply(self, call: RpcCall, wire: bytes,
                      waiter: Event) -> Generator:
         """Wait for the reply; with a timeout configured, retransmit with
-        exponential backoff + jitter, reusing the xid and the already-
-        advertised chunks (the server replays into the same windows)."""
+        exponential backoff + jitter, resending the call's encoded bytes
+        as they are: same xid, same advertised chunks (the server replays
+        into the same windows)."""
         timeout_us = self.config.reply_timeout_us
         if timeout_us is None:
             # No timer configured: zero extra events on this path.
@@ -486,7 +488,7 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 prev = tracer.push_task(rspan)
             try:
                 yield from self.node.cpu.consume(self.config.per_op_cpu_us)
-                yield from self.send_header(header)
+                yield from self.send_header(wire)
             finally:
                 if tracer is not None:
                     tracer.pop_task(prev)
@@ -546,6 +548,7 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
 
     # -- call marshalling ---------------------------------------------------
     def _build_call(self, call: RpcCall, ctx: dict) -> Generator:
+        """Process: marshal ``call``; returns ``(header, wire bytes)``."""
         chunks = ChunkList()
         rpc_bytes = call.encode()
         inline_payload: Optional[bytes] = None
@@ -566,7 +569,8 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             lane=call.lane,
             lane_seq=call.lane_seq,
         )
-        if header.wire_size > self.config.inline_threshold:
+        wire = header.encode()
+        if len(wire) > self.config.inline_threshold:
             # RPC long call: body moves as position-0 read chunks.
             region = yield from self.strategy.acquire(len(message), AccessFlags.REMOTE_READ)
             yield from self.node.cpu.copy(len(message))
@@ -585,7 +589,8 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 lane=call.lane,
                 lane_seq=call.lane_seq,
             )
-        return header
+            wire = header.encode()
+        return header, wire
 
     def _add_write_data_chunks(self, call: RpcCall, chunks: ChunkList, ctx: dict) -> Generator:
         """Expose the NFS WRITE payload for server RDMA Reads.

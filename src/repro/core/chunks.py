@@ -18,6 +18,7 @@ counted sequence; segments are (handle u32, length u32, offset u64).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,17 +56,37 @@ class WriteChunk:
         return sum(s.length for s in self.segments)
 
 
+#: one segment: handle, length, offset.
+_SEGMENT = struct.Struct(">IIQ")
+#: one read-list entry: XDR position, then its segment.
+_READ_SEGMENT = struct.Struct(">IIIQ")
+
+
 def _encode_segment(enc: XdrEncoder, seg: Segment) -> None:
-    enc.u32(seg.stag)
-    enc.u32(seg.length)
-    enc.u64(seg.addr)
+    enc.pack(_SEGMENT, seg.stag, seg.length, seg.addr)
 
 
 def _decode_segment(dec: XdrDecoder) -> Segment:
-    stag = dec.u32()
-    length = dec.u32()
-    addr = dec.u64()
+    stag, length, addr = dec.unpack(_SEGMENT)
     return Segment(stag, addr, length)
+
+
+def _encode_segments(enc: XdrEncoder, segments) -> None:
+    enc.array(segments, _encode_segment)
+
+
+def _decode_segments(dec: XdrDecoder) -> list[Segment]:
+    return dec.array(_decode_segment, max_items=4096)
+
+
+def _encode_read_chunk(enc: XdrEncoder, chunk: ReadChunk) -> None:
+    seg = chunk.segment
+    enc.pack(_READ_SEGMENT, chunk.position, seg.stag, seg.length, seg.addr)
+
+
+def _decode_read_chunk(dec: XdrDecoder) -> ReadChunk:
+    position, stag, length, addr = dec.unpack(_READ_SEGMENT)
+    return ReadChunk(position, Segment(stag, addr, length))
 
 
 @dataclass
@@ -87,32 +108,20 @@ class ChunkList:
         return sum(c.length for c in self.read_chunks)
 
     def encode(self, enc: XdrEncoder) -> None:
-        enc.array(
-            self.read_chunks,
-            lambda e, c: (e.u32(c.position), _encode_segment(e, c.segment)),
-        )
-        enc.array(
-            self.write_chunks,
-            lambda e, w: e.array(list(w.segments), _encode_segment),
-        )
-        enc.optional(
-            self.reply_chunk,
-            lambda e, w: e.array(list(w.segments), _encode_segment),
-        )
+        enc.array(self.read_chunks, _encode_read_chunk)
+        enc.array(self.write_chunks,
+                  lambda e, w: _encode_segments(e, w.segments))
+        enc.optional(self.reply_chunk,
+                     lambda e, w: _encode_segments(e, w.segments))
 
     @classmethod
     def decode(cls, dec: XdrDecoder) -> "ChunkList":
-        read_chunks = dec.array(
-            lambda d: ReadChunk(position=d.u32(), segment=_decode_segment(d)),
-            max_items=4096,
-        )
+        read_chunks = dec.array(_decode_read_chunk, max_items=4096)
         write_chunks = [
             WriteChunk(segs)
-            for segs in dec.array(
-                lambda d: d.array(_decode_segment, max_items=4096), max_items=256
-            )
+            for segs in dec.array(_decode_segments, max_items=256)
         ]
-        reply = dec.optional(lambda d: d.array(_decode_segment, max_items=4096))
+        reply = dec.optional(_decode_segments)
         return cls(
             read_chunks=read_chunks,
             write_chunks=write_chunks,

@@ -18,6 +18,7 @@ the connection's window.  Version 2 words are written only when
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,12 +32,23 @@ RPC_RDMA_VERSION = 1
 #: version advertised by connections carrying multiplexed lanes.
 RPC_RDMA_VERSION_MUX = 2
 
+#: xid, version, credits, message type.
+_FIXED = struct.Struct(">4I")
+#: version 2 only: lane id, per-lane sequence, per-lane credit grant.
+_LANE = struct.Struct(">3I")
+
 
 class MessageType(enum.IntEnum):
     RDMA_MSG = 0    # RPC call/reply follows inline
     RDMA_NOMSG = 1  # RPC body entirely in chunks
     RDMA_MSGP = 2   # padded variant (alignment optimisation)
     RDMA_DONE = 3   # client signals chunk consumption (Read-Read only)
+
+
+#: wire value -> member; the values are 0..3, so decode indexes.
+_MTYPES = tuple(MessageType)
+#: message types whose RPC message rides inline after the chunk lists.
+_WITH_BODY = (MessageType.RDMA_MSG, MessageType.RDMA_MSGP)
 
 
 @dataclass
@@ -57,46 +69,37 @@ class RpcRdmaHeader:
     lane_credits: int = 0
 
     def encode(self) -> bytes:
+        """The wire bytes.  The transport encodes each message once and
+        tests ``len()`` of the result against the inline threshold."""
         enc = XdrEncoder()
-        enc.u32(self.xid)
-        enc.u32(RPC_RDMA_VERSION_MUX if self.lane is not None
-                else RPC_RDMA_VERSION)
-        enc.u32(self.credits)
-        enc.u32(int(self.mtype))
-        if self.lane is not None:
-            enc.u32(self.lane)
-            enc.u32(self.lane_seq)
-            enc.u32(self.lane_credits)
+        lane = self.lane
+        enc.pack(_FIXED, self.xid,
+                 RPC_RDMA_VERSION if lane is None else RPC_RDMA_VERSION_MUX,
+                 self.credits, self.mtype)
+        if lane is not None:
+            enc.pack(_LANE, lane, self.lane_seq, self.lane_credits)
         self.chunks.encode(enc)
-        if self.mtype in (MessageType.RDMA_MSG, MessageType.RDMA_MSGP):
+        if self.mtype in _WITH_BODY:
             enc.opaque(self.rpc_message)
         return enc.take()
 
     @classmethod
     def decode(cls, data: bytes) -> "RpcRdmaHeader":
         dec = XdrDecoder(data)
-        xid = dec.u32()
-        version = dec.u32()
+        xid, version, credits, wire_mtype = dec.unpack(_FIXED)
         if version not in (RPC_RDMA_VERSION, RPC_RDMA_VERSION_MUX):
             raise XdrError(f"unsupported RPC/RDMA version {version}")
-        credits = dec.u32()
-        try:
-            mtype = MessageType(dec.u32())
-        except ValueError as exc:
-            raise XdrError(str(exc)) from None
-        lane = lane_seq = lane_credits = None
+        if wire_mtype >= len(_MTYPES):
+            raise XdrError(f"{wire_mtype} is not a valid MessageType")
+        mtype = _MTYPES[wire_mtype]
+        lane = None
+        lane_seq = lane_credits = 0
         if version == RPC_RDMA_VERSION_MUX:
-            lane = dec.u32()
-            lane_seq = dec.u32()
-            lane_credits = dec.u32()
+            lane, lane_seq, lane_credits = dec.unpack(_LANE)
         chunks = ChunkList.decode(dec)
         message = b""
-        if mtype in (MessageType.RDMA_MSG, MessageType.RDMA_MSGP):
+        if mtype in _WITH_BODY:
             message = dec.opaque()
         return cls(xid=xid, credits=credits, mtype=mtype, chunks=chunks,
                    rpc_message=message, lane=lane,
-                   lane_seq=lane_seq or 0, lane_credits=lane_credits or 0)
-
-    @property
-    def wire_size(self) -> int:
-        return len(self.encode())
+                   lane_seq=lane_seq, lane_credits=lane_credits)

@@ -133,7 +133,7 @@ class ReadReadClient(RpcRdmaClientBase):
             credits=self.config.credits,
             mtype=MessageType.RDMA_DONE,
         )
-        yield from self.send_header(done)
+        yield from self.send_header(done.encode())
         self.dones_sent.add()
 
 
@@ -186,15 +186,15 @@ class ReadReadServer(RpcRdmaServerBase):
 
         message = frame_message(reply_bytes, inline_payload)
         lane_fields = self._lane_reply_fields(ctx)
-        header = RpcRdmaHeader(
+        wire = RpcRdmaHeader(
             xid=reply.xid,
             credits=self.grant(),
             mtype=MessageType.RDMA_MSG,
             chunks=reply_chunks,
             rpc_message=message,
             **lane_fields,
-        )
-        if header.wire_size > self.config.inline_threshold:
+        ).encode()
+        if len(wire) > self.config.inline_threshold:
             # RPC long reply, Read-Read style: expose the message itself.
             region = yield from self.strategy.acquire(len(message), AccessFlags.REMOTE_READ)
             yield from self._crypt(len(message))
@@ -204,14 +204,14 @@ class ReadReadServer(RpcRdmaServerBase):
                 *(ReadChunk(position=0, segment=seg) for seg in region.segments),
                 *(c for c in reply_chunks.read_chunks if c.position != 0),
             ]
-            header = RpcRdmaHeader(
+            wire = RpcRdmaHeader(
                 xid=reply.xid,
                 credits=self.grant(),
                 mtype=MessageType.RDMA_NOMSG,
                 chunks=reply_chunks,
                 rpc_message=b"",
                 **lane_fields,
-            )
+            ).encode()
         if exposed:
             # Lifetime now rests with the client: nothing is released
             # until (unless!) its RDMA_DONE arrives.  Merge, don't
@@ -231,7 +231,7 @@ class ReadReadServer(RpcRdmaServerBase):
             if self.config.lease_timeout_us is not None:
                 self.sim.process(self._lease_timer(reply.xid),
                                  name=f"{self.name}.lease")
-        yield from self.send_header(header)
+        yield from self.send_header(wire)
 
     # -- mitigation machinery ----------------------------------------------
     def _enforce_quota(self, current_xid: int) -> Generator:

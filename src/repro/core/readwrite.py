@@ -178,15 +178,15 @@ class ReadWriteServer(RpcRdmaServerBase):
 
         message = frame_message(reply_bytes, inline_payload)
         lane_fields = self._lane_reply_fields(ctx)
-        header = RpcRdmaHeader(
+        wire = RpcRdmaHeader(
             xid=reply.xid,
             credits=self.grant(),
             mtype=MessageType.RDMA_MSG,
             chunks=reply_chunks,
             rpc_message=message,
             **lane_fields,
-        )
-        if header.wire_size > self.config.inline_threshold:
+        ).encode()
+        if len(wire) > self.config.inline_threshold:
             # RPC long reply: write the whole message into the client's
             # reply chunk, send a bodyless NOMSG reply.
             target = call_header.chunks.reply_chunk
@@ -208,15 +208,15 @@ class ReadWriteServer(RpcRdmaServerBase):
             reply_chunks.reply_chunk = WriteChunk(
                 slice_segments(list(target.segments), 0, len(message))
             )
-            header = RpcRdmaHeader(
+            wire = RpcRdmaHeader(
                 xid=reply.xid,
                 credits=self.grant(),
                 mtype=MessageType.RDMA_NOMSG,
                 chunks=reply_chunks,
                 rpc_message=b"",
                 **lane_fields,
-            )
-        send_wr = yield from self.send_header(header)
+            ).encode()
+        send_wr = yield from self.send_header(wire)
         # The send's completion guarantees all prior RDMA Writes landed
         # (§4.2); only then may the bulk buffers be released — which the
         # base class does right after this returns.

@@ -53,6 +53,12 @@ __all__ = ["HCA", "HCAConfig"]
 
 _READ_REQUEST_BYTES = 28  # RETH + AETH-ish request packet
 
+#: access bits the data path asks ``tpt.lookup`` for, as plain ints.
+_NO_RIGHTS = 0
+_LOCAL_WRITE = AccessFlags.LOCAL_WRITE.value
+_REMOTE_READ = AccessFlags.REMOTE_READ.value
+_REMOTE_WRITE = AccessFlags.REMOTE_WRITE.value
+
 
 @dataclass(frozen=True)
 class HCAConfig:
@@ -127,8 +133,10 @@ class HCA:
         """A CQ; if ``interrupts``, each CQE raises an interrupt on this node."""
         cq = CompletionQueue(self.sim, name=f"{self.name}.{name}")
         if interrupts:
+            irq_name = f"{self.name}.irq"
+
             def _on_completion(cqe) -> None:
-                self.sim.process(self.irq.raise_irq(), name=f"{self.name}.irq")
+                self.sim.process(self.irq.raise_irq(), name=irq_name)
             cq.on_completion = _on_completion
         return cq
 
@@ -184,7 +192,7 @@ class HCA:
                 buf, off = self.arena.resolve(seg.addr, seg.length)
                 parts.append(buf.peek(off, seg.length))
             else:
-                mr = self.tpt.lookup(seg.stag, seg.addr, seg.length, AccessFlags(0))
+                mr = self.tpt.lookup(seg.stag, seg.addr, seg.length, _NO_RIGHTS)
                 parts.append(mr.read(seg.addr, seg.length))
         return join_parts(parts)
 
@@ -199,7 +207,7 @@ class HCA:
                 buf, off = self.arena.resolve(seg.addr, take)
                 buf.fill(payload[pos : pos + take], off)
             else:
-                mr = self.tpt.lookup(seg.stag, seg.addr, take, AccessFlags.LOCAL_WRITE)
+                mr = self.tpt.lookup(seg.stag, seg.addr, take, _LOCAL_WRITE)
                 mr.write(seg.addr, payload[pos : pos + take])
             pos += take
         if pos < len(payload):
@@ -347,7 +355,7 @@ class HCA:
                 else:
                     mr = peer_hca.tpt.lookup(
                         wr.remote.stag, wr.remote.addr, len(payload),
-                        AccessFlags.REMOTE_WRITE,
+                        _REMOTE_WRITE,
                     )
                     mr.write(wr.remote.addr, payload)
             except ProtectionError as exc:
@@ -409,7 +417,7 @@ class HCA:
                     else:
                         mr = peer_hca.tpt.lookup(
                             wr.remote.stag, wr.remote.addr, wr.remote.length,
-                            AccessFlags.REMOTE_READ,
+                            _REMOTE_READ,
                         )
                         payload = mr.read(wr.remote.addr, wr.remote.length)
                 except ProtectionError as exc:

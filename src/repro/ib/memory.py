@@ -269,7 +269,8 @@ class RegistrationCosts:
 class MemoryRegion:
     """A registered window over a buffer, addressable by steering tag."""
 
-    __slots__ = ("tpt", "stag", "buffer", "addr", "length", "access", "valid", "is_fmr")
+    __slots__ = ("tpt", "stag", "buffer", "addr", "length", "access", "rights",
+                 "valid", "is_fmr")
 
     def __init__(
         self,
@@ -287,6 +288,8 @@ class MemoryRegion:
         self.addr = addr
         self.length = length
         self.access = access
+        #: ``access`` as a plain int for the per-WR check in ``lookup``.
+        self.rights = int(access)
         self.valid = True
         self.is_fmr = is_fmr
 
@@ -443,18 +446,22 @@ class TranslationProtectionTable:
                             parent=tracer.task_span(), **args)
 
     # -- data path (free; performed by HCA hardware) ----------------------
-    def lookup(self, stag: int, addr: int, length: int, need: AccessFlags) -> MemoryRegion:
+    def lookup(self, stag: int, addr: int, length: int, need: int) -> MemoryRegion:
+        """The MR behind ``stag``, checked for bounds and for the access
+        bits in ``need`` (``AccessFlags`` values as a plain int: an
+        ``IntFlag`` operation builds a new member on every call)."""
         mr = self._entries.get(stag)
         if mr is None or not mr.valid:
             self.protection_faults.add()
             self.faults_by_cause["stag"] += 1
             raise ProtectionError(f"stag {stag:#010x} not in TPT", stag,
                                   cause="stag")
-        if need & ~mr.access:
+        if need & ~mr.rights:
             self.protection_faults.add()
             self.faults_by_cause["access"] += 1
             raise ProtectionError(
-                f"stag {stag:#010x} lacks {need!r} (has {mr.access!r})", stag,
+                f"stag {stag:#010x} lacks {AccessFlags(need)!r} "
+                f"(has {mr.access!r})", stag,
                 cause="access",
             )
         if addr < mr.addr or addr + length > mr.addr + mr.length:

@@ -35,6 +35,8 @@ __all__ = ["NfsClient"]
 #: Generous ceiling for READDIR reply headers (drives the reply chunk).
 _READDIR_REPLY_HINT = 64 * 1024
 
+_OK = Nfs3Status.OK.value
+
 
 class NfsClient:
     """Procedure-level NFSv3 client."""
@@ -65,9 +67,9 @@ class NfsClient:
                                                  span_args)
         self.ops.add()
         dec = XdrDecoder(reply.header)
-        status = Nfs3Status(dec.u32())
-        if status is not Nfs3Status.OK:
-            raise NfsError(status, proc)
+        status = dec.u32()
+        if status != _OK:
+            raise NfsError(Nfs3Status(status), proc)
         return dec, reply
 
     def _call_traced(self, call: RpcCall, verb: str, telemetry,

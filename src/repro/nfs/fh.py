@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
@@ -9,6 +10,9 @@ from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
 __all__ = ["FileHandle"]
 
 _FH_BYTES = 16
+#: the handle as an XDR opaque: length (always 16), then the body —
+#: fsid, fileid, generation.
+_FH = struct.Struct(">IIQI")
 
 
 @dataclass(frozen=True)
@@ -20,20 +24,11 @@ class FileHandle:
     generation: int = 0
 
     def encode(self, enc: XdrEncoder) -> None:
-        body = (
-            self.fsid.to_bytes(4, "big")
-            + self.fileid.to_bytes(8, "big")
-            + self.generation.to_bytes(4, "big")
-        )
-        enc.opaque(body)
+        enc.pack(_FH, _FH_BYTES, self.fsid, self.fileid, self.generation)
 
     @classmethod
     def decode(cls, dec: XdrDecoder) -> "FileHandle":
-        body = dec.opaque()
-        if len(body) != _FH_BYTES:
-            raise XdrError(f"file handle of {len(body)} bytes, expected {_FH_BYTES}")
-        return cls(
-            fsid=int.from_bytes(body[0:4], "big"),
-            fileid=int.from_bytes(body[4:12], "big"),
-            generation=int.from_bytes(body[12:16], "big"),
-        )
+        length, fsid, fileid, generation = dec.unpack(_FH)
+        if length != _FH_BYTES:
+            raise XdrError(f"file handle of {length} bytes, expected {_FH_BYTES}")
+        return cls(fsid=fsid, fileid=fileid, generation=generation)

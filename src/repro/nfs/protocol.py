@@ -10,6 +10,7 @@ inside the XDR stream either.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,41 +106,30 @@ _KIND_TO_WIRE = {
 _WIRE_TO_KIND = {v: k for k, v in _KIND_TO_WIRE.items()}
 
 
+#: fattr3: type, mode, nlink, uid, gid; size, used, rdev, fsid, fileid;
+#: then atime, mtime, ctime as (seconds, nanoseconds) pairs.
+_FATTR = struct.Struct(">5I5Q6I")
+
+
 def encode_fattr(enc: XdrEncoder, attrs: FsAttributes) -> None:
-    enc.u32(_KIND_TO_WIRE[attrs.kind])
-    enc.u32(attrs.mode)
-    enc.u32(attrs.nlink)
-    enc.u32(attrs.uid)
-    enc.u32(attrs.gid)
-    enc.u64(attrs.size)
-    enc.u64(attrs.size)          # bytes used
-    enc.u64(0)                   # rdev
-    enc.u64(1)                   # fsid
-    enc.u64(attrs.fileid)
-    for stamp in (attrs.atime, attrs.mtime, attrs.ctime):
-        enc.u32(int(stamp) & 0xFFFFFFFF)
-        enc.u32(int((stamp % 1.0) * 1e9))
+    atime, mtime, ctime = attrs.atime, attrs.mtime, attrs.ctime
+    enc.pack(
+        _FATTR,
+        _KIND_TO_WIRE[attrs.kind], attrs.mode, attrs.nlink, attrs.uid, attrs.gid,
+        attrs.size, attrs.size, 0, 1, attrs.fileid,
+        int(atime) & 0xFFFFFFFF, int((atime % 1.0) * 1e9),
+        int(mtime) & 0xFFFFFFFF, int((mtime % 1.0) * 1e9),
+        int(ctime) & 0xFFFFFFFF, int((ctime % 1.0) * 1e9),
+    )
 
 
 def decode_fattr(dec: XdrDecoder) -> FsAttributes:
-    kind = _WIRE_TO_KIND[dec.u32()]
-    mode = dec.u32()
-    nlink = dec.u32()
-    uid = dec.u32()
-    gid = dec.u32()
-    size = dec.u64()
-    dec.u64()  # used
-    dec.u64()  # rdev
-    dec.u64()  # fsid
-    fileid = dec.u64()
-    stamps = []
-    for _ in range(3):
-        sec = dec.u32()
-        nsec = dec.u32()
-        stamps.append(sec + nsec / 1e9)
+    (kind, mode, nlink, uid, gid, size, _used, _rdev, _fsid, fileid,
+     asec, ansec, msec, mnsec, csec, cnsec) = dec.unpack(_FATTR)
     return FsAttributes(
-        fileid=fileid, kind=kind, size=size, mode=mode, nlink=nlink,
-        uid=uid, gid=gid, atime=stamps[0], mtime=stamps[1], ctime=stamps[2],
+        fileid=fileid, kind=_WIRE_TO_KIND[kind], size=size, mode=mode,
+        nlink=nlink, uid=uid, gid=gid, atime=asec + ansec / 1e9,
+        mtime=msec + mnsec / 1e9, ctime=csec + cnsec / 1e9,
     )
 
 

@@ -34,6 +34,8 @@ from repro.sim import Counter
 
 __all__ = ["NfsServer"]
 
+_OK = Nfs3Status.OK.value
+
 
 class NfsServer:
     """Dispatches NFSv3 procedures to a backend file system."""
@@ -47,6 +49,11 @@ class NfsServer:
         self.name = name
         self.ops = Counter(f"{name}.ops")
         self.errors = Counter(f"{name}.errors")
+        #: wire procedure number -> (name, bound ``_do_<name>`` handler).
+        self._procs = {
+            proc.value: (proc.name, getattr(self, f"_do_{proc.name.lower()}"))
+            for proc in Nfs3Proc
+        }
         rpc_server.register_program(NFS3_PROG, NFS3_VERS, self.handle)
 
     # -- helpers -----------------------------------------------------------
@@ -61,7 +68,7 @@ class NfsServer:
 
     def _attrs_reply(self, call: RpcCall, attrs) -> RpcReply:
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         encode_fattr(enc, attrs)
         return RpcReply(xid=call.xid, header=enc.take())
 
@@ -75,30 +82,27 @@ class NfsServer:
     def handle(self, call: RpcCall) -> Generator:
         """RPC program handler (runs on an RpcServer worker thread)."""
         self.ops.add()
-        try:
-            proc = Nfs3Proc(call.proc)
-        except ValueError:
+        entry = self._procs.get(call.proc)
+        if entry is None:
             return self._error_reply(call, Nfs3Status.SERVERFAULT)
-        method = getattr(self, f"_do_{proc.name.lower()}", None)
-        if method is None:
-            return self._error_reply(call, Nfs3Status.SERVERFAULT)
+        name, method = entry
         telemetry = self.rpc.sim.telemetry
         if telemetry is None:
-            return (yield from self._run_proc(call, proc, method))
-        telemetry.record_server_op(proc.name)
+            return (yield from self._run_proc(call, method))
+        telemetry.record_server_op(name)
         tracer = telemetry.tracer
         if tracer is None:
-            return (yield from self._run_proc(call, proc, method))
-        span = tracer.begin(f"nfsd.{proc.name}", "server", "server", "nfsd",
+            return (yield from self._run_proc(call, method))
+        span = tracer.begin(f"nfsd.{name}", "server", "server", "nfsd",
                             parent=tracer.task_span(), xid=call.xid)
         prev = tracer.push_task(span)
         try:
-            return (yield from self._run_proc(call, proc, method))
+            return (yield from self._run_proc(call, method))
         finally:
             tracer.pop_task(prev)
             span.end()
 
-    def _run_proc(self, call: RpcCall, proc: Nfs3Proc, method) -> Generator:
+    def _run_proc(self, call: RpcCall, method) -> Generator:
         try:
             reply = yield from method(call, XdrDecoder(call.header))
             return reply
@@ -133,7 +137,7 @@ class NfsServer:
         fileid = yield from self.fs.lookup(dir_fh.fileid, name)
         attrs = yield from self.fs.getattr(fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         FileHandle(fsid=self.fsid, fileid=fileid).encode(enc)
         encode_fattr(enc, attrs)
         return RpcReply(xid=call.xid, header=enc.take())
@@ -143,7 +147,7 @@ class NfsServer:
         wanted = dec.u32()
         yield from self.fs.getattr(fh.fileid)  # existence check
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         enc.u32(wanted)  # everything allowed in this model
         return RpcReply(xid=call.xid, header=enc.take())
 
@@ -151,7 +155,7 @@ class NfsServer:
         fh = self._fh(dec)
         target = yield from self.fs.readlink(fh.fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         enc.string(target)
         return RpcReply(xid=call.xid, header=enc.take())
 
@@ -162,7 +166,7 @@ class NfsServer:
         data, eof = yield from self.fs.read(fh.fileid, offset, count)
         attrs = yield from self.fs.getattr(fh.fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         encode_fattr(enc, attrs)
         enc.u32(len(data))
         enc.boolean(eof)
@@ -182,7 +186,7 @@ class NfsServer:
             yield from self.fs.commit(fh.fileid)
         attrs = yield from self.fs.getattr(fh.fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         encode_fattr(enc, attrs)
         enc.u32(written)
         enc.u32(stable)
@@ -195,7 +199,7 @@ class NfsServer:
         fileid = yield from self.fs.create(dir_fh.fileid, name, mode)
         attrs = yield from self.fs.getattr(fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         FileHandle(fsid=self.fsid, fileid=fileid).encode(enc)
         encode_fattr(enc, attrs)
         return RpcReply(xid=call.xid, header=enc.take())
@@ -207,7 +211,7 @@ class NfsServer:
         fileid = yield from self.fs.mkdir(dir_fh.fileid, name, mode)
         attrs = yield from self.fs.getattr(fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         FileHandle(fsid=self.fsid, fileid=fileid).encode(enc)
         encode_fattr(enc, attrs)
         return RpcReply(xid=call.xid, header=enc.take())
@@ -219,7 +223,7 @@ class NfsServer:
         fileid = yield from self.fs.symlink(dir_fh.fileid, name, target)
         attrs = yield from self.fs.getattr(fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         FileHandle(fsid=self.fsid, fileid=fileid).encode(enc)
         encode_fattr(enc, attrs)
         return RpcReply(xid=call.xid, header=enc.take())
@@ -231,7 +235,7 @@ class NfsServer:
         fileid = yield from self.fs.mknod(dir_fh.fileid, name, mode)
         attrs = yield from self.fs.getattr(fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         FileHandle(fsid=self.fsid, fileid=fileid).encode(enc)
         encode_fattr(enc, attrs)
         return RpcReply(xid=call.xid, header=enc.take())
@@ -249,7 +253,7 @@ class NfsServer:
         name = dec.string()
         yield from self.fs.remove(dir_fh.fileid, name)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         return RpcReply(xid=call.xid, header=enc.take())
 
     def _do_rmdir(self, call: RpcCall, dec: XdrDecoder) -> Generator:
@@ -257,7 +261,7 @@ class NfsServer:
         name = dec.string()
         yield from self.fs.rmdir(dir_fh.fileid, name)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         return RpcReply(xid=call.xid, header=enc.take())
 
     def _do_rename(self, call: RpcCall, dec: XdrDecoder) -> Generator:
@@ -267,7 +271,7 @@ class NfsServer:
         to_name = dec.string()
         yield from self.fs.rename(from_fh.fileid, from_name, to_fh.fileid, to_name)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         return RpcReply(xid=call.xid, header=enc.take())
 
     def _do_readdir(self, call: RpcCall, dec: XdrDecoder) -> Generator:
@@ -276,7 +280,7 @@ class NfsServer:
         dec.u32()  # count
         entries = yield from self.fs.readdir(dir_fh.fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         encode_direntries(enc, entries)
         enc.boolean(True)  # eof
         # Large listings make this a long reply on RDMA transports.
@@ -289,7 +293,7 @@ class NfsServer:
         dec.u32()  # maxcount
         entries = yield from self.fs.readdir(dir_fh.fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         enc.u32(len(entries))
         for entry in entries:
             attrs = yield from self.fs.getattr(entry.fileid)
@@ -312,7 +316,7 @@ class NfsServer:
             wtpref=self.max_transfer_bytes,
         )
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         info.encode(enc)
         return RpcReply(xid=call.xid, header=enc.take())
 
@@ -320,7 +324,7 @@ class NfsServer:
         self._fh(dec)
         yield from self.fs.getattr(self.fs.root_id)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         PathConf().encode(enc)
         return RpcReply(xid=call.xid, header=enc.take())
 
@@ -328,7 +332,7 @@ class NfsServer:
         self._fh(dec)
         stat = yield from self.fs.fsstat()
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         encode_fsstat(enc, stat)
         return RpcReply(xid=call.xid, header=enc.take())
 
@@ -338,5 +342,5 @@ class NfsServer:
         dec.u32()  # count
         yield from self.fs.commit(fh.fileid)
         enc = XdrEncoder()
-        enc.u32(int(Nfs3Status.OK))
+        enc.u32(_OK)
         return RpcReply(xid=call.xid, header=enc.take())

@@ -22,9 +22,11 @@ The client also passes *hints*:
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.payload import Payload
 from repro.rpc.xdr import XdrDecoder, XdrEncoder
 
 __all__ = [
@@ -44,6 +46,11 @@ CALL = 0
 REPLY = 1
 MSG_ACCEPTED = 0
 MSG_DENIED = 1
+
+#: call prefix: xid, message type, RPC version, program, version, procedure.
+_CALL_PREFIX = struct.Struct(">6I")
+#: reply prefix: xid, message type, reply status.
+_REPLY_PREFIX = struct.Struct(">3I")
 
 
 class RpcError(Exception):
@@ -84,12 +91,8 @@ class RpcCall:
     def encode(self) -> bytes:
         """Wire encoding of the call *header* (bulk rides separately)."""
         enc = XdrEncoder()
-        enc.u32(self.xid)
-        enc.u32(CALL)
-        enc.u32(RPC_VERSION)
-        enc.u32(self.prog)
-        enc.u32(self.vers)
-        enc.u32(self.proc)
+        enc.pack(_CALL_PREFIX, self.xid, CALL, RPC_VERSION, self.prog,
+                 self.vers, self.proc)
         # AUTH_NONE credential + verifier.
         enc.u32(0).opaque(b"")
         enc.u32(0).opaque(b"")
@@ -99,12 +102,11 @@ class RpcCall:
     @classmethod
     def decode(cls, data: bytes, header_len: Optional[int] = None) -> "RpcCall":
         dec = XdrDecoder(data)
-        xid = dec.u32()
-        if dec.u32() != CALL:
+        xid, mtype, rpcvers, prog, vers, proc = dec.unpack(_CALL_PREFIX)
+        if mtype != CALL:
             raise RpcError("not an RPC call")
-        if dec.u32() != RPC_VERSION:
+        if rpcvers != RPC_VERSION:
             raise RpcError("bad RPC version")
-        prog, vers, proc = dec.u32(), dec.u32(), dec.u32()
         dec.u32(); dec.opaque()  # cred
         dec.u32(); dec.opaque()  # verf
         header = dec.remainder()
@@ -125,9 +127,7 @@ class RpcReply:
 
     def encode(self) -> bytes:
         enc = XdrEncoder()
-        enc.u32(self.xid)
-        enc.u32(REPLY)
-        enc.u32(self.stat)
+        enc.pack(_REPLY_PREFIX, self.xid, REPLY, self.stat)
         enc.u32(0).opaque(b"")  # verifier
         enc.u32(0)              # accept stat SUCCESS
         enc.raw(_aligned(self.header))
@@ -136,10 +136,9 @@ class RpcReply:
     @classmethod
     def decode(cls, data: bytes) -> "RpcReply":
         dec = XdrDecoder(data)
-        xid = dec.u32()
-        if dec.u32() != REPLY:
+        xid, mtype, stat = dec.unpack(_REPLY_PREFIX)
+        if mtype != REPLY:
             raise RpcError("not an RPC reply")
-        stat = dec.u32()
         dec.u32(); dec.opaque()  # verifier
         accept = dec.u32()
         if stat == MSG_ACCEPTED and accept != 0:
@@ -153,11 +152,7 @@ def _aligned(data: bytes) -> bytes:
     return data + b"\x00" * pad if pad else data
 
 
-import struct as _struct
-
-from repro.payload import Payload
-
-_FRAME_LEN = _struct.Struct(">I")
+_FRAME_LEN = struct.Struct(">I")
 
 
 def frame_message(header: bytes, payload) -> "bytes | Payload":

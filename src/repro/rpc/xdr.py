@@ -5,6 +5,13 @@ booleans, variable-length opaques/strings (padded to 4-byte alignment)
 and counted arrays.  Everything the stack puts on the simulated wire
 round-trips through these real bytes, so header sizes — and therefore
 inline-threshold decisions in the RPC/RDMA transport — are genuine.
+
+A fixed run of scalars (a fattr3, a chunk segment, the RPC/RDMA fixed
+words) goes through :meth:`XdrEncoder.pack` / :meth:`XdrDecoder.unpack`
+with a module-level big-endian ``struct.Struct`` layout of ``I``/``i``/
+``Q``/``q`` words: one C-level call per run instead of one Python call
+per field.  The ``wire`` static pack pairs every ``pack(L, ...)`` with an
+``unpack(L)`` and checks the value count against the layout.
 """
 
 from __future__ import annotations
@@ -21,13 +28,12 @@ _I32 = struct.Struct(">i")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
 
+_FALSE = _U32.pack(0)
+_TRUE = _U32.pack(1)
+
 
 class XdrError(ValueError):
     """Malformed XDR data or out-of-range value."""
-
-
-def _pad(n: int) -> int:
-    return (4 - n % 4) % 4
 
 
 #: Shared padding table: XDR alignment needs at most 3 zero bytes, so
@@ -36,64 +42,90 @@ def _pad(n: int) -> int:
 _PADDING = (b"", b"\x00\x00\x00", b"\x00\x00", b"\x00")
 
 
+def _bad_value(kind: str, value) -> XdrError:
+    return XdrError(f"{kind} out of range or not an integer: {value!r}")
+
+
 class XdrEncoder:
-    """Append-only XDR byte builder."""
+    """Append-only XDR byte builder over one ``bytearray``.
+
+    Any value ``struct`` refuses (out of range, not an integer, None)
+    raises :class:`XdrError`.
+    """
+
+    __slots__ = ("_buf",)
 
     def __init__(self):
-        self._parts: list[bytes] = []
-        self._length = 0
-
-    def _push(self, raw: bytes) -> "XdrEncoder":
-        self._parts.append(raw)
-        self._length += len(raw)
-        return self
+        self._buf = bytearray()
 
     # -- scalars -----------------------------------------------------------
     def u32(self, value: int) -> "XdrEncoder":
-        if not 0 <= value < 2**32:
-            raise XdrError(f"u32 out of range: {value}")
-        return self._push(_U32.pack(value))
+        try:
+            self._buf += _U32.pack(value)
+        except struct.error:
+            raise _bad_value("u32", value) from None
+        return self
 
     def i32(self, value: int) -> "XdrEncoder":
-        if not -(2**31) <= value < 2**31:
-            raise XdrError(f"i32 out of range: {value}")
-        return self._push(_I32.pack(value))
+        try:
+            self._buf += _I32.pack(value)
+        except struct.error:
+            raise _bad_value("i32", value) from None
+        return self
 
     def u64(self, value: int) -> "XdrEncoder":
-        if not 0 <= value < 2**64:
-            raise XdrError(f"u64 out of range: {value}")
-        return self._push(_U64.pack(value))
+        try:
+            self._buf += _U64.pack(value)
+        except struct.error:
+            raise _bad_value("u64", value) from None
+        return self
 
     def i64(self, value: int) -> "XdrEncoder":
-        if not -(2**63) <= value < 2**63:
-            raise XdrError(f"i64 out of range: {value}")
-        return self._push(_I64.pack(value))
+        try:
+            self._buf += _I64.pack(value)
+        except struct.error:
+            raise _bad_value("i64", value) from None
+        return self
 
     def boolean(self, value: bool) -> "XdrEncoder":
-        return self.u32(1 if value else 0)
+        self._buf += _TRUE if value else _FALSE
+        return self
+
+    def pack(self, layout: struct.Struct, *values) -> "XdrEncoder":
+        """Append a fixed run of scalars laid out by ``layout``."""
+        try:
+            self._buf += layout.pack(*values)
+        except struct.error as exc:
+            raise XdrError(f"layout {layout.format!r}: {exc}") from None
+        return self
 
     # -- composites -----------------------------------------------------------
     def opaque(self, data: bytes) -> "XdrEncoder":
         """Variable-length opaque: length prefix + data + pad."""
         n = len(data)
-        self.u32(n)
-        self._push(data if isinstance(data, bytes) else bytes(data))
-        pad = _PADDING[n & 3]
-        return self._push(pad) if pad else self
+        buf = self._buf
+        try:
+            buf += _U32.pack(n)
+        except struct.error:
+            raise _bad_value("opaque length", n) from None
+        buf += data if isinstance(data, bytes) else bytes(data)
+        buf += _PADDING[n & 3]
+        return self
 
     def fixed_opaque(self, data: bytes, size: int) -> "XdrEncoder":
         if len(data) != size:
             raise XdrError(f"fixed opaque of {len(data)} bytes, expected {size}")
-        self._push(data if isinstance(data, bytes) else bytes(data))
-        pad = _PADDING[size & 3]
-        return self._push(pad) if pad else self
+        buf = self._buf
+        buf += data if isinstance(data, bytes) else bytes(data)
+        buf += _PADDING[size & 3]
+        return self
 
     def string(self, text: str) -> "XdrEncoder":
         return self.opaque(text.encode("utf-8"))
 
     def array(self, items, encode_item: Callable[["XdrEncoder", T], None]) -> "XdrEncoder":
         """Counted array: u32 length then each element."""
-        self.u32(len(items))
+        self._buf += _U32.pack(len(items))
         for item in items:
             encode_item(self, item)
         return self
@@ -110,45 +142,68 @@ class XdrEncoder:
         """Splice pre-encoded XDR (must already be 4-byte aligned)."""
         if len(data) % 4:
             raise XdrError("raw splice not 4-byte aligned")
-        return self._push(data)
+        self._buf += data
+        return self
 
     # -- output -----------------------------------------------------------
     def take(self) -> bytes:
-        return b"".join(self._parts)
+        return bytes(self._buf)
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._buf)
 
 
 class XdrDecoder:
     """Cursor-based XDR reader with strict bounds checking."""
 
+    __slots__ = ("_data", "_pos")
+
     def __init__(self, data: bytes):
         self._data = bytes(data)
         self._pos = 0
 
-    def _pull(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
-            raise XdrError(
-                f"truncated XDR: wanted {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+    def _truncated(self, n: int) -> XdrError:
+        return XdrError(
+            f"truncated XDR: wanted {n} bytes at offset {self._pos}, "
+            f"have {len(self._data) - self._pos}"
+        )
 
     # -- scalars -----------------------------------------------------------
     def u32(self) -> int:
-        return _U32.unpack(self._pull(4))[0]
+        pos = self._pos
+        try:
+            (value,) = _U32.unpack_from(self._data, pos)
+        except struct.error:
+            raise self._truncated(4) from None
+        self._pos = pos + 4
+        return value
 
     def i32(self) -> int:
-        return _I32.unpack(self._pull(4))[0]
+        pos = self._pos
+        try:
+            (value,) = _I32.unpack_from(self._data, pos)
+        except struct.error:
+            raise self._truncated(4) from None
+        self._pos = pos + 4
+        return value
 
     def u64(self) -> int:
-        return _U64.unpack(self._pull(8))[0]
+        pos = self._pos
+        try:
+            (value,) = _U64.unpack_from(self._data, pos)
+        except struct.error:
+            raise self._truncated(8) from None
+        self._pos = pos + 8
+        return value
 
     def i64(self) -> int:
-        return _I64.unpack(self._pull(8))[0]
+        pos = self._pos
+        try:
+            (value,) = _I64.unpack_from(self._data, pos)
+        except struct.error:
+            raise self._truncated(8) from None
+        self._pos = pos + 8
+        return value
 
     def boolean(self) -> bool:
         value = self.u32()
@@ -156,17 +211,34 @@ class XdrDecoder:
             raise XdrError(f"boolean encoded as {value}")
         return bool(value)
 
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """Read a fixed run of scalars laid out by ``layout``."""
+        pos = self._pos
+        try:
+            values = layout.unpack_from(self._data, pos)
+        except struct.error:
+            raise self._truncated(layout.size) from None
+        self._pos = pos + layout.size
+        return values
+
     # -- composites -----------------------------------------------------------
     def opaque(self) -> bytes:
-        n = self.u32()
-        data = self._pull(n)
-        self._pull(_pad(n))
-        return data
+        pos = self._pos
+        try:
+            (size,) = _U32.unpack_from(self._data, pos)
+        except struct.error:
+            raise self._truncated(4) from None
+        self._pos = pos + 4
+        return self.fixed_opaque(size)
 
     def fixed_opaque(self, size: int) -> bytes:
-        data = self._pull(size)
-        self._pull(_pad(size))
-        return data
+        start = self._pos
+        end = start + size
+        stop = end + len(_PADDING[size & 3])
+        if stop > len(self._data):
+            raise self._truncated(stop - start)
+        self._pos = stop
+        return self._data[start:end]
 
     def string(self) -> str:
         return self.opaque().decode("utf-8")
@@ -175,6 +247,8 @@ class XdrDecoder:
         n = self.u32()
         if n > max_items:
             raise XdrError(f"array of {n} items exceeds cap {max_items}")
+        if not n:
+            return []
         return [decode_item(self) for _ in range(n)]
 
     def optional(self, decode_value: Callable[["XdrDecoder"], T]):

@@ -316,6 +316,60 @@ def test_wire_missing_trailing_read():
     assert "never read" in finding.message
 
 
+WIRE_FUSED_GOOD = """
+    import struct
+
+    _SEG = struct.Struct(">IIQ")
+
+    class Seg:
+        def encode(self, enc):
+            enc.pack(_SEG, self.stag, self.length, self.addr)
+            enc.u32(self.flags)
+
+        @classmethod
+        def decode(cls, dec):
+            stag, length, addr = dec.unpack(_SEG)
+            return cls(stag, addr, length, dec.u32())
+"""
+
+
+def test_wire_good_fused_layout():
+    report = run(WIRE_FUSED_GOOD, name="repro.core.chunks")
+    assert report.ok
+
+
+def test_wire_bad_fused_layout_mismatch():
+    source = WIRE_FUSED_GOOD.replace(
+        '_SEG = struct.Struct(">IIQ")',
+        '_SEG = struct.Struct(">IIQ")\n    _ALT = struct.Struct(">IQI")',
+    ).replace("dec.unpack(_SEG)", "dec.unpack(_ALT)")
+    report = run(source, name="repro.core.chunks")
+    (finding,) = report.findings
+    assert finding.rule == "wire-symmetry"
+    assert "pack:_SEG" in finding.message and "unpack:_ALT" in finding.message
+
+
+def test_wire_bad_fused_arity():
+    source = WIRE_FUSED_GOOD.replace(
+        "enc.pack(_SEG, self.stag, self.length, self.addr)",
+        "enc.pack(_SEG, self.stag, self.length)",
+    ).replace("stag, length, addr = dec.unpack(_SEG)",
+              "stag, length, addr, extra = dec.unpack(_SEG)")
+    report = run(source, name="repro.core.chunks")
+    assert rules_of(report) == {"wire-symmetry"}
+    messages = sorted(f.message for f in report.findings)
+    assert len(messages) == 2
+    assert "passes 2 value(s), _SEG has 3 field(s)" in messages[0]
+    assert "binds 4 name(s), _SEG has 3 field(s)" in messages[1]
+
+
+def test_wire_bad_fused_layout_not_xdr():
+    source = WIRE_FUSED_GOOD.replace('">IIQ"', '"<IHQ"')
+    report = run(source, name="repro.core.chunks")
+    assert rules_of(report) == {"wire-symmetry"}
+    assert all("not an XDR layout" in f.message for f in report.findings)
+
+
 # ---------------------------------------------------------------- boundary
 def test_boundary_bad_broad_except():
     report = run("""

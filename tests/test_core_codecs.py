@@ -97,12 +97,13 @@ def test_header_bad_mtype_rejected():
 
 
 def test_header_wire_size_counts_chunks():
-    small = RpcRdmaHeader(xid=1, credits=1, mtype=MessageType.RDMA_MSG).wire_size
+    small = RpcRdmaHeader(xid=1, credits=1, mtype=MessageType.RDMA_MSG).encode()
     with_chunks = RpcRdmaHeader(
         xid=1, credits=1, mtype=MessageType.RDMA_MSG,
         chunks=ChunkList(read_chunks=[ReadChunk(0, seg())] * 4),
-    ).wire_size
-    assert with_chunks > small
+    ).encode()
+    assert len(with_chunks) == len(small) + 4 * 20
+    assert not hasattr(RpcRdmaHeader, "wire_size")
 
 
 segments_st = st.builds(

@@ -1,8 +1,11 @@
 """Unit + property tests for the XDR codec."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.nfs.fh import FileHandle
 from repro.rpc.xdr import XdrDecoder, XdrEncoder, XdrError
 
 
@@ -86,6 +89,37 @@ def test_optional_roundtrip():
         lambda e: e.optional(None, lambda enc, v: enc.u32(v)),
         lambda d: d.optional(lambda dec: dec.u32()),
     ) is None
+
+
+@pytest.mark.parametrize("encode", [
+    lambda: XdrEncoder().u32(1.5),
+    lambda: XdrEncoder().u64(2.5),
+    lambda: XdrEncoder().u32(None),
+    lambda: XdrEncoder().i32("7"),
+    lambda: XdrEncoder().i64(2**63),
+    lambda: FileHandle(1, 2**64).encode(XdrEncoder()),
+    lambda: FileHandle(-1, 2).encode(XdrEncoder()),
+], ids=["u32-float", "u64-float", "u32-none", "i32-str", "i64-overflow",
+        "fh-fileid-overflow", "fh-negative-fsid"])
+def test_bad_values_raise_xdr_error(encode):
+    with pytest.raises(XdrError):
+        encode()
+
+
+def test_pack_unpack_fixed_layout():
+    layout = struct.Struct(">IQi")
+    raw = XdrEncoder().pack(layout, 7, 2**40, -3).u32(9).take()
+    assert len(raw) == 20
+    dec = XdrDecoder(raw)
+    assert dec.unpack(layout) == (7, 2**40, -3)
+    assert dec.u32() == 9
+    dec.done()
+    with pytest.raises(XdrError):
+        XdrEncoder().pack(layout, 7, 2**40)  # one value short
+    with pytest.raises(XdrError):
+        XdrEncoder().pack(layout, -1, 0, 0)
+    with pytest.raises(XdrError):
+        XdrDecoder(raw[:12]).unpack(layout)
 
 
 def test_truncated_decode_raises():
