@@ -69,7 +69,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.errors import NondeterminismViolation
-from repro.sim._pyengine import SimulationError, _Wakeup
+from repro.sim._pyengine import SimulationError, _failure, _Wakeup
 from repro.sim.engine import Event, PurePythonSimulator
 
 __all__ = ["PerturbedSimulator", "nondeterminism_guard"]
@@ -151,8 +151,10 @@ class PerturbedSimulator(PurePythonSimulator):
             callback(event)
         self._in_callback = False
         if not event._ok and not event._defused:
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+            try:
+                raise _failure(event)
+            finally:
+                event = callback = None  # the traceback keeps this frame
 
     def run(self, until=None) -> None:
         if until is not None and until < self.now:
@@ -178,7 +180,10 @@ class PerturbedSimulator(PurePythonSimulator):
                     f"time limit {limit} exceeded waiting for {process.name!r}")
             step()
         if not process.ok:
-            raise process.value
+            try:
+                raise process.value
+            finally:
+                process = None  # as above
         return process.value
 
     @property

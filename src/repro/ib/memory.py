@@ -16,7 +16,7 @@ minus what the transport exposed).
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Generator, Optional
 
@@ -216,7 +216,7 @@ class MemoryArena:
     def free(self, buf: MemoryBuffer) -> None:
         if self._buffers.pop(buf.addr, None) is None:
             raise ValueError("free of buffer not in this arena")
-        self._starts.remove(buf.addr)
+        del self._starts[bisect_left(self._starts, buf.addr)]
         self.allocated_bytes -= buf.length
 
     def resolve(self, addr: int, length: int) -> tuple[MemoryBuffer, int]:

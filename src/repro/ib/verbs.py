@@ -244,7 +244,15 @@ class RdmaReadWR(_WorkRequest):
 
 
 class CompletionQueue:
-    """Queue of CQEs with blocking wait and optional event callback."""
+    """Queue of CQEs with blocking wait and optional event callback.
+
+    Reaping rule: the ``on_completion`` handler sees every CQE (an
+    interrupt, on a CQ from ``HCA.create_cq(interrupts=True)``), and a
+    parked :meth:`wait` also gets the next one.  A CQE that no waiter
+    took is queued for :meth:`poll`/:meth:`wait` only when the CQ has
+    no handler: an interrupt-armed CQ keeps nothing.  ``total`` counts
+    every CQE either way.
+    """
 
     def __init__(self, sim: Simulator, name: str = "cq"):
         self.sim = sim
@@ -260,7 +268,7 @@ class CompletionQueue:
             self.on_completion(cqe)
         if self._waiters:
             self._waiters.popleft().succeed(cqe)
-        else:
+        elif self.on_completion is None:
             self._cqes.append(cqe)
 
     def poll(self) -> Optional[Cqe]:

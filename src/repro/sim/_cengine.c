@@ -81,7 +81,7 @@ struct ProcessObject {
     PyObject *generator;
     PyObject *waiting_on;   /* Event/Wakeup or None                     */
     PyObject *name;
-    PyObject *resume_cb;    /* cached ResumeObject                      */
+    PyObject *resume_cb;    /* cached ResumeObject; NULL once finished  */
 };
 
 typedef struct {
@@ -669,8 +669,9 @@ process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist,
                                      &sim, &generator, &name))
         return -1;
-    if (!PyObject_HasAttrString(generator, "send") ||
-        !PyObject_HasAttrString(generator, "throw")) {
+    if (!PyGen_CheckExact(generator) &&
+        (!PyObject_HasAttrString(generator, "send") ||
+         !PyObject_HasAttrString(generator, "throw"))) {
         raise_formatted(SimulationError,
                         "Process requires a generator, got %s",
                         Py_TYPE(generator)->tp_name);
@@ -755,10 +756,11 @@ process_get_is_alive(ProcessObject *self, void *closure)
     return PyBool_FromLong(!self->ev.triggered);
 }
 
+/* None once the process has finished and dropped its callback */
 static PyObject *
 process_get_resume(ProcessObject *self, void *closure)
 {
-    return Py_NewRef(self->resume_cb);
+    return Py_NewRef(self->resume_cb ? self->resume_cb : Py_None);
 }
 
 static PyObject *
@@ -867,7 +869,11 @@ process_finish_stopiteration(ProcessObject *self)
 }
 
 /* The engine's hottest path: drive the generator until it waits again.
- * Mirrors _pyengine.Process._resume statement for statement. */
+ * Mirrors _pyengine.Process._resume statement for statement.  Paths that
+ * end the process leave through `finish`, which drops the cached resume
+ * callback: it holds the process, so keeping it would leave a Process <->
+ * callback cycle for the cycle collector.  `self_ref` keeps the process
+ * alive for the rest of the call. */
 static int
 resume_process(ProcessObject *self, EventObject *trigger)
 {
@@ -897,11 +903,11 @@ resume_process(ProcessObject *self, EventObject *trigger)
             if (sr == PYGEN_RETURN) {
                 rc = event_trigger(&self->ev, target, 1, 0.0);
                 Py_DECREF(target);
-                break;
+                goto finish;
             }
             if (sr == PYGEN_ERROR) {
                 rc = process_fail_current(self);
-                break;
+                goto finish;
             }
         }
         else {
@@ -914,7 +920,7 @@ resume_process(ProcessObject *self, EventObject *trigger)
                 rc = PyErr_ExceptionMatches(PyExc_StopIteration)
                          ? process_finish_stopiteration(self)
                          : process_fail_current(self);
-                break;
+                goto finish;
             }
         }
         /* `target` is the yielded object (owned reference) */
@@ -935,20 +941,28 @@ resume_process(ProcessObject *self, EventObject *trigger)
                 break;
             }
             /* throw the complaint into the generator; whatever comes
-             * back, the process ends here — a further yield is not
-             * re-examined, exactly as in the reference engine. */
+             * back, the process ends here, exactly as in the reference
+             * engine */
             PyObject *res = PyObject_CallMethodOneArg(gen, str_throw, err);
-            Py_DECREF(err);
             if (res != NULL) {
+                /* it caught the complaint and yielded again: fail the
+                 * process with the complaint and close the generator */
                 Py_DECREF(res);
-                rc = 0;
+                rc = event_trigger(&self->ev, err, 0, 0.0);
+                if (rc == 0) {
+                    res = PyObject_CallMethod(gen, "close", NULL);
+                    if (res == NULL)
+                        rc = -1;
+                    Py_XDECREF(res);
+                }
             }
             else {
                 rc = PyErr_ExceptionMatches(PyExc_StopIteration)
                          ? process_finish_stopiteration(self)
                          : process_fail_current(self);
             }
-            break;
+            Py_DECREF(err);
+            goto finish;
         }
         EventObject *tev = (EventObject *)target;
         if (tev->sim != self->ev.sim) {
@@ -962,13 +976,21 @@ resume_process(ProcessObject *self, EventObject *trigger)
             }
             rc = event_trigger(&self->ev, err, 0, 0.0);
             Py_DECREF(err);
-            break;
+            goto finish;
         }
         if (tev->processed) {
             /* already fired: resume immediately with its outcome */
             trigger = tev;
             trigger_ref = target;   /* stays alive across the send */
             continue;
+        }
+        if (self->resume_cb == NULL) {
+            /* only a stale `_resume` reference can drive a finished
+             * process back here */
+            Py_DECREF(target);
+            PyErr_SetString(SimulationError, "finished process resumed");
+            rc = -1;
+            break;
         }
         if (tev->callbacks != NULL && PyList_Check(tev->callbacks))
             rc = PyList_Append(tev->callbacks, self->resume_cb);
@@ -986,6 +1008,10 @@ resume_process(ProcessObject *self, EventObject *trigger)
         Py_XSETREF(self->waiting_on, target);
         break;
     }
+    Py_DECREF(self_ref);
+    return rc;
+finish:
+    Py_CLEAR(self->resume_cb);
     Py_DECREF(self_ref);
     return rc;
 }

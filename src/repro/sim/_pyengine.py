@@ -229,7 +229,7 @@ class Process(Event):
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                self.fail(exc)
+                self.fail(_without_frame(exc))
                 return
             if not isinstance(target, _EVENT_TYPES):
                 exc = SimulationError(
@@ -240,7 +240,12 @@ class Process(Event):
                 except StopIteration as stop:
                     self.succeed(stop.value)
                 except BaseException as err:
-                    self.fail(err)
+                    self.fail(_without_frame(err))
+                else:
+                    # It caught the complaint and yielded again: the
+                    # process still ends here, failed with the complaint.
+                    self.fail(exc)
+                    self._generator.close()
                 return
             if target.sim is not self.sim:
                 self.fail(SimulationError("yielded event belongs to a different Simulator"))
@@ -252,6 +257,29 @@ class Process(Event):
             target.callbacks.append(self._resume)
             self._waiting_on = target
             return
+
+
+def _without_frame(exc: BaseException) -> BaseException:
+    """``exc`` minus its head traceback entry, the ``_resume`` frame.
+
+    That frame holds the process, and the failed process holds ``exc``:
+    keeping the entry would make a cycle that only the cycle collector
+    frees.  The compiled core's resume has no frame, so tracebacks read
+    the same under both cores.
+    """
+    return exc.with_traceback(exc.__traceback__.tb_next if exc.__traceback__ else None)
+
+
+def _failure(event: "Event") -> BaseException:
+    """The exception an unhandled failed ``event`` raises out of the loop.
+
+    Callers raise it inside ``try``/``finally`` and clear their locals in
+    the ``finally``: the traceback keeps the raising frame, and a frame
+    still holding the event, or a process's resume callback, would close
+    a cycle through the event's exception.
+    """
+    exc = event._value
+    return exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
 
 
 #: Classes accepted as yield targets.  :mod:`repro.sim.engine` widens
@@ -359,8 +387,10 @@ class Simulator:
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
-            exc = event._value
-            raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+            try:
+                raise _failure(event)
+            finally:
+                event = callback = None  # the traceback keeps this frame
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``.
@@ -402,8 +432,10 @@ class Simulator:
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
-                    exc = event._value
-                    raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+                    try:
+                        raise _failure(event)
+                    finally:
+                        event = callback = None  # the traceback keeps this frame
             if self._open is not open_ or self._oi != oi:
                 continue  # a callback re-entered run(); resync from instance state
         if until is not None:
@@ -439,10 +471,15 @@ class Simulator:
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:
-                exc = event._value
-                raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
+                try:
+                    raise _failure(event)
+                finally:
+                    event = callback = None  # the traceback keeps this frame
         if not process.ok:
-            raise process.value
+            try:
+                raise process.value
+            finally:
+                process = event = callback = None  # as above
         return process.value
 
     @property

@@ -78,6 +78,54 @@ def test_cq_wait_consumes_queued_first():
     assert len(cq) == 0
 
 
+def test_interrupt_armed_cq_retains_nothing():
+    sim = Simulator()
+    node = Fabric(sim).add_node("n")
+    cq = node.hca.create_cq("cq", interrupts=True)
+    for i in range(5):
+        cq.push(Cqe(wr_id=i, opcode=Opcode.SEND, status=CqeStatus.SUCCESS))
+    sim.run()
+    assert cq.total == 5
+    assert len(cq) == 0  # the interrupt handler reaped every CQE
+    assert cq.poll() is None
+    assert node.irq.delivered.value == 5
+
+
+def test_interrupt_armed_cq_still_serves_a_parked_wait():
+    sim = Simulator()
+    node = Fabric(sim).add_node("n")
+    cq = node.hca.create_cq("cq", interrupts=True)
+    seen = []
+
+    def waiter():
+        cqe = yield cq.wait()
+        seen.append((cqe.wr_id, sim.now))
+
+    def pusher():
+        yield sim.timeout(3.0)
+        cq.push(Cqe(wr_id=7, opcode=Opcode.RECV, status=CqeStatus.SUCCESS))
+        cq.push(Cqe(wr_id=8, opcode=Opcode.RECV, status=CqeStatus.SUCCESS))
+
+    sim.process(waiter())
+    sim.process(pusher())
+    sim.run()
+    assert seen == [(7, 3.0)]
+    assert (cq.total, len(cq)) == (2, 0)
+    assert node.irq.delivered.value == 2
+
+
+def test_cq_without_handler_queues_for_poll():
+    sim = Simulator()
+    node = Fabric(sim).add_node("n")
+    cq = node.hca.create_cq("cq", interrupts=False)
+    for i in range(3):
+        cq.push(Cqe(wr_id=i, opcode=Opcode.SEND, status=CqeStatus.SUCCESS))
+    assert len(cq) == 3
+    assert cq.wait().value.wr_id == 0
+    assert [cq.poll().wr_id, cq.poll().wr_id, cq.poll()] == [1, 2, None]
+    assert cq.total == 3
+
+
 def test_unsignaled_wr_produces_no_cqe():
     sim, a, b, qa, qb = make_pair()
     lbuf, lmr = reg(sim, a, 4096, AccessFlags.LOCAL_WRITE)
@@ -93,7 +141,7 @@ def test_unsignaled_wr_produces_no_cqe():
 
     sim.run_until_complete(sim.process(proc()))
     assert wr.cqe.ok
-    assert len(qa.send_cq) == 0  # nothing delivered to the CQ
+    assert qa.send_cq.total == 0  # nothing delivered to the CQ
 
 
 # ---------------------------------------------------------------- QP flush

@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event kernel (events, processes, conditions)."""
 
+import gc
+
 import pytest
 
+from repro.sim import _pyengine
+from repro.sim._build import load_cengine
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -332,3 +336,211 @@ def test_determinism_two_identical_runs():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+# ------------------------------------------------- process lifetime, both cores
+#
+# A finished process must be freed by reference counting alone, on every
+# exit path: the engine may leave no reference cycle behind (a compiled
+# process caches a resume callback that points back at it until it ends).
+# The scenarios run against each core's classes directly, in this
+# process.  Their generators never hold the failing process in a
+# local: a frame that handles a failure while holding the failed process
+# makes a cycle of its own (process -> exception -> traceback -> frame),
+# whatever the engine does.
+
+_CENGINE = load_cengine()
+LIFETIME_CORES = [
+    pytest.param(_pyengine, id="python"),
+    pytest.param(_CENGINE, id="c", marks=pytest.mark.skipif(
+        _CENGINE is None, reason="compiled sim core unavailable")),
+]
+
+
+def _returns(sim):
+    yield sim.timeout(1.0)
+    return 7
+
+
+def _raises(sim):
+    yield sim.timeout(1.0)
+    raise KeyError("boom")
+
+
+def _waits_on(box):
+    try:
+        yield box.pop()  # the box, not this frame, held the child
+    except KeyError as exc:
+        return f"caught {exc!r}"
+
+
+def _sleeps(sim):
+    try:
+        yield sim.timeout(100.0)
+    except _pyengine.Interrupt as irq:
+        return irq.cause
+
+
+def _yields_int():
+    yield 42
+
+
+def _yields_again(sim):
+    try:
+        yield 42
+    except _pyengine.SimulationError:
+        yield sim.timeout(1.0)  # the process must end anyway
+    return "unreachable"
+
+
+def _yields_foreign(other):
+    yield other.event()
+
+
+def _run(sim):
+    """``sim.run()``; the name of what it raised, or None."""
+    try:
+        sim.run()
+    except Exception as exc:
+        return type(exc).__name__
+    return None
+
+
+def _start(core, sim, scenario):
+    """Spawn ``scenario``; returns (process to inspect, other processes)."""
+    if scenario == "returns":
+        return sim.process(_returns(sim)), []
+    if scenario == "raises-with-waiter":
+        child = sim.process(_raises(sim))
+        return child, [sim.process(_waits_on([child]))]
+    if scenario == "raises-without-waiter":
+        return sim.process(_raises(sim)), []
+    if scenario == "interrupted":
+        return sim.process(_sleeps(sim)), []
+    if scenario == "yields-non-event":
+        return sim.process(_yields_int()), []
+    if scenario == "catches-complaint-and-yields-again":
+        return sim.process(_yields_again(sim)), []
+    if scenario == "yields-foreign-event":
+        return sim.process(_yields_foreign(core.Simulator())), []
+    raise AssertionError(scenario)
+
+
+LIFETIME_SCENARIOS = [
+    "returns", "raises-with-waiter", "raises-without-waiter", "interrupted",
+    "yields-non-event", "catches-complaint-and-yields-again",
+    "yields-foreign-event",
+]
+
+
+def _finish(core, scenario):
+    """Run ``scenario`` to its end; (observed outcome, cyclic garbage left)."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = core.Simulator()
+        proc, others = _start(core, sim, scenario)
+        if scenario == "interrupted":
+            sim.run(until=5.0)
+            proc.interrupt("stop")
+        raised = _run(sim)
+        outcome = {
+            "raised": raised,
+            "now": sim.now,
+            "is_alive": proc.is_alive,
+            "ok": proc.ok,
+            "value": repr(proc.value),
+            "others": [(p.is_alive, p.ok, p.value) for p in others],
+        }
+        # The simulator still holds the last process it resumed.
+        sim.active_process = None
+        del proc, others
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+        if was_enabled:
+            gc.enable()
+    return outcome, garbage
+
+
+@pytest.mark.parametrize("scenario", LIFETIME_SCENARIOS)
+@pytest.mark.parametrize("core", LIFETIME_CORES)
+def test_finished_process_leaves_no_cyclic_garbage(core, scenario):
+    outcome, garbage = _finish(core, scenario)
+    assert not outcome["is_alive"]
+    assert garbage == []
+
+
+@pytest.mark.skipif(_CENGINE is None, reason="compiled sim core unavailable")
+@pytest.mark.parametrize("scenario", LIFETIME_SCENARIOS)
+def test_process_exit_paths_read_the_same_under_both_cores(scenario):
+    outcome, _ = _finish(_pyengine, scenario)
+    assert _finish(_CENGINE, scenario)[0] == outcome
+
+
+def test_process_exit_path_outcomes():
+    expect = {
+        "returns": (None, True, "7"),
+        "raises-with-waiter": (None, False, "KeyError('boom')"),
+        "raises-without-waiter": ("KeyError", False, "KeyError('boom')"),
+        "interrupted": (None, True, "'stop'"),
+        "yields-non-event": (
+            "SimulationError", False,
+            "SimulationError(\"process '_yields_int' yielded int, expected Event\")"),
+        "catches-complaint-and-yields-again": (
+            "SimulationError", False,
+            "SimulationError(\"process '_yields_again' yielded int, expected Event\")"),
+        "yields-foreign-event": (
+            "SimulationError", False,
+            "SimulationError('yielded event belongs to a different Simulator')"),
+    }
+    for scenario, (raised, ok, value) in expect.items():
+        outcome, _ = _finish(_pyengine, scenario)
+        assert (outcome["raised"], outcome["ok"], outcome["value"]) == (raised, ok, value), scenario
+    outcome, _ = _finish(_pyengine, "raises-with-waiter")
+    assert outcome["others"] == [(False, True, "caught KeyError('boom')")]
+
+
+@pytest.mark.skipif(_CENGINE is None, reason="compiled sim core unavailable")
+def test_compiled_process_drops_resume_callback_when_finished():
+    sim = _CENGINE.Simulator()
+    proc = sim.process(_returns(sim))
+    assert callable(proc._resume)
+    sim.run()
+    assert proc._resume is None
+
+
+@pytest.mark.skipif(_CENGINE is None, reason="compiled sim core unavailable")
+def test_compiled_stale_resume_callback_cannot_revive_finished_process():
+    sim, other = _CENGINE.Simulator(), _CENGINE.Simulator()
+
+    def gen():
+        yield other.event()  # fails the process; the generator stays suspended
+        yield sim.event()
+
+    proc = sim.process(gen())
+    resume = proc._resume  # taken while the process still caches it
+    assert _run(sim) == "SimulationError"
+    fired = sim.event()
+    fired.succeed()
+    sim.run()
+    with pytest.raises(SimulationError, match="finished process resumed"):
+        resume(fired)
+
+
+def test_non_generator_process_still_rejected_by_both_cores():
+    class SendOnly:
+        def send(self, value):
+            return None
+
+    cores = [_pyengine] + ([_CENGINE] if _CENGINE is not None else [])
+    for core in cores:
+        sim = core.Simulator()
+        for bad in (lambda: None, SendOnly(), [1, 2]):
+            with pytest.raises(SimulationError, match="requires a generator"):
+                core.Process(sim, bad)
