@@ -83,8 +83,8 @@ def cmd_run(args) -> int:
 BENCH_FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
                  "fig12", "fig13")
 
-#: BENCH_*.json schema.  v1 (unversioned): events_stepped.  v2: adds
-#: schema_version, events, core; tools/bench_gate.py reads both.
+#: BENCH_*.json schema: schema_version, events, events_per_sec, core;
+#: tools/bench_gate.py reads only this version.
 BENCH_SCHEMA_VERSION = 2
 
 

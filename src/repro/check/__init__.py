@@ -26,16 +26,17 @@ and is imported lazily by the CLI (it pulls in the experiment stack).
 
 from __future__ import annotations
 
-from repro.check.purity import Finding, lint_file, lint_paths
 from repro.check.races import PerturbedSimulator, nondeterminism_guard
 from repro.check.sanitizer import Sanitizer, Violation
+# Loading the rules package with this package makes the purity <-> rules
+# import cycle always start from the rules side: the rule packs import
+# repro.check.purity, which imports Finding back from the rules package.
+from repro.check.static.rules import Finding
 
 __all__ = [
     "Finding",
     "PerturbedSimulator",
     "Sanitizer",
     "Violation",
-    "lint_file",
-    "lint_paths",
     "nondeterminism_guard",
 ]

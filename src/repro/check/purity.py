@@ -37,16 +37,13 @@ per-rule so every exception is visible and greppable.
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional
 
-__all__ = ["Finding", "lint_file", "lint_paths", "lint_source", "raw_findings"]
+from repro.check.static.rules import Finding
+
+__all__ = ["RULES", "raw_findings"]
 
 RULES = ("wallclock", "global-random", "set-iteration", "mutable-default")
-
-_ALLOW_RE = re.compile(r"#\s*lint-sim:\s*allow\[([^\]]*)\]")
 
 _WALLCLOCK_TIME_FNS = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns",
@@ -67,19 +64,6 @@ _GLOBAL_RANDOM_FNS = frozenset({
 _RANDOM_ALLOWED = frozenset({"Random", "SystemRandom", "default_rng", "Generator"})
 
 _ITER_WRAPPERS = frozenset({"list", "tuple", "iter", "enumerate", "max", "min"})
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One lint violation."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -266,16 +250,6 @@ class _PurityVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _check_defaults
 
 
-def _suppressions(source: str) -> dict[int, set[str]]:
-    allowed: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _ALLOW_RE.search(line)
-        if match:
-            rules = {r.strip() for r in match.group(1).split(",") if r.strip()}
-            allowed[lineno] = rules
-    return allowed
-
-
 def raw_findings(tree: ast.Module, path: str = "<string>") -> list[Finding]:
     """All four intraprocedural rules over one parsed module, *before*
     suppression — the entry point used by the ``purity`` rule pack of
@@ -286,34 +260,3 @@ def raw_findings(tree: ast.Module, path: str = "<string>") -> list[Finding]:
     visitor = _PurityVisitor(path, collector.sets, collector.dicts_of_sets)
     visitor.visit(tree)
     return visitor.findings
-
-
-def lint_source(source: str, path: str = "<string>") -> list[Finding]:
-    """Lint one module's source text; returns unsuppressed findings."""
-    tree = ast.parse(source, filename=path)
-    raw = raw_findings(tree, path)
-    allowed = _suppressions(source)
-    findings = []
-    for finding in raw:
-        rules = allowed.get(finding.line)
-        if rules is not None and ("*" in rules or finding.rule in rules):
-            continue
-        findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
-
-
-def lint_file(path: Union[str, Path]) -> list[Finding]:
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"), str(path))
-
-
-def lint_paths(paths: Iterable[Union[str, Path]]) -> list[Finding]:
-    """Lint every ``.py`` file under each path (file or directory tree)."""
-    findings: list[Finding] = []
-    for root in paths:
-        root = Path(root)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for file in files:
-            findings.extend(lint_file(file))
-    return findings

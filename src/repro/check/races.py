@@ -69,13 +69,12 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.errors import NondeterminismViolation
-from repro.sim._pyengine import SimulationError, _failure, _Wakeup
-from repro.sim.engine import Event, PurePythonSimulator
+from repro.sim._pyengine import Event, SimulationError, Simulator, _failure, _Wakeup
 
 __all__ = ["PerturbedSimulator", "nondeterminism_guard"]
 
 
-class PerturbedSimulator(PurePythonSimulator):
+class PerturbedSimulator(Simulator):
     """A :class:`Simulator` that shuffles same-callback sibling events.
 
     Heap entries are ``(time, region, tie_key, seq, event)``: ``region``
@@ -101,13 +100,6 @@ class PerturbedSimulator(PurePythonSimulator):
         #: popped events whose heap successor shared (time, region) —
         #: the sibling groups whose order the seed actually perturbs.
         self.tie_events = 0
-        # The base engine keeps a bucketed calendar; the perturbation
-        # checker needs a totally ordered view of every pending entry so
-        # its tie keys can reorder siblings, so it runs its own
-        # ``(time, region, tie, seq, event)`` heap and overrides every
-        # queue-touching method below.
-        self._queue: list = []
-        self._seq = 0
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
@@ -155,40 +147,6 @@ class PerturbedSimulator(PurePythonSimulator):
                 raise _failure(event)
             finally:
                 event = callback = None  # the traceback keeps this frame
-
-    def run(self, until=None) -> None:
-        if until is not None and until < self.now:
-            raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
-        queue = self._queue
-        step = self.step
-        while queue:
-            if until is not None and queue[0][0] > until:
-                self.now = until
-                return
-            step()
-        if until is not None:
-            self.now = until
-
-    def run_until_complete(self, process, limit: float = float("inf")):
-        queue = self._queue
-        step = self.step
-        while not process._triggered:
-            if not queue:
-                raise SimulationError(f"deadlock: {process.name!r} never completed")
-            if queue[0][0] > limit:
-                raise SimulationError(
-                    f"time limit {limit} exceeded waiting for {process.name!r}")
-            step()
-        if not process.ok:
-            try:
-                raise process.value
-            finally:
-                process = None  # as above
-        return process.value
-
-    @property
-    def queue_size(self) -> int:
-        return len(self._queue)
 
 
 #: time-module functions that read the host clock.

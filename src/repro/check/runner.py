@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.check.purity import Finding
 from repro.check.static import analyze
+from repro.check.static.rules import Finding
 
 __all__ = ["CHECK_FIGURES", "CheckReport", "FigureCheck", "run_check"]
 

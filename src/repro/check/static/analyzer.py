@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.check.purity import Finding
 from repro.check.static.frontend import Program, load_program, load_source
-from repro.check.static.rules import RULE_PACKS
+from repro.check.static.rules import RULE_PACKS, Finding
 
 __all__ = ["StaticReport", "analyze", "analyze_source", "rule_names"]
 

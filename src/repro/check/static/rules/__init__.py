@@ -19,10 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.check.purity import Finding
 from repro.check.static.frontend import Program
 
-__all__ = ["RULE_PACKS", "RulePack"]
+__all__ = ["RULE_PACKS", "Finding", "RulePack"]
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One analyzer violation."""
+
+    path: str
+    line: int
+    rule: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 @dataclass(frozen=True)

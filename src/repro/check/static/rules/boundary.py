@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.purity import Finding
 from repro.check.static.frontend import Module, Program, dotted
-from repro.check.static.rules import RulePack
+from repro.check.static.rules import Finding, RulePack
 
 RULE = "exception-boundary"
 

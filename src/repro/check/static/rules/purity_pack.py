@@ -1,16 +1,15 @@
 """Pack ``purity`` — the four intraprocedural sim-purity rules.
 
-Absorbed from the pre-analyzer standalone lint (``tools/lint_sim.py``):
-the detection logic still lives in :mod:`repro.check.purity` (which
-keeps its ``lint_source``/``lint_paths`` compatibility API); this pack
-just runs it over every module the front end loaded.
+The detection logic lives in :mod:`repro.check.purity`; this pack runs
+it over every module the front end loaded.  Suppressions are applied by
+the analyzer core, as for every pack.
 """
 
 from __future__ import annotations
 
-from repro.check.purity import RULES, Finding, raw_findings
+from repro.check.purity import RULES, raw_findings
 from repro.check.static.frontend import Program
-from repro.check.static.rules import RulePack
+from repro.check.static.rules import Finding, RulePack
 
 
 def run(program: Program) -> list[Finding]:

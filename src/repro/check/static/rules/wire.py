@@ -44,9 +44,8 @@ import ast
 import re
 from typing import Optional, Union
 
-from repro.check.purity import Finding
 from repro.check.static.frontend import FunctionInfo, Module, Program, dotted
-from repro.check.static.rules import RulePack
+from repro.check.static.rules import Finding, RulePack
 
 RULE = "wire-symmetry"
 

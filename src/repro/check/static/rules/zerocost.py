@@ -31,9 +31,8 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.check.purity import Finding
 from repro.check.static.frontend import FunctionInfo, Program, dotted
-from repro.check.static.rules import RulePack
+from repro.check.static.rules import Finding, RulePack
 
 RULE = "zero-cost-off"
 

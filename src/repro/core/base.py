@@ -888,9 +888,6 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
                 if tracer is not None:
                     tracer.pop_task(prev)
                     span.end()
-                lane = ctx["header"].lane
-                if lane is not None and self.lanes is not None:
-                    self.lanes.on_reply(lane)
                 for region in ctx["regions"]:
                     yield from self.strategy.release(region)
 

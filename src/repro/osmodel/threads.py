@@ -100,11 +100,6 @@ class KernelThreadPool:
     def backlog(self) -> int:
         return len(self.queue)
 
-    @property
-    def free_slots(self) -> Optional[int]:
-        """Open run-queue slots, or None when unbounded."""
-        return None if self._slots is None else int(self._slots.level)
-
     def _worker(self, index: int) -> Generator:
         while True:
             task = yield self.queue.get()

@@ -10,9 +10,9 @@ stays FIFO on the shared queue pair.  The :class:`LaneLedger` is the
 server-side half of both jobs: it tracks per-lane sequence numbers
 (RC delivers in order, and a lane never migrates between QPs, so the
 sequence observed at the server must be non-decreasing — any regression
-is a demux bug and increments :attr:`~LaneLedger.order_violations`),
-per-lane in-flight counts, and carves the connection grant into equal
-per-lane slices echoed in version-2 reply headers.
+is a demux bug and increments :attr:`~LaneLedger.order_violations`)
+and carves the connection grant into equal per-lane slices echoed in
+version-2 reply headers.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ class LaneLedger:
         self.calls = Counter(f"{name}.calls")
         #: lane id -> highest sequence number seen.
         self._last_seq: dict[int, int] = {}
-        #: lane id -> calls received minus replies sent.
-        self._inflight: dict[int, int] = {}
 
     def on_call(self, lane: int, seq: int) -> None:
         """Record an arriving call; flag out-of-order lane sequences.
@@ -53,20 +51,11 @@ class LaneLedger:
             self.order_violations.add()
         else:
             self._last_seq[lane] = seq
-        self._inflight[lane] = self._inflight.get(lane, 0) + 1
         self.calls.add()
-
-    def on_reply(self, lane: int) -> None:
-        pending = self._inflight.get(lane, 0)
-        if pending > 0:
-            self._inflight[lane] = pending - 1
 
     @property
     def active_lanes(self) -> int:
         return len(self._last_seq)
-
-    def inflight(self, lane: int) -> int:
-        return self._inflight.get(lane, 0)
 
     def grant_for(self, lane: int, connection_grant: int) -> int:
         """The per-lane credit slice advertised in a version-2 reply."""

@@ -9,7 +9,7 @@
  * (REPRO_SIM_CORE=auto|python|c) and tests/test_compiled_core.py plus
  * the golden grids enforce the equivalence.
  *
- * Queue layout (the compiled analogue of _pyengine's dict-of-buckets):
+ * Queue layout (_pyengine keeps one (when, seq) heap; this splits it):
  *
  *   nowq  — FIFO array of events scheduled for exactly `now`.  The
  *           workload's dense same-instant bursts land here: append and

@@ -6,23 +6,11 @@ This module is the reference core: always importable, no compiled code.
 **bit-identical** schedules (the golden tables and ``repro check``
 schedule-invariance runs pin that equivalence).
 
-Scheduling uses a *bucketed calendar queue* instead of one global
-``(time, seq, event)`` heap.  The workload's timestamp distribution is
-near-monotonic with dense same-instant bursts (a CQE fan-out, a credit
-grant, a teardown drain all schedule many events for *now*), so the
-queue keys a dict of per-instant buckets — one list per occupied
-timestamp, FIFO within the bucket — and keeps only the *distinct*
-timestamps in a small float heap.  A burst of K same-instant events
-costs one heap push + one heap pop total, not K of each, and no
-``(time, seq)`` tuples are allocated at all: within a bucket, list
-order *is* scheduling order, which is exactly the engine's documented
-FIFO tiebreak.  ``run``/``run_until_complete`` drain the open bucket in
-a batched inner loop, touching the heap only when the instant changes.
-
-Determinism is unchanged from the heap engine: events fire in
-``(time, scheduling order)`` — two events scheduled for the same
-instant always fire in scheduling order, so repeated runs with the same
-seed are bit-identical.
+Scheduling is one ``heapq`` list of ``(when, seq, event)`` entries.
+``seq`` is a push counter, so events fire in ``(time, scheduling
+order)``: two events scheduled for the same instant always fire in
+scheduling order, and repeated runs with the same seed are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -38,9 +26,6 @@ __all__ = [
     "Simulator",
     "Timeout",
 ]
-
-_NO_BUCKET = float("nan")  # compares unequal to every timestamp
-
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation API (not for modeled failures)."""
@@ -292,26 +277,15 @@ _EVENT_TYPES: tuple = (Event,)
 class Simulator:
     """The event loop.  ``now`` is simulated time in microseconds.
 
-    The schedule is a bucketed calendar (see the module docstring):
-
-    ``_buckets``
-        dict mapping each occupied *future* timestamp to its FIFO list.
-    ``_times``
-        heap of the distinct timestamps present in ``_buckets``.
-    ``_open`` / ``_oi`` / ``_open_when``
-        the bucket currently being drained, the index of the next
-        unfired event in it, and its timestamp.  Events scheduled for
-        exactly the open instant append here so same-instant FIFO order
-        spans events scheduled both before and during the instant.
+    ``_queue`` is a heap of ``(when, seq, event)`` entries; ``seq`` is a
+    push counter, so same-instant events fire in scheduling order and
+    entries never compare events.
     """
 
     def __init__(self):
         self.now: float = 0.0
-        self._buckets: dict[float, list] = {}
-        self._times: list[float] = []
-        self._open: list = []
-        self._oi: int = 0
-        self._open_when: float = _NO_BUCKET
+        self._queue: list = []
+        self._seq = 0
         #: total events processed — the simulator's own work metric,
         #: reported by ``python -m repro bench`` as events/sec.
         self.steps = 0
@@ -352,33 +326,13 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        when = self.now + delay
-        if when == self._open_when:
-            # Same-instant burst: extend the bucket being drained.
-            self._open.append(event)
-            return
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [event]
-            heappush(self._times, when)
-        else:
-            bucket.append(event)
+        heappush(self._queue, (self.now + delay, self._seq, event))
+        self._seq += 1
 
     # -- execution --------------------------------------------------------
     def step(self) -> None:
         """Process the single next event in the schedule."""
-        oi = self._oi
-        open_ = self._open
-        if oi >= len(open_):
-            when = heappop(self._times)  # IndexError when queue empty
-            open_ = self._buckets.pop(when)
-            self._open = open_
-            self._open_when = when
-            self.now = when
-            oi = 0
-        event = open_[oi]
-        open_[oi] = None  # release the reference as soon as it fires
-        self._oi = oi + 1
+        self.now, _, event = heappop(self._queue)  # IndexError when queue empty
         self.steps += 1
         callbacks = event.callbacks
         event.callbacks = None
@@ -393,98 +347,36 @@ class Simulator:
                 event = callback = None  # the traceback keeps this frame
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or simulated time reaches ``until``.
-
-        The hot loop drains the open bucket in place: the time-limit
-        test happens once per *instant* (bucket), not once per event.
-        """
+        """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
-        times = self._times
-        buckets = self._buckets
-        while True:
-            open_ = self._open
-            oi = self._oi
-            if oi >= len(open_):
-                if not times:
-                    break
-                when = times[0]
-                if until is not None and when > until:
-                    self.now = until
-                    return
-                heappop(times)
-                open_ = buckets.pop(when)
-                self._open = open_
-                self._open_when = when
-                self.now = when
-                oi = 0
-            # Batched same-instant drain: callbacks may append to the
-            # open bucket, so the bound is re-read every iteration.
-            while oi < len(open_):
-                event = open_[oi]
-                open_[oi] = None
-                oi += 1
-                self._oi = oi
-                self.steps += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    try:
-                        raise _failure(event)
-                    finally:
-                        event = callback = None  # the traceback keeps this frame
-            if self._open is not open_ or self._oi != oi:
-                continue  # a callback re-entered run(); resync from instance state
+        queue = self._queue
+        step = self.step
+        while queue:
+            if until is not None and queue[0][0] > until:
+                break
+            step()
         if until is not None:
             self.now = until
 
     def run_until_complete(self, process: Process, limit: float = float("inf")) -> Any:
         """Run until ``process`` finishes; return its value or raise its error."""
-        times = self._times
-        buckets = self._buckets
+        queue = self._queue
+        step = self.step
         while not process._triggered:
-            open_ = self._open
-            oi = self._oi
-            if oi >= len(open_):
-                if not times:
-                    raise SimulationError(f"deadlock: {process.name!r} never completed")
-                when = times[0]
-                if when > limit:
-                    raise SimulationError(
-                        f"time limit {limit} exceeded waiting for {process.name!r}")
-                heappop(times)
-                open_ = buckets.pop(when)
-                self._open = open_
-                self._open_when = when
-                self.now = when
-                oi = 0
-            event = open_[oi]
-            open_[oi] = None
-            self._oi = oi + 1
-            self.steps += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                try:
-                    raise _failure(event)
-                finally:
-                    event = callback = None  # the traceback keeps this frame
+            if not queue:
+                raise SimulationError(f"deadlock: {process.name!r} never completed")
+            if queue[0][0] > limit:
+                raise SimulationError(
+                    f"time limit {limit} exceeded waiting for {process.name!r}")
+            step()
         if not process.ok:
             try:
                 raise process.value
             finally:
-                process = event = callback = None  # as above
+                process = None  # the traceback keeps this frame
         return process.value
 
     @property
     def queue_size(self) -> int:
-        pending = len(self._open) - self._oi
-        for bucket in self._buckets.values():
-            pending += len(bucket)
-        return pending
+        return len(self._queue)

@@ -2,11 +2,12 @@
 
 Two interchangeable cores implement the event loop:
 
-* :mod:`repro.sim._pyengine` — the pure-python reference (always works);
+* :mod:`repro.sim._pyengine` — the pure-python reference (always works),
+  scheduling on one ``(when, seq)`` heap;
 * :mod:`repro.sim._cengine` — an optional CPython extension compiling
-  the same hot core (Event/Timeout/Process/Simulator plus the bucketed
-  calendar queue) to C.  Built on demand by :mod:`repro.sim._build`
-  when a C toolchain is available.
+  the same hot core (Event/Timeout/Process/Simulator) to C, scheduling
+  on a same-instant FIFO plus a binary heap.  Built on demand by
+  :mod:`repro.sim._build` when a C toolchain is available.
 
 Selection happens once, at import, via ``REPRO_SIM_CORE``:
 
@@ -36,15 +37,7 @@ import os
 from typing import Iterable
 
 from repro.sim import _pyengine
-from repro.sim._pyengine import (  # noqa: F401  (re-exported surface)
-    Event as PyEvent,
-    Interrupt,
-    Process as PyProcess,
-    SimulationError,
-    Simulator as PurePythonSimulator,
-    Timeout as PyTimeout,
-    _Wakeup,
-)
+from repro.sim._pyengine import Interrupt, SimulationError
 
 __all__ = [
     "ACTIVE_CORE",
@@ -53,7 +46,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Process",
-    "PurePythonSimulator",
     "SimulationError",
     "Simulator",
     "Timeout",

@@ -243,10 +243,6 @@ class Container:
                     progressed = True
 
 
-PurePythonRequest = Request
-PurePythonResource = Resource
-PurePythonStore = Store
-
 if _engine.ACTIVE_CORE == "c":
     # Compiled hot path: Resource.request/release and Store.put/get are
     # among the most-called model entry points, so the C core provides

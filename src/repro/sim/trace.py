@@ -136,9 +136,6 @@ class Tracer:
         self.counts.clear()
 
 
-PurePythonCounter = Counter
-PurePythonUtilizationMeter = UtilizationMeter
-
 if _engine.ACTIVE_CORE == "c":
     Counter = _engine._cengine.Counter
     UtilizationMeter = _engine._cengine.UtilizationMeter

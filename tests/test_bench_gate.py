@@ -1,4 +1,4 @@
-"""tools/bench_gate.py must fail on regressions and read both schemas."""
+"""tools/bench_gate.py must fail on regressions and read only schema v2."""
 
 import json
 import sys
@@ -30,16 +30,12 @@ def _v2(name: str, eps: int, events: int = 1_000_000) -> dict:
 
 
 def _v1(name: str, eps: int, events: int = 1_000_000) -> dict:
-    # the pre-versioning shape: events_stepped, no schema_version/core
-    return {
-        "experiment": name,
-        "scale": "quick",
-        "jobs": 1,
-        "wall_seconds": round(events / eps, 3),
-        "events_stepped": events,
-        "events_per_sec": eps,
-        "points": 4,
-    }
+    # the unversioned shape: no schema_version or core, and the event
+    # count under its old key instead of "events"
+    payload = _v2(name, eps, events)
+    del payload["schema_version"], payload["core"]
+    payload["steps"] = payload.pop("events")
+    return payload
 
 
 def test_gate_passes_when_fresh_is_fast_enough(tmp_path):
@@ -69,24 +65,21 @@ def test_gate_fails_on_missing_figure(tmp_path):
     assert rc != 0
 
 
-def test_gate_reads_v1_baselines(tmp_path):
-    """Old unversioned baselines (events_stepped) stay comparable."""
+def test_gate_refuses_v1_baselines(tmp_path):
+    """Unversioned v1 files are not read."""
     _write(tmp_path / "base", "fig5", _v1("fig5", 100_000))
     _write(tmp_path / "fresh", "fig5", _v2("fig5", 200_000))
-    rc = bench_gate.main(["--fresh", str(tmp_path / "fresh"),
-                          "--baseline", str(tmp_path / "base")])
-    assert rc == 0
-    bench = bench_gate.load_bench(tmp_path / "base" / "BENCH_fig5.json")
-    assert bench["schema_version"] == 1
-    assert bench["events"] == 1_000_000
+    with pytest.raises(ValueError, match="not a BENCH schema v2 file"):
+        bench_gate.main(["--fresh", str(tmp_path / "fresh"),
+                         "--baseline", str(tmp_path / "base")])
 
 
-def test_gate_derives_eps_when_absent(tmp_path):
-    payload = _v1("fig5", 100_000)
-    del payload["events_per_sec"]  # oldest files: wall + events only
+def test_gate_refuses_file_without_events_per_sec(tmp_path):
+    payload = _v2("fig5", 100_000)
+    del payload["events_per_sec"]
     _write(tmp_path / "base", "fig5", payload)
-    bench = bench_gate.load_bench(tmp_path / "base" / "BENCH_fig5.json")
-    assert bench["events_per_sec"] == pytest.approx(100_000, rel=0.01)
+    with pytest.raises(ValueError, match="missing events_per_sec"):
+        bench_gate.load_bench(tmp_path / "base" / "BENCH_fig5.json")
 
 
 def test_gate_faster_than_baseline_always_passes(tmp_path):

@@ -2,9 +2,9 @@
 
 The contract both simulator cores must honour: events fire in
 ``(when, scheduling order)`` — exactly the order a single global heap
-keyed by ``(when, push_seq)`` would produce.  The bucketed calendar
-queue (pure python) and the nowq+heap layout (compiled) are just faster
-layouts of that order, so we drive each core against a tiny reference
+keyed by ``(when, push_seq)`` would produce.  The python core is that
+heap; the compiled core splits it into a same-instant FIFO (nowq) plus
+a heap for later instants.  We drive each core against a tiny reference
 heap model through hypothesis-generated schedules with dense
 same-instant ties, mid-drain rescheduling and ``run(until=...)``
 boundary cases.
@@ -40,7 +40,7 @@ def _cores():
 CORES = _cores()
 
 # Dense 0.0 weighting: the workload's same-instant bursts are the case
-# the calendar queue is tuned for, so ties must dominate the search.
+# the compiled core's nowq is tuned for, so ties must dominate the search.
 DELAYS = st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0])
 
 #: each op is (delay, child_delay-or-None): the event fires `delay`

@@ -34,6 +34,7 @@ def test_purity_bad_wallclock():
             return time.time()
     """)
     assert "wallclock" in rules_of(report)
+    assert report.render_text().startswith("<fixture>:5: [wallclock] ")
 
 
 def test_purity_good_sim_clock():

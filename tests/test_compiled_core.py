@@ -63,16 +63,18 @@ def test_compiled_core_bit_identical_to_python():
 @pytest.mark.skipif(not _cengine_available(),
                     reason="compiled sim core unavailable (no C toolchain?)")
 def test_compiled_resources_selected_with_c_core():
-    """Under the C core the resource layer swaps to the compiled classes."""
-    env = dict(os.environ, REPRO_SIM_CORE="c",
-               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    snippet = (
-        "from repro.sim import resources\n"
-        "for cls in (resources.Resource, resources.Request, resources.Store):\n"
-        "    assert cls.__module__ == 'repro.sim._cengine', cls\n"
-        "assert resources.PurePythonResource.__module__ == 'repro.sim.resources'\n"
-        "print('ok')\n")
-    proc = subprocess.run([sys.executable, "-c", snippet],
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "ok"
+    """The resource layer follows the core: compiled classes under the C
+    core, its own python classes under the python core."""
+    expected = {"c": "repro.sim._cengine", "python": "repro.sim.resources"}
+    for core, module in expected.items():
+        env = dict(os.environ, REPRO_SIM_CORE=core,
+                   PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        snippet = (
+            "from repro.sim import resources\n"
+            "for cls in (resources.Resource, resources.Request, resources.Store):\n"
+            f"    assert cls.__module__ == {module!r}, cls\n"
+            "print('ok')\n")
+        proc = subprocess.run([sys.executable, "-c", snippet],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "ok"

@@ -1,13 +1,13 @@
-"""Static purity lint: one known-bad snippet per rule, plus the
+"""The ``purity`` rule pack: one known-bad snippet per rule, plus the
 suppression syntax and the idioms that must stay exempt."""
 
-from pathlib import Path
-
-from repro.check.purity import RULES, lint_file, lint_paths, lint_source
+from repro.check.purity import RULES
+from repro.check.static import analyze_source
 
 
 def rules_of(source):
-    return [f.rule for f in lint_source(source, "snippet.py")]
+    report = analyze_source(source, "snippet.py", rules=["purity"])
+    return [f.rule for f in report.findings]
 
 
 # ------------------------------------------------------------ wallclock
@@ -124,26 +124,3 @@ def test_every_rule_has_a_failing_snippet():
     assert set(snippets) == set(RULES)
     for rule, src in snippets.items():
         assert rules_of(src) == [rule]
-
-
-def test_finding_rendering_and_file_api(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
-    findings = lint_file(bad)
-    assert len(findings) == 1
-    rendered = str(findings[0])
-    assert "[wallclock]" in rendered
-    assert rendered.startswith(f"{bad}:2:")
-
-
-def test_lint_paths_walks_directories(tmp_path):
-    (tmp_path / "pkg").mkdir()
-    (tmp_path / "pkg" / "a.py").write_text("def f(a=[]):\n    pass\n")
-    (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
-    findings = lint_paths([tmp_path])
-    assert [f.rule for f in findings] == ["mutable-default"]
-
-
-def test_repo_tree_is_clean():
-    src = Path(__file__).resolve().parent.parent / "src" / "repro"
-    assert lint_paths([src]) == []

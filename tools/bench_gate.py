@@ -12,9 +12,8 @@ figure regresses by more than ``--max-regress`` percent (or when a
 baselined figure is missing from the fresh run).  Faster-than-baseline
 results always pass — the gate is one-sided.
 
-Reads both BENCH schema versions: v2 (``schema_version``/``events``)
-and the unversioned v1 files (``events_stepped``), so pre-v2 baselines
-keep working.
+Reads BENCH schema v2 (``schema_version``/``events``/``events_per_sec``)
+and refuses any other shape with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -28,20 +27,18 @@ DEFAULT_BASELINE = Path(__file__).resolve().parent.parent / "benchmarks" / "base
 
 
 def load_bench(path: Path) -> dict:
-    """Normalize one BENCH_*.json (schema v1 or v2) to a common shape."""
+    """Read one BENCH_*.json (schema v2)."""
     raw = json.loads(path.read_text())
-    events = raw.get("events", raw.get("events_stepped"))
-    if events is None:
-        raise ValueError(f"{path}: neither 'events' nor 'events_stepped' present")
-    eps = raw.get("events_per_sec")
-    if eps is None:
-        wall = raw.get("wall_seconds") or 0
-        eps = round(events / wall) if wall else 0
+    missing = [key for key in ("schema_version", "events", "events_per_sec")
+               if key not in raw]
+    if missing:
+        raise ValueError(f"{path}: not a BENCH schema v2 file "
+                         f"(missing {', '.join(missing)})")
     return {
         "experiment": raw.get("experiment", path.stem.replace("BENCH_", "")),
-        "schema_version": raw.get("schema_version", 1),
-        "events": events,
-        "events_per_sec": eps,
+        "schema_version": raw["schema_version"],
+        "events": raw["events"],
+        "events_per_sec": raw["events_per_sec"],
         "wall_seconds": raw.get("wall_seconds", 0.0),
         "scale": raw.get("scale", "quick"),
     }
