@@ -83,17 +83,6 @@ class PortDirection:
         self.meter = UtilizationMeter(sim, capacity=1.0, name=name)
         self.bytes_carried = Counter(f"{name}.bytes")
 
-    def hold(self, duration_us: float) -> Generator:
-        """Process: occupy this direction for ``duration_us``."""
-        req = self.arbiter.request()
-        yield req
-        self.meter.acquire()
-        try:
-            yield self.sim.timeout(duration_us)
-        finally:
-            self.meter.release()
-            self.arbiter.release(req)
-
 
 class DuplexLink:
     """A node's network port (tx + rx) attached to a full-bisection fabric."""

@@ -107,30 +107,39 @@ class TcpConnection:
         # are FIFO resources so segments stay ordered within a direction
         # while stage N+1 of one segment overlaps stage N of the next —
         # which is how a real TCP stack keeps the wire busy.  The tx slot
-        # is claimed HERE, in message order, not inside the segment
-        # process: otherwise the pipeline's FIFO order would rest on the
-        # incidental boot order of sibling processes, which the schedule
-        # perturbation checker (repro.check.races) deliberately breaks.
-        tx_stage = self._tx_stage[id(side)]
-        done = [
-            self.sim.process(self._segment(side, peer, seg, tx_stage.request()))
-            for seg in sizes
-        ]
-        for proc in done:
-            yield proc
+        # is claimed HERE, once per message and in message order, so the
+        # pipeline's FIFO order never rests on the boot order of sibling
+        # processes, which the schedule perturbation checker
+        # (repro.check.races) deliberately breaks.  Segment 0 takes the
+        # slot and the segments pass it down a chain: each boots its
+        # successor when its tx work ends, and the last one releases it.
+        # Segments can finish out of index order (on GigE a short tail
+        # overtakes the two-chunk segments before it), so ``done`` fires
+        # when the last one to *finish* counts ``left`` down to zero.
+        done = self.sim.event()
+        req = self._tx_stage[id(side)].request()
+        self.sim.process(self._segment(side, peer, sizes, 0, req, [len(sizes)], done))
+        yield done
         self.bytes_sent.add(total)
         self.messages_sent.add(1)
         yield self._rx[id(peer)].put(message)
 
-    def _segment(self, side: TcpEndpoint, peer: TcpEndpoint, seg: int, req) -> Generator:
-        tx_stage = self._tx_stage[id(side)]
+    def _segment(self, side: TcpEndpoint, peer: TcpEndpoint, sizes: list[int],
+                 k: int, req, left: list[int], done) -> Generator:
         rx_stage = self._rx_stage[id(side)]
-        yield req
+        seg = sizes[k]
+        if k == 0:
+            yield req
         try:
             # Sender: copy into the stack + checksum + protocol work.
             yield from side.cpu.consume(side._tx_cpu_us(seg))
         finally:
-            tx_stage.release(req)
+            # Hand the slot on: the successor starts its tx work only
+            # once this segment's ends, which keeps the stage FIFO.
+            if k + 1 < len(sizes):
+                self.sim.process(self._segment(side, peer, sizes, k + 1, req, left, done))
+            else:
+                self._tx_stage[id(side)].release(req)
         # Wire: occupies sender egress and receiver ingress.
         yield from side.port.transfer(peer.port, seg)
         req = rx_stage.request()
@@ -140,6 +149,9 @@ class TcpConnection:
             yield from self._rx_side(peer, seg)
         finally:
             rx_stage.release(req)
+        left[0] -= 1
+        if not left[0]:
+            done.succeed()
 
     def _rx_side(self, peer: TcpEndpoint, nbytes: int) -> Generator:
         now = self.sim.now

@@ -46,19 +46,22 @@ def test_fig5_point_is_schedule_invariant_across_seeds():
         assert run_point(_fig5_shaped_point(perturb_seed=seed)) == baseline
 
 
-def test_tcp_point_is_schedule_invariant():
+@pytest.mark.parametrize("transport", ["tcp-ipoib", "tcp-gige"])
+def test_tcp_point_is_schedule_invariant(transport):
     """Regression: TCP message FIFO must not rest on segment boot order.
 
     ``TcpConnection.send`` once let each segment process claim its tx
     pipeline slot itself, so wire order rested on the incidental boot
     order of sibling processes and IPoIB points diverged under
-    perturbation.  The slot is now claimed in ``send`` in message order;
-    this pins an IPoIB-shaped point to bit-identical-under-perturbation.
+    perturbation.  The slot is now claimed in ``send``, once per message
+    and in message order, and segments boot their successors.  GigE is
+    the case where segments reorder: a 32 KB segment is two wire
+    chunks, so a short tail segment finishes before earlier ones.
     """
     from repro.experiments.sweep import Point, run_point
 
     def point(perturb_seed=None):
-        cluster = {"transport": "tcp-ipoib", "profile": "solaris-sdr"}
+        cluster = {"transport": transport, "profile": "solaris-sdr"}
         if perturb_seed is not None:
             cluster["perturb_seed"] = perturb_seed
         return Point(

@@ -15,15 +15,9 @@ With the cycle collector disabled and ``gc.DEBUG_SAVEALL`` set:
   go by, so a missing DECREF or a per-op leak shows up here.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from tests._cores import CORES, run_json
 
 POINT_SNIPPET = """
 import gc, json
@@ -91,40 +85,9 @@ print(json.dumps({{
 """
 
 
-def _cengine_available() -> bool:
-    try:
-        from repro.sim._build import load_cengine
-
-        return load_cengine() is not None
-    except ImportError:
-        return False
-
-
-def _cores() -> list:
-    """Both cores; only the one ``REPRO_SIM_CORE`` names when it names one.
-
-    A named compiled core is required, never skipped: CI runs this file
-    once per core, so a broken build fails instead of passing silently.
-    """
-    requested = os.environ.get("REPRO_SIM_CORE", "auto").strip().lower()
-    if requested in ("python", "c"):
-        return [requested]
-    return ["python", pytest.param("c", marks=pytest.mark.skipif(
-        not _cengine_available(), reason="compiled sim core unavailable"))]
-
-
-CORES = _cores()
-
-
 @pytest.mark.parametrize("core", CORES)
 def test_rounds_leave_no_cycles_and_no_growth(core):
-    env = dict(os.environ, REPRO_SIM_CORE=core,
-               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", POINT_SNIPPET.format(core=core)],
-        capture_output=True, text=True, timeout=600, env=env)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = run_json(core, POINT_SNIPPET.format(core=core))
     assert set(report) == {"rdma-rw", "rdma-rr", "tcp"}
     for point, got in report.items():
         for i, garbage in enumerate(got["garbage"], 1):

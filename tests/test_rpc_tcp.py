@@ -7,6 +7,7 @@ from repro.rpc import RpcCall, RpcReply, RpcServer, TcpRpcClient, TcpRpcServerTr
 from repro.rpc.msg import RpcCall as Call
 from repro.sim import Simulator
 from repro.tcpip import GIGE_PROFILE, IPOIB_PROFILE, TcpConnection, TcpEndpoint, TcpListener
+from tests._cores import CORES, run_json
 
 
 def make_endpoints(profile=IPOIB_PROFILE, cores=2):
@@ -136,6 +137,63 @@ def test_listener_accept():
     sim.process(server())
     sim.run()
     assert got == [conn]
+
+
+SEND_SNIPPET = """
+import json
+from repro.osmodel import CPU, CPUConfig, InterruptController
+from repro.sim import Simulator
+from repro.sim.engine import ACTIVE_CORE
+from repro.tcpip import GIGE_PROFILE, IPOIB_PROFILE, TcpConnection, TcpEndpoint
+
+assert ACTIVE_CORE == {core!r}, ACTIVE_CORE
+sim = Simulator()
+eps = []
+for name in ("client", "server"):
+    cpu = CPU(sim, CPUConfig(cores=2), name=name + ".cpu")
+    irq = InterruptController(sim, cpu, cost_us=4.0, name=name + ".irq")
+    eps.append(TcpEndpoint(sim, cpu, irq, {profile}, name=name))
+c, s = eps
+conn = TcpConnection(c, s)
+
+
+def sender():
+    yield from conn.send(c, bytes({size}))
+    return sim.now
+
+
+def receiver():
+    assert len((yield conn.recv(s))) == {size}
+
+
+proc = sim.process(sender())
+sim.process(receiver())
+sim.run()
+print(json.dumps([proc.value, sim.steps]))
+"""
+
+
+@pytest.mark.parametrize("core", CORES)
+@pytest.mark.parametrize("profile,size,returns_at,steps", [
+    # Segments of 32768, 32768 and 4464 bytes.  A 32 KB segment is two
+    # wire chunks, so the tail leaves the wire at 624.96 us, before
+    # segments 0 and 1: a send that completed on the last-indexed
+    # segment would return at 641.33 us.
+    pytest.param("GIGE_PROFILE", 70_000, 779.84, 48, id="gige-70000"),
+    # 128 segments of 8 KB, each booted by its predecessor: one tx-slot
+    # grant and one countdown event per message.
+    pytest.param("IPOIB_PROFILE", 1 << 20, 5882.442105263167, 1544, id="ipoib-1MiB"),
+])
+def test_send_returns_when_last_segment_finishes(core, profile, size, returns_at, steps):
+    """A send returns when its last segment to finish is delivered.
+
+    The tx slot is claimed once per message and segments boot their
+    successors in order.  The step count pins that event budget: n
+    boots, one grant and one countdown event per n-segment message.
+    """
+    now, taken = run_json(core, SEND_SNIPPET.format(core=core, profile=profile, size=size))
+    assert now == pytest.approx(returns_at, abs=1e-9)
+    assert taken == steps
 
 
 # ---------------------------------------------------------------- rpc messages
