@@ -36,7 +36,7 @@ from repro.core import (
 from repro.core.strategies import AllPhysicalStrategy, FmrStrategy, RegistrationStrategy
 from repro.errors import TransportError
 from repro.faults import FaultInjector, FaultPlan
-from repro.fs import BlockFs, DiskConfig, Raid0, TmpFs
+from repro.fs import BlockFs, Raid0, TmpFs
 from repro.ib.fabric import Fabric, IBNode
 from repro.ib.mux import MuxConfig, QpMux
 from repro.ib.srq import SharedReceivePool
@@ -91,10 +91,7 @@ class ClusterConfig:
     #: raid backend: server page cache (the Fig 10 4 GB / 8 GB knob).
     cache_bytes: int = 4 << 30
     ndisks: int = 8
-    disk_mb_s: float = 30.0
     page_bytes: int = 64 * 1024
-    #: registration-cache memory budget (inf = unbounded).
-    regcache_budget_bytes: float = float("inf")
     #: duplicate request cache entries for the server (0 disables; the
     #: default gives every cluster exactly-once retransmit semantics).
     drc_entries: int = 1024
@@ -208,8 +205,7 @@ def make_strategy(config: ClusterConfig, node: IBNode,
     if kind == "fmr":
         return FmrStrategy(node)
     if kind in ("cache", "client-cache") and server:
-        return RegistrationCacheStrategy(
-            node, budget_bytes=config.regcache_budget_bytes)
+        return RegistrationCacheStrategy(node)
     if kind == "cache":
         # §4.3: the cache is a *server* design; clients register
         # dynamically (the client-side variant is an extension).
@@ -280,7 +276,6 @@ class ServerStack:
             self.raid = Raid0(
                 self.sim,
                 ndisks=config.ndisks,
-                disk_config=DiskConfig(streaming_mb_s=config.disk_mb_s),
                 stripe_unit_bytes=config.page_bytes,
             )
             self.fs = BlockFs(

@@ -11,9 +11,9 @@ spindle bandwidth — and sequential re-reads that overflow the cache
 collapse to spindle bandwidth too, which is the mechanism behind the
 Fig 10a decline beyond three clients.
 
-Page *contents* are stored once, interned (identical pages share one
-object), so gigabyte-scale working sets stay cheap in host memory while
-every byte served remains verifiable.
+File bytes live in each inode's :class:`~repro.fs.sparse.SparseFile`,
+paged at this FS's ``page_bytes`` exactly as on tmpfs; the page cache
+tracks only which pages are resident and dirty.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.fs.namespace import NamespaceFs, _Inode
 from repro.fs.pagecache import PageCache, PageKey
 from repro.fs.raid import Raid0
 from repro.osmodel import CPU
-from repro.payload import Payload, PayloadLike, join_parts
 from repro.sim import Simulator
 
 __all__ = ["BlockFs"]
@@ -47,19 +46,14 @@ class BlockFs(NamespaceFs):
         per_op_cpu_us: float = 2.5,
         name: str = "blockfs",
     ):
-        super().__init__(sim, cpu, capacity_bytes=1 << 40,
-                         per_op_cpu_us=per_op_cpu_us, name=name)
         if extent_bytes % page_bytes:
             raise ValueError("extent size must be a page multiple")
+        self.page_bytes = page_bytes    # before the root inode's SparseFile
+        super().__init__(sim, cpu, capacity_bytes=1 << 40,
+                         per_op_cpu_us=per_op_cpu_us, name=name)
         self.raid = raid
         self.cache = PageCache(cache_bytes, page_bytes, name=f"{name}.cache")
-        self.page_bytes = page_bytes
         self.extent_bytes = extent_bytes
-        #: page contents are ``bytes`` or :class:`Payload`, possibly
-        #: shorter than ``page_bytes`` (the missing tail is zero); pages
-        #: that are entirely zero are simply absent.
-        self._content: dict[PageKey, PayloadLike] = {}
-        self._intern_pool: dict = {}
         self._extents: dict[int, list[int]] = {}
         self._next_free = 0
         self.flush_interval_us = flush_interval_us
@@ -77,33 +71,6 @@ class BlockFs(NamespaceFs):
             extents.append(self._next_free)
             self._next_free += self.extent_bytes
         return extents[extent_index] + (page % pages_per_extent) * self.page_bytes
-
-    # -- content ----------------------------------------------------------
-    def _page_slice(self, key: PageKey, within: int, take: int) -> PayloadLike:
-        """``take`` bytes of a page starting at ``within``, zero-padded."""
-        page = self._content.get(key)
-        if page is None:
-            return Payload.zeros(take)
-        avail = len(page) - within
-        if avail >= take:
-            return page[within:within + take]
-        if avail <= 0:
-            return Payload.zeros(take)
-        return join_parts([page[within:], Payload.zeros(take - avail)])
-
-    def _store_page(self, key: PageKey, data: PayloadLike) -> None:
-        if isinstance(data, Payload):
-            if data.nruns > 32:
-                data = data.tobytes()
-        elif isinstance(data, bytearray):
-            data = bytes(data)
-        zero = data.is_zeros() if isinstance(data, Payload) else not any(data)
-        if zero:
-            self._content.pop(key, None)
-            return
-        token = data.key() if isinstance(data, Payload) else data
-        pooled = self._intern_pool.setdefault(token, data)
-        self._content[key] = pooled
 
     # -- cache/disk interaction ------------------------------------------
     def _absorb_evictions(self, evicted) -> Generator:
@@ -149,15 +116,7 @@ class BlockFs(NamespaceFs):
                 miss_run.append(key)
         if miss_run:
             yield from self._fetch_run(miss_run)
-        parts: list[PayloadLike] = []
-        pos = offset
-        stop = offset + length
-        while pos < stop:
-            page, within = divmod(pos, self.page_bytes)
-            take = min(self.page_bytes - within, stop - pos)
-            parts.append(self._page_slice((fileid, page), within, take))
-            pos += take
-        data = join_parts(parts)
+        data = inode.data.read(offset, length)
         yield from self.cpu.copy(len(data))
         inode.attrs.atime = self.sim.now
         return data, offset + length >= inode.attrs.size
@@ -189,27 +148,20 @@ class BlockFs(NamespaceFs):
             page, within = divmod(pos, self.page_bytes)
             take = min(self.page_bytes - within, end - pos)
             key = (fileid, page)
-            chunk = data[pos - offset: pos - offset + take]
-            if take == self.page_bytes:
-                new_page = chunk
-            else:
+            if take < self.page_bytes:
                 # Read-modify-write a partial page (fetch if not resident
                 # and previously written).
-                if not self.cache.touch(key) and key in self._content:
+                if not self.cache.touch(key) and inode.data.holds(page):
                     yield from self.raid.read(self._disk_offset(key), self.page_bytes)
-                head = self._page_slice(key, 0, within) if within else b""
-                old = self._content.get(key)
-                tail_len = (len(old) if old is not None else 0) - (within + take)
-                tail = (self._page_slice(key, within + take, tail_len)
-                        if tail_len > 0 else b"")
-                new_page = join_parts([head, chunk, tail])
-            self._store_page(key, new_page)
+            inode.data.write(pos, data[pos - offset: pos - offset + take])
             evicted = self.cache.insert(key, dirty=True)
             yield from self._absorb_evictions(evicted)
             pos += take
         if end > inode.attrs.size:
             self.used_bytes += end - inode.attrs.size
             inode.attrs.size = end
+            if len(inode.data) < end:   # a zero-length write past EOF
+                inode.data.truncate(end)
         inode.attrs.mtime = self.sim.now
         return len(data)
 
@@ -233,21 +185,8 @@ class BlockFs(NamespaceFs):
             free_files=(1 << 20) - len(self._inodes),
         )
 
-    # -- namespace data hooks ---------------------------------------------
+    # -- namespace data hook ----------------------------------------------
     def _drop_data(self, inode: _Inode) -> None:
-        fileid = inode.attrs.fileid
-        self.cache.invalidate(fileid)
-        doomed = [k for k in self._content if k[0] == fileid]
-        for k in doomed:
-            del self._content[k]
-        self._extents.pop(fileid, None)
-        self.used_bytes -= inode.attrs.size
-
-    def _resize_data(self, inode: _Inode, size: int) -> None:
-        fileid = inode.attrs.fileid
-        if size < inode.attrs.size:
-            first_dead = (size + self.page_bytes - 1) // self.page_bytes
-            doomed = [k for k in self._content if k[0] == fileid and k[1] >= first_dead]
-            for k in doomed:
-                del self._content[k]
-        self.used_bytes += size - inode.attrs.size
+        super()._drop_data(inode)
+        self.cache.invalidate(inode.attrs.fileid)
+        self._extents.pop(inode.attrs.fileid, None)

@@ -1,16 +1,17 @@
 """Shared namespace machinery for the in-memory and disk-backed FSes.
 
 Directories, lookup, create/remove/rename, symlinks and attributes are
-identical between tmpfs and the extent FS; only the data path differs.
-:class:`NamespaceFs` holds the common state machine; subclasses provide
-``read``/``write``/``commit``/``fsstat`` and may hook inode removal to
-reclaim data storage.
+identical between tmpfs and the extent FS, and so is the content store:
+every inode keeps its bytes in a :class:`SparseFile` paged at the FS's
+``page_bytes``.  :class:`NamespaceFs` holds the common state machine;
+subclasses provide ``read``/``write``/``commit``/``fsstat`` and may hook
+inode removal to reclaim what else they keep per file.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.fs.api import (
@@ -31,7 +32,7 @@ __all__ = ["NamespaceFs", "_Inode"]
 @dataclass
 class _Inode:
     attrs: FsAttributes
-    data: SparseFile = field(default_factory=SparseFile)
+    data: SparseFile
     entries: Optional[dict] = None          # name -> fileid (directories)
     target: Optional[str] = None            # symlinks
     parent: int = 0
@@ -39,6 +40,9 @@ class _Inode:
 
 class NamespaceFs(FileSystem):
     """Namespace + attributes; data operations live in subclasses."""
+
+    #: page size of every inode's :class:`SparseFile`.
+    page_bytes = 64 * 1024
 
     def __init__(self, sim: Simulator, cpu: CPU, capacity_bytes: int = 1 << 34,
                  per_op_cpu_us: float = 1.5, name: str = "fs"):
@@ -61,7 +65,7 @@ class NamespaceFs(FileSystem):
             atime=self.sim.now, mtime=self.sim.now, ctime=self.sim.now,
             nlink=2 if kind is FileKind.DIRECTORY else 1,
         )
-        inode = _Inode(attrs=attrs)
+        inode = _Inode(attrs=attrs, data=SparseFile(self.page_bytes))
         if kind is FileKind.DIRECTORY:
             inode.entries = {}
         self._inodes[fileid] = inode
@@ -193,10 +197,14 @@ class NamespaceFs(FileSystem):
         if inode.attrs.kind is FileKind.DIRECTORY:
             raise FsError("ISDIR", name)
         del parent.entries[name]
+        self._unlink(inode)
+
+    def _unlink(self, inode: _Inode) -> None:
+        """Drop one name of a non-directory; the last one frees it."""
         inode.attrs.nlink -= 1
         if inode.attrs.nlink <= 0:
             self._drop_data(inode)
-            del self._inodes[fileid]
+            del self._inodes[inode.attrs.fileid]
         else:
             inode.attrs.ctime = self.sim.now
 
@@ -220,11 +228,17 @@ class NamespaceFs(FileSystem):
         fileid = src.entries.get(from_name)
         if fileid is None:
             raise FsError("NOENT", from_name)
-        if to_name in dst.entries and dst.entries[to_name] != fileid:
-            existing = self._get(dst.entries[to_name])
-            if existing.attrs.kind is FileKind.DIRECTORY and existing.entries:
-                raise FsError("NOTEMPTY", to_name)
-            del self._inodes[dst.entries[to_name]]
+        target = dst.entries.get(to_name)
+        if target == fileid:
+            return      # two names of one file: POSIX rename does nothing
+        if target is not None:
+            existing = self._get(target)
+            if existing.attrs.kind is FileKind.DIRECTORY:
+                if existing.entries:
+                    raise FsError("NOTEMPTY", to_name)
+                del self._inodes[target]
+            else:
+                self._unlink(existing)
         del src.entries[from_name]
         dst.entries[to_name] = fileid
         self._inodes[fileid].parent = to_dir
@@ -250,25 +264,19 @@ class NamespaceFs(FileSystem):
         if size is not None:
             if inode.attrs.kind is not FileKind.REGULAR:
                 raise FsError("INVAL", "resize of non-file")
-            self._resize_data(inode, size)
+            # Sparse store: growth just moves the logical length (new
+            # bytes are holes), shrink drops whole pages and clips the
+            # boundary one — no zero-fill either way.
+            old = len(inode.data)
+            inode.data.truncate(size)
+            self.used_bytes += size - old
             inode.attrs.size = size
             inode.attrs.mtime = self.sim.now
         inode.attrs.ctime = self.sim.now
         return inode.attrs
 
-
-    # -- data hooks (subclass responsibilities) ------------------------------
+    # -- data hook -----------------------------------------------------------
     def _drop_data(self, inode: _Inode) -> None:
         """Reclaim data storage when an inode is unlinked."""
         self.used_bytes -= len(inode.data)
         inode.data.clear()
-
-    def _resize_data(self, inode: _Inode, size: int) -> None:
-        """Grow/shrink an inode's data to ``size`` bytes.
-
-        Sparse store: growth just moves the logical length (new bytes
-        are holes), shrink drops whole pages — no zero-fill either way.
-        """
-        old = len(inode.data)
-        inode.data.truncate(size)
-        self.used_bytes += size - old

@@ -17,6 +17,12 @@ A stored page may be shorter than ``page_bytes``; the missing tail is
 implicitly zero.  ``size`` is the logical file length (the NFS
 attribute); :attr:`resident_bytes` counts bytes actually present in
 the page map — the sparse-accounting number the tests pin down.
+
+Identical stored pages share one object: each page is interned in a
+per-file map keyed by :meth:`Payload.key` or by the bytes themselves,
+so a gigabyte file written from one pattern costs one page of host
+memory while every byte served stays verifiable.  The map lives and
+dies with the file (:meth:`clear`).
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ def _is_zero(content: PayloadLike) -> bool:
 class SparseFile:
     """A logically contiguous file stored as a sparse page map."""
 
-    __slots__ = ("page_bytes", "size", "_pages")
+    __slots__ = ("page_bytes", "size", "_pages", "_shared")
 
     def __init__(self, page_bytes: int = 64 * 1024):
         if page_bytes <= 0:
@@ -48,6 +54,8 @@ class SparseFile:
         self.page_bytes = page_bytes
         self.size = 0
         self._pages: dict[int, PayloadLike] = {}
+        #: content token -> the one stored object with that content.
+        self._shared: dict = {}
 
     def __len__(self) -> int:
         return self.size
@@ -56,16 +64,22 @@ class SparseFile:
     def resident_bytes(self) -> int:
         """Real bytes held by the page map.
 
-        Holes cost nothing, and virtual payload runs (tiles/zeros) count
-        only their materialised portions — a tiled megabyte stored as a
-        descriptor is ~free.
+        Holes cost nothing, a page object shared by several pages counts
+        once, and virtual payload runs (tiles/zeros) count only their
+        materialised portions — a tiled megabyte stored as a descriptor
+        is ~free.
         """
+        unique = {id(c): c for c in self._pages.values()}.values()
         return sum(c.resident_bytes if isinstance(c, Payload) else len(c)
-                   for c in self._pages.values())
+                   for c in unique)
 
     @property
     def resident_pages(self) -> int:
         return len(self._pages)
+
+    def holds(self, pageno: int) -> bool:
+        """True when page ``pageno`` has stored (non-zero) content."""
+        return pageno in self._pages
 
     # ------------------------------------------------------------ read
     def read(self, offset: int, length: int) -> PayloadLike:
@@ -112,7 +126,7 @@ class SparseFile:
         while pos < length:
             pageno, within = divmod(offset + pos, pb)
             take = min(pb - within, length - pos)
-            chunk = data[pos:pos + take]
+            chunk = data if take == length else data[pos:pos + take]
             self._store(pageno, within, chunk, take)
             pos += take
         self.size = max(self.size, offset + length)
@@ -130,14 +144,16 @@ class SparseFile:
             if old is not None and len(old) > within + take:
                 parts.append(old[within + take:])
             new = join_parts(parts)
-        if isinstance(new, Payload) and new.nruns > _MAX_PAGE_RUNS:
-            new = new.tobytes()
-        if isinstance(new, bytearray):
-            new = bytes(new)
+        if isinstance(new, Payload):
+            if new.nruns > _MAX_PAGE_RUNS:
+                new = new.tobytes()
+        elif type(new) is not bytes:
+            new = bytes(new)        # bytearray/memoryview: freeze
         if _is_zero(new):
             self._pages.pop(pageno, None)
         else:
-            self._pages[pageno] = new
+            token = new.key() if isinstance(new, Payload) else new
+            self._pages[pageno] = self._shared.setdefault(token, new)
 
     # ------------------------------------------------------------ resize
     def truncate(self, size: int) -> None:
@@ -163,4 +179,5 @@ class SparseFile:
 
     def clear(self) -> None:
         self._pages.clear()
+        self._shared.clear()
         self.size = 0

@@ -167,36 +167,9 @@ class StripedNfsClient:
         yield from self.mds.remove(dir_fh, name)
         self.ops.add()
 
-    # -- large-op conveniences (re-split over the striped paths) -----------
-    def read_large(self, fh: FileHandle, offset: int, count: int,
-                   limit: int = 1 << 20, read_buffer=None) -> Generator:
-        parts = []
-        pos = offset
-        remaining = count
-        eof = False
-        while remaining > 0 and not eof:
-            take = min(limit, remaining)
-            data, eof, _ = yield from self.read(fh, pos, take,
-                                                read_buffer=read_buffer)
-            parts.append(data)
-            pos += len(data)
-            remaining -= len(data)
-            if not data:
-                break
-        return join_parts(parts), eof
-
-    def write_large(self, fh: FileHandle, offset: int, data: bytes,
-                    limit: int = 1 << 20, stable: bool = False,
-                    write_buffer=None) -> Generator:
-        pos = 0
-        while pos < len(data):
-            chunk = data[pos : pos + limit]
-            written, _ = yield from self.write(fh, offset + pos, chunk,
-                                               stable=stable)
-            pos += written
-        if stable:
-            yield from self.commit(fh)
-        return len(data)
+    # -- large-op conveniences: NfsClient's, over the striped paths --------
+    read_large = NfsClient.read_large
+    write_large = NfsClient.write_large
 
     # -- size tracking (the LAYOUTCOMMIT dance) ----------------------------
     def _logical_size(self, fh: FileHandle) -> Generator:

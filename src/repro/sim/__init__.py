@@ -31,7 +31,7 @@ from repro.sim.engine import (
 )
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import DeterministicRNG
-from repro.sim.trace import Counter, Tracer, UtilizationMeter
+from repro.sim.trace import Counter, UtilizationMeter
 
 __all__ = [
     "AllOf",
@@ -47,6 +47,5 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "Tracer",
     "UtilizationMeter",
 ]

@@ -1,4 +1,4 @@
-"""Instrumentation: counters, utilization meters and an event tracer.
+"""Instrumentation: counters and utilization meters.
 
 Utilization accounting is time-weighted: a :class:`UtilizationMeter`
 integrates ``busy_units`` over simulated time, which is how the analysis
@@ -8,13 +8,10 @@ paper plots (Figs 6–9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
 from repro.sim import engine as _engine
 from repro.sim.engine import SimulationError, Simulator
 
-__all__ = ["Counter", "Tracer", "UtilizationMeter"]
+__all__ = ["Counter", "UtilizationMeter"]
 
 # Counter and UtilizationMeter below are the pure-python reference; the
 # module tail swaps in the compiled versions when the C core is live
@@ -96,44 +93,6 @@ class UtilizationMeter:
         if elapsed <= 0:
             return 0.0
         return self._area / (elapsed * self.capacity)
-
-
-@dataclass
-class TraceRecord:
-    time: float
-    category: str
-    payload: Any
-
-
-@dataclass
-class Tracer:
-    """Optional structured event log; disabled by default for speed."""
-
-    enabled: bool = False
-    records: list = field(default_factory=list)
-    #: plain insertion-ordered dict — iteration order follows first-emit
-    #: order, which varies across code paths; report through
-    #: :meth:`sorted_counts` so output never depends on it.
-    counts: dict = field(default_factory=dict)
-
-    def emit(self, sim: Simulator, category: str, payload: Any = None) -> None:
-        self.counts[category] = self.counts.get(category, 0) + 1
-        if self.enabled:
-            self.records.append(TraceRecord(sim.now, category, payload))
-
-    def count(self, category: str) -> int:
-        return self.counts.get(category, 0)
-
-    def sorted_counts(self) -> list[tuple[str, int]]:
-        """Report-time view: (category, count) sorted by category name."""
-        return sorted(self.counts.items())
-
-    def of(self, category: str) -> list:
-        return [r for r in self.records if r.category == category]
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.counts.clear()
 
 
 if _engine.ACTIVE_CORE == "c":

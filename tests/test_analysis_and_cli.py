@@ -1,10 +1,9 @@
-"""Coverage for analysis helpers, tracing and the CLI."""
+"""Coverage for analysis helpers and the CLI."""
 
 import pytest
 
 from repro.analysis import LatencyRecorder, LatencySummary, summarize_mb_s
 from repro.analysis.stats import BandwidthWindow, format_table
-from repro.sim import Simulator, Tracer
 
 
 # ---------------------------------------------------------------- stats
@@ -76,26 +75,6 @@ def test_latency_merge():
     merged = a.merge(b)
     assert len(merged) == 3
     assert merged.summarize().maximum == 10.0
-
-
-# ---------------------------------------------------------------- tracer
-def test_tracer_counts_without_recording():
-    sim = Simulator()
-    tracer = Tracer(enabled=False)
-    tracer.emit(sim, "op", {"n": 1})
-    tracer.emit(sim, "op")
-    assert tracer.count("op") == 2
-    assert tracer.records == []
-
-
-def test_tracer_records_when_enabled():
-    sim = Simulator()
-    tracer = Tracer(enabled=True)
-    tracer.emit(sim, "alpha", 1)
-    tracer.emit(sim, "beta", 2)
-    assert len(tracer.of("alpha")) == 1
-    tracer.clear()
-    assert tracer.count("alpha") == 0
 
 
 # ---------------------------------------------------------------- CLI

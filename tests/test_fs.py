@@ -23,6 +23,20 @@ def make_tmpfs():
     return sim, TmpFs(sim, cpu)
 
 
+def make_blockfs(cache_bytes=4 << 20, ndisks=8, flush_interval_us=0.0):
+    sim = Simulator()
+    cpu = CPU(sim, CPUConfig(cores=2))
+    raid = Raid0(sim, ndisks=ndisks)
+    fs = BlockFs(sim, cpu, raid, cache_bytes=cache_bytes,
+                 flush_interval_us=flush_interval_us)
+    return sim, fs
+
+
+#: both server file systems, for behaviour they must share.
+BOTH_FS = pytest.mark.parametrize("make_fs", [make_tmpfs, make_blockfs],
+                                  ids=["tmpfs", "blockfs"])
+
+
 def run(sim, gen):
     return sim.run_until_complete(sim.process(gen))
 
@@ -120,8 +134,9 @@ def test_tmpfs_errors():
     run(sim, proc())
 
 
-def test_tmpfs_setattr_truncate_and_extend():
-    sim, fs = make_tmpfs()
+@BOTH_FS
+def test_setattr_truncate_and_extend(make_fs):
+    sim, fs = make_fs()
 
     def proc():
         fid = yield from fs.create(fs.root_id, "t")
@@ -135,6 +150,63 @@ def test_tmpfs_setattr_truncate_and_extend():
     short, padded = run(sim, proc())
     assert short == b"abc"
     assert padded == b"abc\x00\x00\x00"
+
+
+@BOTH_FS
+def test_rename_over_existing_file_unlinks_it(make_fs):
+    sim, fs = make_fs()
+
+    def proc():
+        f = yield from fs.create(fs.root_id, "f")
+        g = yield from fs.create(fs.root_id, "g")
+        yield from fs.write(f, 0, b"F" * 1000)
+        yield from fs.write(g, 0, b"G" * 500)
+        yield from fs.rename(fs.root_id, "f", fs.root_id, "g")
+        assert (yield from fs.lookup(fs.root_id, "g")) == f
+        return g
+
+    g = run(sim, proc())
+    assert fs.used_bytes == 1000      # the replaced file's 500 B are freed
+    assert g not in fs._inodes
+    if isinstance(fs, BlockFs):
+        assert not fs.cache.is_resident((g, 0))
+        assert g not in fs._extents
+
+
+@BOTH_FS
+def test_rename_over_hard_link_keeps_the_other_name(make_fs):
+    sim, fs = make_fs()
+
+    def proc():
+        f = yield from fs.create(fs.root_id, "f")
+        g = yield from fs.create(fs.root_id, "g")
+        yield from fs.write(f, 0, b"F" * 1000)
+        yield from fs.write(g, 0, b"G" * 500)
+        yield from fs.link(fs.root_id, "h", g)
+        yield from fs.rename(fs.root_id, "f", fs.root_id, "g")
+        attrs = yield from fs.getattr(g)          # still reachable as h
+        data, _ = yield from fs.read(g, 0, 1000)
+        return attrs.nlink, data
+
+    nlink, data = run(sim, proc())
+    assert nlink == 1
+    assert data == b"G" * 500
+    assert fs.used_bytes == 1500
+
+
+@BOTH_FS
+def test_rename_between_links_of_one_file_is_a_no_op(make_fs):
+    sim, fs = make_fs()
+
+    def proc():
+        g = yield from fs.create(fs.root_id, "g")
+        yield from fs.link(fs.root_id, "h", g)
+        yield from fs.rename(fs.root_id, "g", fs.root_id, "h")
+        names = [e.name for e in (yield from fs.readdir(fs.root_id))]
+        attrs = yield from fs.getattr(g)
+        return names, attrs.nlink
+
+    assert run(sim, proc()) == (["g", "h"], 2)
 
 
 def test_tmpfs_capacity_enforced():
@@ -297,15 +369,6 @@ def test_pagecache_mark_clean():
 
 
 # ---------------------------------------------------------------- blockfs
-def make_blockfs(cache_bytes=4 << 20, ndisks=8, flush_interval_us=0.0):
-    sim = Simulator()
-    cpu = CPU(sim, CPUConfig(cores=2))
-    raid = Raid0(sim, ndisks=ndisks)
-    fs = BlockFs(sim, cpu, raid, cache_bytes=cache_bytes,
-                 flush_interval_us=flush_interval_us)
-    return sim, fs
-
-
 def test_blockfs_write_read_roundtrip():
     sim, fs = make_blockfs()
     blob = bytes(i % 253 for i in range(300 * 1024))
@@ -405,12 +468,13 @@ def test_blockfs_page_interning_dedupes_identical_pages():
 
     def proc():
         fid = yield from fs.create(fs.root_id, "f")
-        for i in range(16):
-            yield from fs.write(fid, i * 64 * 1024, pattern)
+        yield from fs.write(fid, 0, pattern * 16)   # sixteen page slices
+        return fid
 
-    run(sim, proc())
-    stored = {id(v) for v in fs._content.values()}
-    assert len(stored) == 1  # sixteen pages, one interned object
+    data = fs._inodes[run(sim, proc())].data
+    assert data.resident_pages == 16
+    assert len({id(v) for v in data._pages.values()}) == 1
+    assert data.resident_bytes == 64 * 1024   # the one object, counted once
 
 
 def test_blockfs_unlink_reclaims_everything():
@@ -423,6 +487,6 @@ def test_blockfs_unlink_reclaims_everything():
         return fid
 
     fid = run(sim, proc())
-    assert not [k for k in fs._content if k[0] == fid]
+    assert fid not in fs._inodes
     assert fs.cache.resident_pages == 0
     assert fs.used_bytes == 0

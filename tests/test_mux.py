@@ -210,6 +210,22 @@ def test_striped_remove_cleans_components():
     assert mc.run(script()) == []
 
 
+def test_striped_large_ops_reject_a_zero_limit():
+    mc = Cluster(TopologyConfig(
+        transport="rdma-rw", strategy="dynamic", nclients=1,
+        data_servers=2))
+    nfs = mc.mounts[0].nfs
+
+    def script():
+        fh, _ = yield from nfs.create(nfs.root, "f")
+        for op in (nfs.write_large(fh, 0, b"a" * 10, limit=0),
+                   nfs.read_large(fh, 0, 10, limit=0)):
+            with pytest.raises(ValueError):
+                yield from op
+
+    mc.run(script())
+
+
 # ---------------------------------------------------------- redirector
 def test_redirector_balances_within_one():
     mc = Cluster(topo(nclients=10, servers=4))

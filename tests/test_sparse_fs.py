@@ -119,6 +119,17 @@ def test_payload_tile_write_stays_virtual():
     assert _bytes(f.read(0, 640)) == pattern * 40
 
 
+def test_identical_pages_share_one_object_counted_once():
+    page = bytes(range(1, 65))
+    f = SparseFile(page_bytes=64)
+    for i in range(8):
+        f.write(i * 64, bytearray(page))        # eight distinct objects in
+    assert f.resident_pages == 8
+    assert len({id(p) for p in f._pages.values()}) == 1
+    assert f.resident_bytes == 64
+    assert _bytes(f.read(0, 512)) == page * 8
+
+
 def test_sparse_giant_file_is_cheap():
     f = SparseFile()
     f.write(10 << 30, b"tail")            # 10 GiB offset

@@ -357,18 +357,3 @@ def test_latency_recorder_extend_and_merge():
     assert len(a) == 30
     assert list(a.values) == list(merged.values)
     assert a.values[10] == 100.0
-
-
-def test_sim_tracer_counts_ordering():
-    from repro.sim import Simulator
-    from repro.sim.trace import Tracer
-
-    sim = Simulator()
-    tracer = Tracer()
-    for cat in ("zeta", "alpha", "zeta", "mid"):
-        tracer.emit(sim, cat)
-    # Plain dict: insertion order preserved internally...
-    assert list(tracer.counts) == ["zeta", "alpha", "mid"]
-    # ...but reporting is sorted, independent of emit order.
-    assert tracer.sorted_counts() == [("alpha", 1), ("mid", 1), ("zeta", 2)]
-    assert tracer.count("zeta") == 2
