@@ -14,7 +14,7 @@ surface of ``repro.api`` and shows what each layer buys:
 Run:  python examples/sharded_scaleout.py
 """
 
-from repro.api import IozoneParams, MuxConfig, TopologyConfig, connect, run_iozone
+from repro.api import IozoneParams, TopologyConfig, connect, run_iozone
 
 MOUNTS = 64
 HOSTS = 4
@@ -33,7 +33,7 @@ def main() -> None:
     # -- 1+2: connection cost, per-connection vs muxed vs sharded ----------
     print(f"{MOUNTS} mounts on {HOSTS} hosts:")
     per_conn = build("per-conn")
-    muxed = build("muxed", mux=MuxConfig(), srq=True)
+    muxed = build("muxed", mux=True, srq=True)
     sharded = build("muxed+sharded", servers=4, mux=True, srq=True)
     print(f"redirector placement: {sharded.cluster.redirector.counts()} "
           f"mounts per shard; mount 0 landed on shard "
@@ -50,7 +50,7 @@ def main() -> None:
 
     # -- 3: pNFS-style striping across data servers ------------------------
     dep = connect(TopologyConfig(
-        data_servers=3, stripe_unit_bytes=64 * 1024, mux=True, srq=True,
+        data_servers=3, mux=True, srq=True,
         transport="rdma-rw", strategy="dynamic", nclients=1))
     nfs = dep.mount()
     fh, _ = nfs.create(nfs.root, "striped.dat")

@@ -15,7 +15,7 @@ Three layers:
   ``tcp``) describe a *single-server* deployment — the paper's testbed
   shape — and stay the one-node sugar.  :class:`TopologyConfig` is the
   scale-out form: ``TopologyConfig(servers=K, data_servers=M,
-  mux=MuxConfig(), ...)`` shards mounts across K server nodes (placed
+  mux=True, ...)`` shards mounts across K server nodes (placed
   by the build-time mount redirector), stripes file data across M data
   servers, and multiplexes mounts onto shared QPs.  :func:`connect`
   accepts either and wires it through the one :class:`Cluster` builder.
@@ -39,7 +39,7 @@ from repro.errors import NfsStatusError, PoolExhausted, ReproError, TransportErr
 from repro.experiments.cluster import Cluster, ClusterConfig, default_srq_entries
 from repro.experiments.registry import EXPERIMENTS, run as run_experiment
 from repro.experiments.topology import TOPOLOGY_KEYS, TopologyConfig
-from repro.ib.mux import MuxConfig, default_mux_qps
+from repro.ib.mux import default_mux_qps
 from repro.workloads import (
     IozoneParams,
     OltpParams,
@@ -56,7 +56,6 @@ __all__ = [
     "EXPERIMENTS",
     "IozoneParams",
     "MountHandle",
-    "MuxConfig",
     "NfsStatusError",
     "OltpParams",
     "PoolExhausted",
@@ -139,7 +138,7 @@ class Deployment:
       single-server surface;
     * :class:`TopologyConfig` (or kwargs containing any topology field:
       ``servers``, ``data_servers``, ``mux``, ``client_hosts``,
-      ``stripe_unit_bytes``, ``credits``) — mounts placed across server
+      ``credits``) — mounts placed across server
       shards by the build-time redirector.
 
     Both are wired as a :class:`Cluster`.

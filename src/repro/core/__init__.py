@@ -41,19 +41,15 @@ from repro.core.readwrite import ReadWriteClient, ReadWriteServer
 
 from repro.core.flowcontrol import (
     AdaptiveCreditPolicy,
-    CreditPolicy,
     SrqCreditPolicy,
-    StaticCreditPolicy,
 )
 
 __all__ = [
     "AdaptiveCreditPolicy",
-    "CreditPolicy",
     "SrqCreditPolicy",
     "AllPhysicalStrategy",
     "ChunkList",
     "ClientRegistrationCache",
-    "StaticCreditPolicy",
     "CreditManager",
     "DynamicRegistration",
     "FmrStrategy",

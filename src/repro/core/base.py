@@ -61,6 +61,22 @@ __all__ = [
 #: is reserved for long-call/long-reply message bodies.
 DATA_CHUNK_POSITION = 1
 
+#: Transport bookkeeping CPU per operation, charged on each side.
+PER_OP_CPU_US = 3.0
+
+# Client recovery: a reply timer (when ``reply_timeout_us`` is set)
+# retransmits up to MAX_RETRANSMITS times per connection attempt,
+# growing the timeout by BACKOFF_FACTOR up to MAX_REPLY_TIMEOUT_US; a
+# dead connection is redialed after RECONNECT_BACKOFF_US, at most
+# MAX_RECONNECTS times per call.  Every delay is jittered by
+# ±BACKOFF_JITTER of itself.
+MAX_RETRANSMITS = 6
+MAX_REPLY_TIMEOUT_US = 2_000_000.0
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.1
+MAX_RECONNECTS = 4
+RECONNECT_BACKOFF_US = 1_000.0
+
 
 def slice_segments(segments: list[Segment], offset: int, length: int) -> list[Segment]:
     """A sub-window of a (possibly fragmented) segment list."""
@@ -405,7 +421,7 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 if self.reconnector is None:
                     raise
                 redials += 1
-                if redials > self.config.max_reconnects:
+                if redials > MAX_RECONNECTS:
                     raise
                 if self._epoch == epoch:
                     yield from self._recover()
@@ -436,7 +452,7 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
         if self.failed:
             raise TransportError(f"{self.name}: connection failed")
         yield from self.credits.acquire()
-        yield from self.node.cpu.consume(self.config.per_op_cpu_us)
+        yield from self.node.cpu.consume(PER_OP_CPU_US)
         ctx: dict = {"regions": [], "call": call}
         self._contexts[call.xid] = ctx
         try:
@@ -471,11 +487,11 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
         if timeout_us is None:
             # No timer configured: zero extra events on this path.
             return (yield waiter)
-        for attempt in range(self.config.max_retransmits + 1):
+        for attempt in range(MAX_RETRANSMITS + 1):
             yield AnyOf(self.sim, [waiter, self.sim.timeout(timeout_us)])
             if waiter.triggered:
                 return waiter.value
-            if attempt >= self.config.max_retransmits:
+            if attempt >= MAX_RETRANSMITS:
                 break
             self.retransmissions.add()
             telemetry = self.sim.telemetry
@@ -487,18 +503,17 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                                      xid=call.xid, attempt=attempt + 1)
                 prev = tracer.push_task(rspan)
             try:
-                yield from self.node.cpu.consume(self.config.per_op_cpu_us)
+                yield from self.node.cpu.consume(PER_OP_CPU_US)
                 yield from self.send_header(wire)
             finally:
                 if tracer is not None:
                     tracer.pop_task(prev)
                     rspan.end()
-            timeout_us = min(timeout_us * self.config.backoff_factor,
-                             self.config.max_reply_timeout_us)
-            timeout_us *= 1.0 + self.config.backoff_jitter * self._jitter_rng.uniform(-1.0, 1.0)
+            timeout_us = min(timeout_us * BACKOFF_FACTOR, MAX_REPLY_TIMEOUT_US)
+            timeout_us *= 1.0 + BACKOFF_JITTER * self._jitter_rng.uniform(-1.0, 1.0)
         raise RpcTimeout(
             f"{self.name}: xid {call.xid:#x} unanswered after "
-            f"{self.config.max_retransmits} retransmissions"
+            f"{MAX_RETRANSMITS} retransmissions"
         )
 
     def _recover(self) -> Generator:
@@ -512,10 +527,9 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             return
         done = self._reconnect_done = Event(self.sim)
         try:
-            backoff = self.config.reconnect_backoff_us
-            if backoff > 0:
-                backoff *= 1.0 + self.config.backoff_jitter * self._jitter_rng.uniform(-1.0, 1.0)
-                yield self.sim.timeout(backoff)
+            backoff = RECONNECT_BACKOFF_US * (
+                1.0 + BACKOFF_JITTER * self._jitter_rng.uniform(-1.0, 1.0))
+            yield self.sim.timeout(backoff)
             new_qp, peer_ready = yield from self.reconnector(self)
             yield from self._teardown_pools()
             self._bind_qp(new_qp)
@@ -815,7 +829,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             penalty = self.policy.throttle_penalty_us(self.client_id)
             if penalty > 0:
                 yield self.sim.timeout(penalty)
-        yield from self.node.cpu.consume(self.config.per_op_cpu_us)
+        yield from self.node.cpu.consume(PER_OP_CPU_US)
         if header.lane is not None:
             if self.lanes is None:
                 self.lanes = LaneLedger(f"{self.name}.lanes")
@@ -826,10 +840,13 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             body_chunks = header.chunks.read_chunks_at(0)
             length = sum(c.length for c in body_chunks)
             region = yield from self.strategy.acquire(length, AccessFlags.LOCAL_WRITE)
-            yield from self.fetch_chunks([c.segment for c in body_chunks], region, length)
-            yield from self._crypt(length)
-            message = region.peek(length)
-            yield from self.strategy.release(region)
+            try:
+                yield from self.fetch_chunks([c.segment for c in body_chunks],
+                                             region, length)
+                yield from self._crypt(length)
+                message = region.peek(length)
+            finally:
+                yield from self.strategy.release(region)
         else:
             message = header.rpc_message
         rpc_header, inline_payload = unframe_message(message)
@@ -846,8 +863,14 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         if data_chunks:
             length = sum(c.length for c in data_chunks)
             region = yield from self.strategy.acquire(length, AccessFlags.LOCAL_WRITE)
+            try:
+                yield from self.fetch_chunks([c.segment for c in data_chunks],
+                                             region, length)
+            except (QPError, TransportError):
+                # No responder will ever run for this call: release here.
+                yield from self.strategy.release(region)
+                raise
             ctx["regions"].append(region)
-            yield from self.fetch_chunks([c.segment for c in data_chunks], region, length)
             yield from self._crypt(length)
             call.write_payload = region.peek(length)
         self.calls_received.add()

@@ -18,52 +18,33 @@ class RpcRdmaConfig:
     the number of pre-posted receive buffers per connection and the cap
     on a client's outstanding calls.
 
-    The resilience knobs govern the client's recovery state machine.
     ``reply_timeout_us = None`` (the default) disables the retransmit
     timer entirely — no timer events are scheduled, so a fault-free run
     is event-for-event identical to a transport without the recovery
     layer.  Reconnection on a dead QP works even without timers because
-    flushed work requests wake the waiting calls.
+    flushed work requests wake the waiting calls.  The backoff and
+    retry limits are constants of :mod:`repro.core.base`.
 
     The hardening knobs all default to *off* (``None``/``False``) and
     are inert when unset: no lease timers are scheduled, no quota is
-    enforced, no misbehavior is scored and no crypt cost is charged, so
-    default-config figure tables are bit-identical with or without this
-    code.  ``lease_timeout_us`` bounds how long a Read-Read exposure
-    may await its ``RDMA_DONE`` before the server reclaims (and
-    deregisters — a sanitizer-visible epoch bump) the region.
-    ``exposure_quota_bytes`` caps one client's concurrently exposed
-    bytes; admission past the cap evicts that client's oldest pending
-    exposure first.  The misbehavior thresholds drive the WARN →
-    throttle → quarantine escalation in
-    :class:`repro.security.policy.SecurityPolicy`, and ``aes_payload``
+    enforced and no crypt cost is charged, so default-config figure
+    tables are bit-identical with or without this code.
+    ``lease_timeout_us`` bounds how long a Read-Read exposure may await
+    its ``RDMA_DONE`` before the server reclaims (and deregisters — a
+    sanitizer-visible epoch bump) the region.  ``exposure_quota_bytes``
+    caps one client's concurrently exposed bytes; admission past the cap
+    evicts that client's oldest pending exposure first.  ``aes_payload``
     charges ``cpu.crypt`` per payload byte on both ends.
     """
 
     inline_threshold: int = 1024
     credits: int = 32
-    max_transfer_bytes: int = 1 << 20          # rsize/wsize ceiling
-    bounce_pool_entries: int = 32              # Read-Read client bounce buffers
-    bounce_buffer_bytes: int = 1 << 20
-    per_op_cpu_us: float = 3.0                 # transport bookkeeping per op/side
-    done_handler_cpu_us: float = 2.0           # Read-Read server DONE processing
     #: per-call reply timeout; None = no retransmit timer (zero events).
     reply_timeout_us: Optional[float] = None
-    max_retransmits: int = 6                   # per connection attempt
-    max_reply_timeout_us: float = 2_000_000.0  # backoff ceiling
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.1                # ± fraction of each delay
-    max_reconnects: int = 4                    # redials per call before giving up
-    reconnect_backoff_us: float = 1_000.0      # base delay before redialing
     #: Read-Read exposure lease; None = exposures await DONE forever.
     lease_timeout_us: Optional[float] = None
     #: per-client cap on concurrently exposed bytes; None = unlimited.
     exposure_quota_bytes: Optional[int] = None
-    #: misbehavior score thresholds; None disables that escalation stage.
-    misbehavior_warn: Optional[int] = None
-    misbehavior_throttle: Optional[int] = None
-    misbehavior_quarantine: Optional[int] = None
-    throttle_delay_us: float = 50.0            # added per call while throttled
     #: encrypt payloads end-to-end, charging cpu.crypt per byte both ends.
     aes_payload: bool = False
 
@@ -72,26 +53,9 @@ class RpcRdmaConfig:
             raise ValueError("inline threshold unrealistically small")
         if self.credits < 1:
             raise ValueError("need at least one credit")
-        if self.max_transfer_bytes < self.inline_threshold:
-            raise ValueError("max transfer below inline threshold")
-        if self.bounce_buffer_bytes < self.max_transfer_bytes:
-            raise ValueError("bounce buffers must cover max transfer size")
         if self.reply_timeout_us is not None and self.reply_timeout_us <= 0:
             raise ValueError("reply timeout must be positive (or None)")
-        if self.max_retransmits < 0 or self.max_reconnects < 0:
-            raise ValueError("retry limits must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff factor must be >= 1")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         if self.lease_timeout_us is not None and self.lease_timeout_us <= 0:
             raise ValueError("lease timeout must be positive (or None)")
         if self.exposure_quota_bytes is not None and self.exposure_quota_bytes <= 0:
             raise ValueError("exposure quota must be positive (or None)")
-        for name in ("misbehavior_warn", "misbehavior_throttle",
-                     "misbehavior_quarantine"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 (or None)")
-        if self.throttle_delay_us < 0:
-            raise ValueError("throttle delay must be non-negative")

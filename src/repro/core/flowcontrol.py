@@ -6,10 +6,13 @@ scalability of our NFS/RDMA design."
 
 The RPC/RDMA credits field already lets every reply refresh the
 client's grant (:mod:`repro.core.credits`).  This module supplies the
-*server-side policy*: a :class:`CreditPolicy` watches the dispatcher
-backlog and per-connection demand and computes the grant each reply
-should carry, shrinking grants under overload (so one client cannot
-bury the task queue) and growing them while the server has headroom.
+*server-side policy*: an object with ``register_connection``,
+``unregister_connection`` and ``grant_for(conn_id, backlog)`` that
+watches the dispatcher backlog and per-connection demand and computes
+the grant each reply should carry, shrinking grants under overload (so
+one client cannot bury the task queue) and growing them while the
+server has headroom.  A transport without a policy grants the static
+``credits`` of its config.
 
 The policy is deliberately simple and fully deterministic:
 
@@ -29,44 +32,11 @@ from dataclasses import dataclass
 
 from repro.sim import Counter
 
-__all__ = ["AdaptiveCreditPolicy", "CreditPolicy", "SrqCreditPolicy",
-           "StaticCreditPolicy"]
-
-
-class CreditPolicy:
-    """Interface: decide the grant carried by one reply."""
-
-    def register_connection(self, conn_id: int) -> None:
-        raise NotImplementedError
-
-    def unregister_connection(self, conn_id: int) -> None:
-        raise NotImplementedError
-
-    def grant_for(self, conn_id: int, backlog: int) -> int:
-        """The credits field for the next reply on ``conn_id``."""
-        raise NotImplementedError
-
-
-class StaticCreditPolicy(CreditPolicy):
-    """The baseline: a fixed grant per connection (the default config)."""
-
-    def __init__(self, grant: int):
-        if grant < 1:
-            raise ValueError("grant must be >= 1")
-        self.grant = grant
-
-    def register_connection(self, conn_id: int) -> None:
-        pass
-
-    def unregister_connection(self, conn_id: int) -> None:
-        pass
-
-    def grant_for(self, conn_id: int, backlog: int) -> int:
-        return self.grant
+__all__ = ["AdaptiveCreditPolicy", "SrqCreditPolicy"]
 
 
 @dataclass
-class AdaptiveCreditPolicy(CreditPolicy):
+class AdaptiveCreditPolicy:
     """AIMD credit management driven by dispatcher backlog."""
 
     total_credits: int = 128
@@ -116,7 +86,7 @@ class AdaptiveCreditPolicy(CreditPolicy):
         return max(self.min_grant, min(self.max_grant, fair))
 
 
-class SrqCreditPolicy(CreditPolicy):
+class SrqCreditPolicy:
     """Grants backed by a shared receive pool (:mod:`repro.ib.srq`).
 
     The invariant that keeps a shared pool out of RNR stalls is

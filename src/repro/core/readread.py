@@ -30,15 +30,23 @@ from repro.core.base import (
     RpcRdmaClientBase,
     RpcRdmaServerBase,
     TransportError,
+    _InlinePool,
+    slice_segments,
 )
 from repro.core.chunks import ChunkList, ReadChunk
 from repro.core.header import MessageType, RpcRdmaHeader
 from repro.core.strategies import RegisteredRegion
 from repro.ib.memory import AccessFlags
 from repro.rpc.msg import RpcCall, RpcReply, frame_message, unframe_message
-from repro.sim import Counter, Store
+from repro.sim import Counter
 
 __all__ = ["ReadReadClient", "ReadReadServer"]
+
+#: Client bounce buffers: count and size (one covers the 1 MiB rsize).
+BOUNCE_POOL_ENTRIES = 32
+BOUNCE_BUFFER_BYTES = 1 << 20
+#: Server CPU to process one RDMA_DONE.
+DONE_HANDLER_CPU_US = 2.0
 
 
 class ReadReadClient(RpcRdmaClientBase):
@@ -48,29 +56,19 @@ class ReadReadClient(RpcRdmaClientBase):
 
     def __init__(self, node, qp, config, strategy, name=""):
         super().__init__(node, qp, config, strategy, name)
-        self.bounce_pool: Store = Store(self.sim, name=f"{self.name}.bounce")
+        # Pre-registered bounce buffers: the Read-Read client never
+        # registers per-operation — it pays in copies instead.
+        self.bounce_pool = _InlinePool(node, BOUNCE_POOL_ENTRIES,
+                                       BOUNCE_BUFFER_BYTES, f"{self.name}.bounce")
         self.dones_sent = Counter(f"{self.name}.dones")
         self.bounce_copies_bytes = Counter(f"{self.name}.bounce_copy_bytes")
 
     def _setup_pools(self) -> Generator:
         yield from super()._setup_pools()
-        # Pre-registered bounce buffers: the Read-Read client never
-        # registers per-operation — it pays in copies instead.
-        tpt = self.node.hca.tpt
-        for _ in range(self.config.bounce_pool_entries):
-            buffer = self.node.arena.alloc(self.config.bounce_buffer_bytes)
-            mr = yield from tpt.register(buffer, AccessFlags.LOCAL_WRITE)
-            from repro.ib.verbs import Segment
-
-            self.bounce_pool.put(
-                RegisteredRegion(
-                    buffer=buffer,
-                    segments=[Segment(mr.stag, buffer.addr, buffer.length)],
-                    access=AccessFlags.LOCAL_WRITE,
-                    owned=True,
-                    mr=mr,
-                )
-            )
+        # Once per transport: a redial re-runs this setup, but the bounce
+        # buffers outlive the connection.
+        if not self.bounce_pool.regions:
+            yield from self.bounce_pool.setup()
 
     def _prepare_reply_resources(self, call: RpcCall, chunks: ChunkList, ctx: dict) -> Generator:
         # Nothing to advertise: the server will expose *its* buffers in
@@ -111,11 +109,11 @@ class ReadReadClient(RpcRdmaClientBase):
 
     def _fetch_via_bounce(self, segments, length: int) -> Generator:
         """RDMA-Read server chunks into a bounce buffer, copy out."""
-        if length > self.config.bounce_buffer_bytes:
+        if length > BOUNCE_BUFFER_BYTES:
             raise TransportError(
                 f"{self.name}: {length} bytes exceed bounce buffer size"
             )
-        bounce: RegisteredRegion = yield self.bounce_pool.get()
+        bounce: RegisteredRegion = yield self.bounce_pool.free.get()
         try:
             yield from self.fetch_chunks(segments, bounce, length)
             yield from self._crypt(length)
@@ -125,7 +123,7 @@ class ReadReadClient(RpcRdmaClientBase):
             self.bounce_copies_bytes.add(length)
             return bounce.peek(length)
         finally:
-            self.bounce_pool.put(bounce)
+            self.bounce_pool.free.put(bounce)
 
     def _send_done(self, xid: int) -> Generator:
         done = RpcRdmaHeader(
@@ -177,8 +175,6 @@ class ReadReadServer(RpcRdmaServerBase):
                 yield from self._crypt(len(payload))
                 region.fill(payload)
                 exposed.append(region)
-                from repro.core.base import slice_segments
-
                 reply_chunks.read_chunks.extend(
                     ReadChunk(position=DATA_CHUNK_POSITION, segment=seg)
                     for seg in slice_segments(region.segments, 0, len(payload))
@@ -278,7 +274,7 @@ class ReadReadServer(RpcRdmaServerBase):
             yield from self.strategy.release(region)
 
     def _handle_done(self, header: RpcRdmaHeader) -> Generator:
-        yield from self.node.cpu.consume(self.config.done_handler_cpu_us)
+        yield from self.node.cpu.consume(DONE_HANDLER_CPU_US)
         self.dones_received.add()
         regions = self.pending_done.pop(header.xid, None)
         if regions is None:

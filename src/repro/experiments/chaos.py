@@ -61,10 +61,9 @@ def recovery_summary(cluster: Cluster) -> ExperimentResult:
             if counter is not None:
                 rows.append([f"client{i}", label, counter.events])
     for stack in cluster.all_stacks:
-        if stack.drc is not None:
-            rows.append([stack.name, "drc replays", stack.drc.replays.events])
-            rows.append([stack.name, "drc duplicate drops",
-                         stack.drc.drops.events])
+        rows.append([stack.name, "drc replays", stack.drc.replays.events])
+        rows.append([stack.name, "drc duplicate drops",
+                     stack.drc.drops.events])
         if hasattr(stack.strategy, "fallbacks"):
             rows.append([stack.name, "fmr fallbacks",
                          stack.strategy.fallbacks.events])

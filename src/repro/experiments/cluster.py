@@ -38,7 +38,7 @@ from repro.errors import TransportError
 from repro.faults import FaultInjector, FaultPlan
 from repro.fs import BlockFs, Raid0, TmpFs
 from repro.ib.fabric import Fabric, IBNode
-from repro.ib.mux import MuxConfig, QpMux
+from repro.ib.mux import QpMux, default_mux_qps
 from repro.ib.srq import SharedReceivePool
 from repro.ib.verbs import QPState
 from repro.nfs import NfsClient, NfsServer
@@ -90,14 +90,6 @@ class ClusterConfig:
     seed: int = 2007
     #: raid backend: server page cache (the Fig 10 4 GB / 8 GB knob).
     cache_bytes: int = 4 << 30
-    ndisks: int = 8
-    page_bytes: int = 64 * 1024
-    #: duplicate request cache entries for the server (0 disables; the
-    #: default gives every cluster exactly-once retransmit semantics).
-    drc_entries: int = 1024
-    #: install the transport-level reconnect policy on RDMA clients so a
-    #: dead QP heals itself instead of killing the mount.
-    auto_reconnect: bool = True
     #: deterministic fault schedule to arm against this cluster (None =
     #: no injector constructed, zero overhead).
     fault_plan: Optional[FaultPlan] = None
@@ -109,8 +101,6 @@ class ClusterConfig:
     #: pool (:mod:`repro.ib.srq`) instead of per-connection rings.
     #: Off by default — the paper figures use per-connection pools.
     srq: bool = False
-    #: shared-pool size in buffers (None = auto-size from nclients).
-    srq_entries: Optional[int] = None
     #: dispatcher worker threads (None = the profile's calibrated
     #: ``server_threads``, the paper-figure default).
     server_workers: Optional[int] = None
@@ -143,13 +133,8 @@ class ClusterConfig:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.nclients < 1:
             raise ValueError("need at least one client")
-        if self.drc_entries < 0:
-            raise ValueError("drc_entries must be non-negative")
         if self.srq and not self.is_rdma:
             raise ValueError("srq requires an RDMA transport")
-        if self.srq_entries is not None and self.srq_entries < self.nclients:
-            raise ValueError("srq_entries must cover at least one buffer "
-                             "per client")
         if self.server_workers is not None and self.server_workers < 1:
             raise ValueError("server_workers must be >= 1 (or None)")
         if self.server_queue_depth is not None and self.server_queue_depth < 1:
@@ -257,7 +242,7 @@ class ServerStack:
     control waits for :meth:`size_flow_control`, because it is sized
     from the cluster's full lane plan.  Every connection to the node
     attaches through :meth:`make_transport` (RDMA) or :meth:`accept`
-    (TCP) and detaches through :meth:`teardown`.
+    (TCP); a dead RDMA connection is replaced through :meth:`redial`.
     """
 
     def __init__(self, cluster: "Cluster", name: str):
@@ -273,34 +258,20 @@ class ServerStack:
             self.fs = TmpFs(self.sim, self.node.cpu)
             self.raid = None
         else:
-            self.raid = Raid0(
-                self.sim,
-                ndisks=config.ndisks,
-                stripe_unit_bytes=config.page_bytes,
-            )
-            self.fs = BlockFs(
-                self.sim, self.node.cpu, self.raid,
-                cache_bytes=config.cache_bytes,
-                page_bytes=config.page_bytes,
-            )
-        # The DRC is on by default: any transport-level retry (TCP
-        # retransmit, RDMA recovery) must not re-execute non-idempotent
-        # procedures.
+            self.raid = Raid0(self.sim)
+            self.fs = BlockFs(self.sim, self.node.cpu, self.raid,
+                              cache_bytes=config.cache_bytes)
+        # Any transport-level retry (TCP retransmit, RDMA recovery) must
+        # not re-execute non-idempotent procedures.
         service = cluster.names.service(name)
-        self.drc = (
-            DuplicateRequestCache(config.drc_entries, name=f"{service}.drc")
-            if config.drc_entries > 0 else None
-        )
+        self.drc = DuplicateRequestCache(name=f"{service}.drc")
         self.rpc_server = RpcServer(
             self.sim, self.node.cpu,
             nthreads=config.server_workers or profile.server_threads,
             costs=RpcServerCosts(), drc=self.drc, name=service,
             max_queue=config.server_queue_depth,
         )
-        self.nfs_server = NfsServer(
-            self.rpc_server, self.fs,
-            max_transfer_bytes=profile.rpcrdma.max_transfer_bytes,
-        )
+        self.nfs_server = NfsServer(self.rpc_server, self.fs)
         # One strategy shared by every connection (the registration
         # cache is a server-global structure; dynamic/FMR are stateless
         # enough that sharing matches a real kernel transport).
@@ -333,8 +304,7 @@ class ServerStack:
             # One registered pool per server HCA, sized sublinearly in
             # client count, with credit grants clamped so their sum never
             # outruns the pool (the RNR-avoidance invariant).
-            entries = (config.srq_entries if config.srq_entries is not None
-                       else default_srq_entries(lanes, connections))
+            entries = default_srq_entries(lanes, connections)
             # Read-Read DONE messages consume receives beyond the credit
             # grant; budget two pool buffers per outstanding call.
             demand = 2 if config.transport == "rdma-rr" else 1
@@ -355,9 +325,6 @@ class ServerStack:
             overrides["lease_timeout_us"] = config.lease_timeout_us
         if config.exposure_quota_bytes is not None:
             overrides["exposure_quota_bytes"] = config.exposure_quota_bytes
-        if config.quarantine:
-            overrides.update(misbehavior_warn=5, misbehavior_throttle=10,
-                             misbehavior_quarantine=20)
         if config.aes_payload:
             overrides["aes_payload"] = True
         self.rpcrdma = replace(self.rpcrdma, **overrides)
@@ -365,7 +332,7 @@ class ServerStack:
                 config.exposure_quota_bytes is not None:
             from repro.security.policy import SecurityPolicy
 
-            policy = SecurityPolicy(self.sim, self.rpcrdma,
+            policy = SecurityPolicy(self.sim,
                                     quarantine_enabled=config.quarantine)
             self.node.hca.protection_nak_hook = policy.record_nak
             self.rpc_server.security_policy = self.security_policy = policy
@@ -411,29 +378,15 @@ class ServerStack:
             policy.redials_refused.add()
             raise TransportError(f"{client}: redial refused (quarantined)")
 
-    def teardown(self, client) -> Generator:
-        """Forget and drain the server end of ``client``'s connection.
-
-        Matched by connection identity (the client QP's peer, or the TCP
-        connection), so a mount reconnected twice never targets a stale
-        entry.  RDMA server transports then reclaim anything the client
-        pinned (§4.1's operational defense); TCP ones hold nothing.
-        """
-        tcp = self.nic is not None
-        server = next((s for s in self.server_transports
-                       if (s.conn is client.conn if tcp
-                           else s.qp is client.qp.peer)), None)
-        if server is None:
-            return
-        self.server_transports.remove(server)
-        if not tcp:
-            yield from server.disconnect()
-
-    def redial(self, client):
+    def redial(self, client) -> Generator:
         """Transport recovery policy (installed as ``client.reconnector``).
 
         Tear down the dead connection, then hand back a fresh QP and the
-        new server transport's ready event for the CM handshake.
+        new server transport's ready event for the CM handshake.  The
+        old server transport is found by connection identity (the client
+        QP's peer), so a mount redialed twice never targets a stale
+        entry, and it reclaims anything the client pinned (§4.1's
+        operational defense).
         """
         self.admit(client.node.name)
         old_qp = client.qp
@@ -441,7 +394,11 @@ class ServerStack:
             old_qp.enter_error("client-initiated redial")
         if old_qp.peer is not None and old_qp.peer.state is not QPState.ERROR:
             old_qp.peer.enter_error("client-initiated redial (remote)")
-        yield from self.teardown(client)
+        server = next((s for s in self.server_transports
+                       if s.qp is old_qp.peer), None)
+        if server is not None:
+            self.server_transports.remove(server)
+            yield from server.disconnect()
         qp_c, qp_s = self.fabric.connect(client.node, self.node)
         return qp_c, self.make_transport(qp_s).ready
 
@@ -475,7 +432,7 @@ class Cluster:
         self.topology: Optional[TopologyConfig] = topology
         self.config = config = config if topology is None else topology.cluster
         servers, data_servers, client_hosts, credits, mux = (
-            (1, 0, None, None, None) if topology is None else
+            (1, 0, None, None, False) if topology is None else
             (topology.servers, topology.data_servers, topology.client_hosts,
              topology.credits, topology.mux))
         hosts = min(client_hosts or config.nclients, config.nclients)
@@ -513,7 +470,7 @@ class Cluster:
         host_mounts = Counter(h for h, _ in placements)
 
         def channels(n: int) -> int:
-            return mux.qps_for(n) if mux is not None else n
+            return default_mux_qps(n) if mux else n
 
         for s, stack in enumerate(self.server_stacks):
             stack.size_flow_control(
@@ -533,14 +490,14 @@ class Cluster:
         # Channel pools per (host, target stack), dialed eagerly so the
         # lane plan above matches what actually exists.
         self.muxes: dict[tuple[int, str], QpMux] = {}
-        if mux is not None:
+        if mux:
             for h, host in enumerate(self.client_nodes):
                 for s, stack in enumerate(self.server_stacks):
                     if lanes[(h, s)]:
-                        self._add_mux(h, host, stack, lanes[(h, s)], mux)
+                        self._add_mux(h, host, stack, lanes[(h, s)])
                 for stack in self.data_stacks:
                     if host_mounts[h]:
-                        self._add_mux(h, host, stack, host_mounts[h], mux)
+                        self._add_mux(h, host, stack, host_mounts[h])
         self.mounts = [self._build_mount(m, h, s)
                        for m, (h, s) in enumerate(placements)]
 
@@ -598,21 +555,18 @@ class Cluster:
             # CM handshake: the client may not send until the server
             # side has pre-posted its receives.
             client.peer_ready = server.ready
-            if config.auto_reconnect:
-                client.reconnector = stack.redial
+            # A dead QP heals itself instead of killing the mount.
+            client.reconnector = stack.redial
         else:
             client = stack.accept(host)
         self.client_transports.append(client)
         return client
 
     def _add_mux(self, h: int, host: IBNode, stack: ServerStack,
-                 lanes: int, mux: MuxConfig) -> None:
+                 lanes: int) -> None:
         name = f"{host.name}.{stack.name}.mux"
         self.muxes[(h, stack.name)] = QpMux(
-            name, lanes,
-            lambda i: self._dial(host, stack, f"{name}.ch{i}"),
-            config=mux,
-        )
+            name, lanes, lambda i: self._dial(host, stack, f"{name}.ch{i}"))
 
     def _transport_for(self, m: int, h: int, stack: ServerStack,
                        prefix: str):
@@ -639,33 +593,10 @@ class Cluster:
         ]
         striped = StripedNfsClient(
             mds, data_clients,
-            stripe_unit=self.topology.stripe_unit_bytes,
             name=f"{prefix}.pnfs",
             component_tag=f".s{s}.m{m}",
         )
         return Mount(node=host, transport=transport, nfs=striped)
-
-    def reconnect_client(self, index: int) -> Mount:
-        """Re-establish a client's connection after a fatal QP error.
-
-        Mirrors what a kernel RPC transport does on connection loss:
-        tear down the old endpoint (the server side reclaims anything
-        the dead client pinned — §4.1's operational defense), build a
-        fresh connection and transport, and resume with the same file
-        handles (NFS is stateless; handles survive reconnection).  Only
-        dedicated, unstriped mounts have a connection of their own; mux
-        channels and striped legs redial themselves.
-        """
-        if self.muxes or self.data_stacks:
-            raise ValueError("reconnect_client needs a dedicated, unstriped mount")
-        old = self.mounts[index]
-        s = self.redirector.index_of(index)
-        self.client_transports.remove(old.transport)
-        self.sim.process(self.server_stacks[s].teardown(old.transport),
-                         name="server.disconnect")
-        mount = self._build_mount(index, self.client_nodes.index(old.node), s)
-        self.mounts[index] = mount
-        return mount
 
     # -- aggregate views ----------------------------------------------------
     @property

@@ -14,14 +14,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.experiments.cluster import ClusterConfig
-from repro.ib.mux import MuxConfig
 
 __all__ = ["TopologyConfig", "TOPOLOGY_KEYS"]
 
 #: Point-spec keys that make :func:`repro.experiments.sweep._build_cluster`
 #: build from a :class:`TopologyConfig` instead of a ``ClusterConfig``.
-TOPOLOGY_KEYS = ("servers", "data_servers", "mux", "client_hosts",
-                 "stripe_unit_bytes", "credits")
+TOPOLOGY_KEYS = ("servers", "data_servers", "mux", "client_hosts", "credits")
 
 
 class TopologyConfig:
@@ -32,13 +30,14 @@ class TopologyConfig:
     arguments and they are folded into a fresh
     :class:`~repro.experiments.cluster.ClusterConfig`::
 
-        TopologyConfig(servers=4, mux=MuxConfig(), nclients=1000,
-                       srq=True)
+        TopologyConfig(servers=4, mux=True, nclients=1000, srq=True)
+
+    ``mux`` shares a few QPs per (client host, server) pair among that
+    pair's mounts (:class:`~repro.ib.mux.QpMux`).
     """
 
     def __init__(self, servers: int = 1, data_servers: int = 0,
-                 mux=None, client_hosts: Optional[int] = None,
-                 stripe_unit_bytes: int = 64 * 1024,
+                 mux: bool = False, client_hosts: Optional[int] = None,
                  credits: Optional[int] = None,
                  cluster: Optional[ClusterConfig] = None,
                  **cluster_kwargs):
@@ -51,25 +50,14 @@ class TopologyConfig:
             raise ValueError("data_servers must be non-negative")
         if client_hosts is not None and client_hosts < 1:
             raise ValueError("client_hosts must be >= 1 (or None)")
-        if stripe_unit_bytes < 1:
-            raise ValueError("stripe_unit_bytes must be positive")
         if credits is not None and credits < 1:
             raise ValueError("credits must be >= 1 (or None)")
-        if mux is True:
-            mux = MuxConfig()
-        elif mux is False:
-            mux = None
-        elif isinstance(mux, dict):
-            mux = MuxConfig(**mux)
-        if mux is not None and not isinstance(mux, MuxConfig):
-            raise ValueError("mux must be a MuxConfig, a dict of its "
-                             "fields, or a bool")
+        if not isinstance(mux, bool):
+            raise ValueError("mux must be a bool")
         self.servers = servers
         self.data_servers = data_servers
-        self.mux: Optional[MuxConfig] = \
-            mux if (mux is None or mux.enabled) else None
+        self.mux = mux
         self.client_hosts = client_hosts
-        self.stripe_unit_bytes = stripe_unit_bytes
         self.credits = credits
         self.cluster = cluster if cluster is not None \
             else ClusterConfig(**cluster_kwargs)

@@ -344,6 +344,12 @@ class HCA:
         lock = self._delivery_locks[qp.qp_num].request()
         yield lock
         try:
+            if qp.state is QPState.ERROR or qp.peer.state is QPState.ERROR:
+                # The connection died while the data was on the wire: the
+                # target may already have reused the chunk, so drop it.
+                wr._complete(qp, qp.send_cq, CqeStatus.WR_FLUSH_ERR,
+                             error=qp.error_cause or qp.peer.error_cause)
+                return
             san = self.sim.sanitizer
             if san is not None:
                 san.on_rdma_write_target(peer_hca.tpt, wr, len(payload))

@@ -6,19 +6,16 @@ measures.  RDMAvisor-style QP sharing (PAPERS.md) and DC-style dynamic
 connections collapse that: a client host keeps a small pool of shared
 QPs per server and hands each mount a *virtual lane* on one of them.
 
-Three pieces (DESIGN.md §15):
-
-:class:`MuxConfig`
-    The deployment knob: QP sharing on/off and an optional hard budget
-    on shared QPs per (host, server) pair.  The default budget is
-    ``ceil(sqrt(lanes))`` — with ``lanes/host ~ N/H`` that keeps the
-    fleet-wide QP count at ``O(sqrt(N))`` for a fixed host count.
+Two pieces (DESIGN.md §15):
 
 :class:`QpMux`
     One pool of shared *channels* (ordinary
     :class:`~repro.core.base.RpcRdmaClientBase` connections — already
     re-entrant thanks to xid demux and the serialized recovery path)
-    between one client host and one server.  Lanes are pinned to a
+    between one client host and one server.  The pool holds
+    :func:`default_mux_qps` ``= ceil(sqrt(lanes))`` channels — with
+    ``lanes/host ~ N/H`` that keeps the fleet-wide QP count at
+    ``O(sqrt(N))`` for a fixed host count.  Lanes are pinned to a
     channel at mount time (round-robin) and never migrate, so RC
     in-order delivery gives each lane FIFO semantics for free — the
     server audits exactly that via
@@ -44,8 +41,7 @@ rest ride the new connection — one redial heals all lanes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from repro.core.credits import CreditManager
 from repro.rpc.lanes import lane_grant
@@ -53,30 +49,12 @@ from repro.rpc.msg import RpcCall
 from repro.rpc.transport import RpcClientTransport
 from repro.sim import Counter
 
-__all__ = ["MuxConfig", "MuxLane", "QpMux", "default_mux_qps"]
+__all__ = ["MuxLane", "QpMux", "default_mux_qps"]
 
 
 def default_mux_qps(nlanes: int) -> int:
     """``ceil(sqrt(nlanes))`` shared QPs — the RDMAvisor sweet spot."""
     return max(1, math.isqrt(max(0, nlanes - 1)) + 1)
-
-
-@dataclass(frozen=True)
-class MuxConfig:
-    """QP-sharing knobs for one deployment."""
-
-    enabled: bool = True
-    #: hard cap on shared QPs per (client host, server) pair; ``None``
-    #: lets :func:`default_mux_qps` size the pool from the lane count.
-    qp_budget: Optional[int] = None
-
-    def __post_init__(self):
-        if self.qp_budget is not None and self.qp_budget < 1:
-            raise ValueError("qp_budget must be >= 1")
-
-    def qps_for(self, nlanes: int) -> int:
-        budget = self.qp_budget or default_mux_qps(nlanes)
-        return max(1, min(nlanes, budget)) if nlanes else 1
 
 
 class MuxLane(RpcClientTransport):
@@ -132,13 +110,11 @@ class QpMux:
     """
 
     def __init__(self, name: str, nlanes: int,
-                 make_channel: Callable[[int], Any],
-                 config: Optional[MuxConfig] = None) -> None:
+                 make_channel: Callable[[int], Any]) -> None:
         self.name = name
-        self.config = config or MuxConfig()
         self.planned_lanes = nlanes
         self.channels = [make_channel(i)
-                         for i in range(self.config.qps_for(nlanes))]
+                         for i in range(default_mux_qps(nlanes))]
         for channel in self.channels:
             channel.lane_hook = self._on_reply_header
         self.lanes: dict[int, MuxLane] = {}

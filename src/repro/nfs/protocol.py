@@ -154,8 +154,8 @@ class FsInfo:
     """FSINFO results: the server's transfer-size contract.
 
     ``rtmax``/``wtmax`` advertise the maximum READ/WRITE transfer the
-    transport supports — on RPC/RDMA that is the chunk ceiling
-    (``RpcRdmaConfig.max_transfer_bytes``), which is how a real client
+    transport supports — on RPC/RDMA that is the 1 MiB chunk ceiling
+    (``NfsServer.max_transfer_bytes``), which is how a real client
     learns to size its write chunks."""
 
     rtmax: int

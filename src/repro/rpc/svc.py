@@ -65,28 +65,13 @@ class RpcServer:
             raise ValueError(f"program {prog}v{vers} already registered")
         self._programs[key] = handler
 
-    def submit(self, call: RpcCall, respond: Callable[[RpcReply], Generator]) -> DrcDecision:
-        """Queue one call; ``respond`` is the transport's reply path.
-
-        With a DRC configured, duplicates of in-flight requests park
-        their responder until the original completes (then the cached
-        reply replays through it), and already-completed requests replay
-        immediately — exactly-once semantics under retransmission.
-        Returns the DRC classification so transports can account for
-        duplicates; without a DRC every call is ``NEW``.
-        """
-        decision = self._drc_precheck(call, respond)
-        if decision is not None:
-            return decision
-        self.pool.submit(self._task(call, respond))
-        return DrcDecision.NEW
-
     def submit_process(self, call: RpcCall,
                        respond: Callable[[RpcReply], Generator]) -> Generator:
-        """Process: like :meth:`submit`, but a full bounded run queue
-        *blocks* the submitter instead of raising — the transport
-        receive path's backpressure point.  Duplicates bypass the queue
-        exactly as in :meth:`submit` (they consume no slot).
+        """Process: queue one call; ``respond`` is the transport's reply
+        path.  A full bounded run queue *blocks* the submitter — the
+        transport receive path's backpressure point.  Duplicates bypass
+        the queue (they consume no slot).  Returns the DRC
+        classification; without a DRC every call is ``NEW``.
         """
         decision = self._drc_precheck(call, respond)
         if decision is not None:
@@ -96,7 +81,7 @@ class RpcServer:
         return DrcDecision.NEW
 
     def _drc_precheck(self, call: RpcCall, respond) -> Optional[DrcDecision]:
-        """Duplicate handling shared by both submit paths; None = NEW.
+        """Duplicate handling ahead of the run queue; None = NEW.
 
         With a DRC, duplicates of in-flight requests park their
         responder until the original completes and already-completed

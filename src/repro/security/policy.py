@@ -3,17 +3,17 @@
 The hardened data plane funnels every per-client misbehavior signal —
 protection NAKs from the HCA (by cause), malformed RPC/RDMA headers,
 lease reclaims, quota evictions and bad RPC calls — into one
-:class:`SecurityPolicy` score.  Crossing the configured thresholds
-(:class:`repro.core.config.RpcRdmaConfig`) escalates:
+:class:`SecurityPolicy` score.  With quarantine enabled, crossing the
+thresholds below escalates:
 
-``WARN``
+``WARN`` (score ``MISBEHAVIOR_WARN``)
     Recorded only; the client keeps full service.  Operators see it in
     ``repro stats``.
-``throttle``
+``throttle`` (score ``MISBEHAVIOR_THROTTLE``)
     Every subsequent call from the client is delayed by
-    ``throttle_delay_us`` before dispatch, bounding the rate at which a
+    ``THROTTLE_DELAY_US`` before dispatch, bounding the rate at which a
     misbehaving mount can consume server resources.
-``quarantine``
+``quarantine`` (score ``MISBEHAVIOR_QUARANTINE``)
     The client's server transports are disconnected (which reclaims
     everything it pinned, per ``_reclaim_on_disconnect``) and its node
     name is banned: the cluster's redial path refuses new connections.
@@ -26,14 +26,19 @@ without the policy.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.sim import Counter, Simulator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import RpcRdmaConfig
-
 __all__ = ["SecurityPolicy", "client_of_qp"]
+
+#: Misbehavior scores at which a client is warned, throttled and
+#: quarantined.
+MISBEHAVIOR_WARN = 5
+MISBEHAVIOR_THROTTLE = 10
+MISBEHAVIOR_QUARANTINE = 20
+#: Dispatch delay added to each call from a throttled client.
+THROTTLE_DELAY_US = 50.0
 
 #: ProtectionError causes we break NAKs down by (matches TPT accounting).
 NAK_CAUSES = ("stag", "access", "bounds")
@@ -48,10 +53,10 @@ def client_of_qp(qp) -> str:
 class SecurityPolicy:
     """Per-client misbehavior ledger with escalating responses."""
 
-    def __init__(self, sim: Simulator, config: "RpcRdmaConfig",
-                 quarantine_enabled: bool = True, name: str = "secpolicy"):
+    def __init__(self, sim: Simulator, quarantine_enabled: bool = True,
+                 name: str = "secpolicy"):
         self.sim = sim
-        self.config = config
+        #: escalate on score; off, the policy only keeps the ledger.
         self.quarantine_enabled = quarantine_enabled
         self.name = name
         self.scores: dict[str, int] = {}
@@ -113,19 +118,15 @@ class SecurityPolicy:
     def _score(self, client: str) -> None:
         score = self.scores.get(client, 0) + 1
         self.scores[client] = score
-        cfg = self.config
-        if (cfg.misbehavior_warn is not None and score >= cfg.misbehavior_warn
-                and client not in self.warned):
+        if not self.quarantine_enabled:
+            return
+        if score >= MISBEHAVIOR_WARN and client not in self.warned:
             self.warned.add(client)
             self.warnings.add()
-        if (cfg.misbehavior_throttle is not None
-                and score >= cfg.misbehavior_throttle
-                and client not in self.throttled):
+        if score >= MISBEHAVIOR_THROTTLE and client not in self.throttled:
             self.throttled.add(client)
             self.throttles.add()
-        if (cfg.misbehavior_quarantine is not None
-                and score >= cfg.misbehavior_quarantine
-                and client not in self.quarantined):
+        if score >= MISBEHAVIOR_QUARANTINE and client not in self.quarantined:
             self.quarantine(client)
 
     def quarantine(self, client: str) -> None:
@@ -149,7 +150,7 @@ class SecurityPolicy:
     def throttle_penalty_us(self, client: str) -> float:
         """Extra dispatch delay for this client's next call (0 if clean)."""
         if client in self.throttled:
-            return self.config.throttle_delay_us
+            return THROTTLE_DELAY_US
         return 0.0
 
     def exposure_bytes_by_client(self) -> dict[str, int]:

@@ -262,13 +262,12 @@ class Telemetry:
                        _events(srq.reclaimed_on_detach),
                        "parked deliveries drained back on connection death",
                        **labels)
-        if drc is not None:
-            reg.attach("drc_inserts", _events(drc.inserts),
-                       "replies cached for duplicate detection", **labels)
-            reg.attach("drc_replays", _events(drc.replays),
-                       "duplicate xids answered from the cache", **labels)
-            reg.attach("drc_drops", _events(drc.drops),
-                       "duplicates dropped while the original ran", **labels)
+        reg.attach("drc_inserts", _events(drc.inserts),
+                   "replies cached for duplicate detection", **labels)
+        reg.attach("drc_replays", _events(drc.replays),
+                   "duplicate xids answered from the cache", **labels)
+        reg.attach("drc_drops", _events(drc.drops),
+                   "duplicates dropped while the original ran", **labels)
         reg.attach("nfsd_errors", _events(stack.nfs_server.errors),
                    "NFS procedures that returned an error status", **labels)
         reg.attach("lane_order_violations",

@@ -35,8 +35,9 @@ def count_executions(cluster):
 
 
 def test_qp_error_fails_inflight_calls_without_reconnect_policy():
-    """Legacy fail-fast behaviour, still available with the policy off."""
-    c = Cluster(ClusterConfig(transport="rdma-rw", auto_reconnect=False))
+    """Fail-fast behaviour of a transport without a recovery policy."""
+    c = Cluster(ClusterConfig(transport="rdma-rw"))
+    c.mounts[0].transport.reconnector = None
     nfs = c.mounts[0].nfs
     outcomes = []
 
@@ -138,7 +139,9 @@ def test_drc_replay_over_rdma():
 
 
 def test_reconnect_resumes_service_with_same_handles():
-    c = Cluster(ClusterConfig(transport="rdma-rw", auto_reconnect=False))
+    """The mount's own transport redials a killed connection; file
+    handles stay valid across it (NFS is stateless)."""
+    c = Cluster(ClusterConfig(transport="rdma-rw"))
     nfs = c.mounts[0].nfs
 
     def before():
@@ -147,16 +150,14 @@ def test_reconnect_resumes_service_with_same_handles():
         return fh
 
     fh = c.run(before())
-    # Kill the connection.
     kill_connection(c)
-    # Manual reconnect: fresh QP + transport; handles remain valid.
-    mount = c.reconnect_client(0)
 
     def after():
-        data, _, _ = yield from mount.nfs.read(fh, 0, 100)
+        data, _, _ = yield from nfs.read(fh, 0, 100)
         return data
 
     assert c.run(after()) == b"survives reconnect"
+    assert c.mounts[0].transport.reconnects.events == 1
 
 
 def test_reconnect_reclaims_withheld_rr_buffers():
@@ -232,46 +233,6 @@ def test_rnr_storm_recovers_without_data_loss():
     c.sim.run(until=c.sim.now + 60_000_000.0)
     assert sorted(done) == list(range(20))
     assert c.mounts[0].transport.credits.outstanding_peak <= 2
-
-
-def test_reconnect_tcp_transport():
-    c = Cluster(ClusterConfig(transport="tcp-gige"))
-    nfs = c.mounts[0].nfs
-
-    def before():
-        fh, _ = yield from nfs.create(nfs.root, "t")
-        yield from nfs.write(fh, 0, b"tcp data")
-        return fh
-
-    fh = c.run(before())
-    mount = c.reconnect_client(0)
-
-    def after():
-        data, _, _ = yield from mount.nfs.read(fh, 0, 10)
-        return data
-
-    assert c.run(after()) == b"tcp data"
-
-
-def test_tcp_reconnect_replaces_its_server_transport():
-    """Regression: TCP reconnects matched the dead server transport by
-    list index and never removed it, so the list grew per reconnect."""
-    c = Cluster(ClusterConfig(transport="tcp-gige", nclients=2))
-    c.reconnect_client(0)
-    c.reconnect_client(0)
-
-    def roundtrip(mount, name):
-        nfs = mount.nfs
-        fh, _ = yield from nfs.create(nfs.root, name)
-        yield from nfs.write(fh, 0, name.encode())
-        data, _, _ = yield from nfs.read(fh, 0, len(name))
-        return data
-
-    for i, mount in enumerate(c.mounts):
-        assert c.run(roundtrip(mount, f"m{i}")) == f"m{i}".encode()
-    assert len(c.server_transports) == 2
-    conns = {t.conn for t in c.server_transports}
-    assert conns == {m.transport.conn for m in c.mounts}
 
 
 def test_experiment_runners_smoke():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AdaptiveCreditPolicy, StaticCreditPolicy
+from repro.core import AdaptiveCreditPolicy
 from repro.core.credits import CreditManager
 from repro.core.readwrite import ReadWriteServer
 from repro.experiments import Cluster, ClusterConfig
@@ -89,15 +89,6 @@ def test_credit_manager_validation():
 
 
 # ---------------------------------------------------------------- policies
-def test_static_policy_constant():
-    policy = StaticCreditPolicy(16)
-    policy.register_connection(1)
-    assert policy.grant_for(1, backlog=0) == 16
-    assert policy.grant_for(1, backlog=10_000) == 16
-    with pytest.raises(ValueError):
-        StaticCreditPolicy(0)
-
-
 def test_adaptive_policy_fair_share():
     policy = AdaptiveCreditPolicy(total_credits=64, max_grant=64)
     for conn in range(4):

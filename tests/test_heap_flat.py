@@ -11,7 +11,7 @@ With the cycle collector disabled and ``gc.DEBUG_SAVEALL`` set:
   process <-> callback cycle shows up here);
 * no tracked type grows from round 2 to round 3 (round 1 warms pools
   and lazy structures), once the duplicate request cache's entries are
-  left out: the DRC is bounded by ``drc_entries`` and fills as rounds
+  left out: the DRC is bounded at 1024 entries and fills as rounds
   go by, so a missing DECREF or a per-op leak shows up here.
 """
 

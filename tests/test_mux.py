@@ -22,7 +22,7 @@ from repro.errors import TransportError
 from repro.experiments.cluster import Cluster, ClusterConfig
 from repro.experiments.topology import TopologyConfig
 from repro.faults import FaultPlan, QpKill, ServerCrash
-from repro.ib.mux import MuxConfig, default_mux_qps
+from repro.ib.mux import default_mux_qps
 from repro.security import audit_server_exposure
 from repro.sim import AllOf
 from repro.workloads import IozoneParams, run_iozone
@@ -86,10 +86,8 @@ def test_default_mux_qps_is_ceil_sqrt():
 
 
 def test_mux_config_validates():
-    with pytest.raises(ValueError):
-        MuxConfig(qp_budget=0)
-    assert MuxConfig(qp_budget=2).qps_for(100) == 2
-    assert MuxConfig().qps_for(0) == 1
+    """A pool planned for no lanes still holds one channel."""
+    assert default_mux_qps(0) == 1
 
 
 def test_qp_count_sqrt_bound_vs_linear():
@@ -184,7 +182,7 @@ def test_striped_roundtrip_matches_single_server():
 
     mc = Cluster(TopologyConfig(
         transport="rdma-rw", strategy="dynamic", nclients=1,
-        data_servers=3, stripe_unit_bytes=64 * 1024, mux=True, srq=True))
+        data_servers=3, mux=True, srq=True))
     got = mc.run(script(mc.mounts[0].nfs))
     assert got == want
     # The data really was striped: every data server moved bytes.
@@ -281,12 +279,7 @@ def test_stats_aggregate_across_server_nodes():
 @pytest.mark.parametrize("mux", [False, True])
 def test_qp_kill_and_crash_on_sharded_topology(mux):
     """A QP kill and a server crash on two shards: iozone completes,
-    every connection heals, and the sanitizer stays clean.
-
-    The fault times are fixed.  Some other timings strand a server
-    registration or trip the stale-STag rule on every topology, the
-    one-server testbed included — a known recovery-path gap.
-    """
+    every connection heals, and the sanitizer stays clean."""
     plan = FaultPlan(seed=3, qp_kills=(QpKill(at_us=2000.0, client_index=1),),
                      server_crashes=(ServerCrash(at_us=8500.0,
                                                  restart_us=20_000.0),))
@@ -334,6 +327,7 @@ def test_topology_validation():
     with pytest.raises(ValueError):
         TopologyConfig(mux="yes")
     with pytest.raises(ValueError):
+        TopologyConfig(mux={"qp_budget": 2})
+    with pytest.raises(ValueError):
         TopologyConfig(cluster=ClusterConfig(), nclients=2)
-    assert TopologyConfig(mux=False).mux is None
-    assert TopologyConfig(mux={"qp_budget": 2}).mux.qp_budget == 2
+    assert TopologyConfig(mux=False).mux is False

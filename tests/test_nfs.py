@@ -284,7 +284,7 @@ def test_nfs_fsinfo_reports_transport_limits():
         return (yield from nfs.fsinfo())
 
     info = c.run(proc())
-    assert info.rtmax == c.config.profile.rpcrdma.max_transfer_bytes
+    assert info.rtmax == 1 << 20
     assert info.wtmax == info.rtmax
 
 

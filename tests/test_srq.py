@@ -29,11 +29,6 @@ def test_srq_requires_rdma_transport():
         ClusterConfig(transport="tcp-ipoib", srq=True)
 
 
-def test_srq_entries_must_cover_clients():
-    with pytest.raises(ValueError):
-        ClusterConfig(transport="rdma-rw", srq=True, nclients=8, srq_entries=4)
-
-
 def test_default_srq_entries_sublinear():
     assert default_srq_entries(1) == 64
     # Grows, but far slower than the client count once past the floor.
