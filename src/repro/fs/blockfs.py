@@ -79,14 +79,19 @@ class BlockFs(NamespaceFs):
             if was_dirty:
                 yield from self.raid.write(self._disk_offset(key), self.page_bytes)
 
+    def _write_back(self, keys: list[PageKey]) -> Generator:
+        """Write ``keys`` to disk; each stays dirty if rewritten meanwhile."""
+        for key in keys:
+            generation = self.cache.generation(key)
+            yield from self.raid.write(self._disk_offset(key), self.page_bytes)
+            self.cache.mark_clean(key, generation)
+
     def _flusher(self) -> Generator:
         """Background write-back, pdflush style."""
         while True:
             yield self.sim.timeout(self.flush_interval_us)
-            dirty = self.cache.dirty_pages()[: self.flush_batch_pages]
-            for key in dirty:
-                yield from self.raid.write(self._disk_offset(key), self.page_bytes)
-                self.cache.mark_clean(key)
+            yield from self._write_back(
+                self.cache.dirty_pages(limit=self.flush_batch_pages))
 
     # -- data operations ------------------------------------------------------
     def read(self, fileid: int, offset: int, length: int) -> Generator:
@@ -169,9 +174,7 @@ class BlockFs(NamespaceFs):
         token = self._data_span("commit", fileid=fileid)
         try:
             yield from self._tick()
-            for key in self.cache.dirty_pages(fileid):
-                yield from self.raid.write(self._disk_offset(key), self.page_bytes)
-                self.cache.mark_clean(key)
+            yield from self._write_back(self.cache.dirty_pages(fileid))
         finally:
             self._end_span(token)
 

@@ -98,12 +98,7 @@ class FMRPool:
             # registration; only the TPT transaction is cheaper.
             yield from self.tpt.cpu.consume(npages * self.tpt.costs.pin_cpu_per_page_us)
             buffer.pinned_pages += npages
-            req = self.tpt.engine.request()
-            yield req
-            try:
-                yield self.tpt.sim.timeout(self.tpt.costs.fmr_map_us(npages))
-            finally:
-                self.tpt.engine.release(req)
+            yield from self.tpt.engine.hold(self.tpt.costs.fmr_map_us(npages))
         except BaseException:
             self._free_stags.append(stag)
             raise
@@ -130,12 +125,7 @@ class FMRPool:
         npages = mr.npages
         span = self.tpt._reg_span("reg.fmr_unmap", npages=npages)
         try:
-            req = self.tpt.engine.request()
-            yield req
-            try:
-                yield self.tpt.sim.timeout(self.tpt.costs.fmr_unmap_us(npages))
-            finally:
-                self.tpt.engine.release(req)
+            yield from self.tpt.engine.hold(self.tpt.costs.fmr_unmap_us(npages))
         finally:
             if span is not None:
                 span.end()

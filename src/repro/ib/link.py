@@ -13,7 +13,7 @@ Bandwidth is expressed in MB/s, which conveniently equals bytes/µs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Iterable
 
 from repro.sim import Counter, Resource, Simulator, UtilizationMeter
 
@@ -100,45 +100,46 @@ class DuplexLink:
         """One-way propagation delay to ``dst`` (switch hop included)."""
         return self.config.latency_us + dst.config.latency_us
 
-    def transfer(self, dst: "DuplexLink", nbytes: int) -> Generator:
-        """Process: serialize ``nbytes`` from this port toward ``dst``.
+    def transfer(self, dst: "DuplexLink", nbytes: int) -> Iterable:
+        """Serialize ``nbytes`` from this port toward ``dst``; drive with
+        ``yield from``.
 
         Completes when the last byte has left the wire — *not* when it
         arrives; callers model propagation with :meth:`propagation_us`
-        so back-to-back messages pipeline the way real HCAs do.  Chunks
-        claim source egress and destination ingress together, so the
-        slower of the two ports paces the transfer and concurrent flows
-        share fairly.
+        so back-to-back messages pipeline the way real HCAs do.  Each
+        chunk claims source egress and then destination ingress (one
+        :meth:`Resource.hold <repro.sim.Resource.hold>` cycle per chunk,
+        the ingress as its partner), so the slower of the two ports
+        paces the transfer and concurrent flows share fairly.  The bytes
+        are counted on both ports when the transfer is issued.
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        if self.fault_hook is not None:
-            spike = self.fault_hook.transfer_delay_us(self, nbytes)
-            if spike > 0.0:
-                yield self.sim.timeout(spike)
         cfg = self.config
         total = nbytes + cfg.per_message_overhead_bytes
         bw = min(cfg.bandwidth_mb_s, dst.config.bandwidth_mb_s)
-        remaining = total
-        while remaining > 0:
-            chunk = min(remaining, cfg.chunk_bytes)
-            duration = chunk / bw
-            tx_req = self.tx.arbiter.request()
-            yield tx_req
-            rx_req = dst.rx.arbiter.request()
-            yield rx_req
-            self.tx.meter.acquire()
-            dst.rx.meter.acquire()
-            try:
-                yield self.sim.timeout(duration)
-            finally:
-                self.tx.meter.release()
-                dst.rx.meter.release()
-                dst.rx.arbiter.release(rx_req)
-                self.tx.arbiter.release(tx_req)
-            remaining -= chunk
+        chunk = cfg.chunk_bytes
+        if total <= chunk:
+            delays = total / bw if total > 0 else []
+        else:
+            full, tail = divmod(total, chunk)
+            delays = [chunk / bw] * full
+            if tail:
+                delays.append(tail / bw)
         self.tx.bytes_carried.add(nbytes)
         dst.rx.bytes_carried.add(nbytes)
+        wire = self.tx.arbiter.hold(delays, 0, (self.tx.meter, dst.rx.meter),
+                                    dst.rx.arbiter)
+        if self.fault_hook is not None:
+            spike = self.fault_hook.transfer_delay_us(self, nbytes)
+            if spike > 0.0:
+                return self._after_spike(spike, wire)
+        return wire
+
+    def _after_spike(self, spike: float, wire: Iterable) -> Generator:
+        """A congestion spike (fault injection) delays the whole transfer."""
+        yield self.sim.timeout(spike)
+        yield from wire
 
     def utilization(self) -> tuple[float, float]:
         """(tx, rx) mean utilization since window reset."""

@@ -394,12 +394,7 @@ class TranslationProtectionTable:
             yield from self.cpu.consume(npages * self.costs.pin_cpu_per_page_us)
             buffer.pinned_pages += npages
             # Serialized TPT update transaction on the HCA.
-            req = self.engine.request()
-            yield req
-            try:
-                yield self.sim.timeout(self.costs.reg_tpt_us(npages))
-            finally:
-                self.engine.release(req)
+            yield from self.engine.hold(self.costs.reg_tpt_us(npages))
         finally:
             if span is not None:
                 span.end()
@@ -421,12 +416,7 @@ class TranslationProtectionTable:
         npages = mr.npages
         span = self._reg_span("reg.deregister", npages=npages)
         try:
-            req = self.engine.request()
-            yield req
-            try:
-                yield self.sim.timeout(self.costs.dereg_tpt_us(npages))
-            finally:
-                self.engine.release(req)
+            yield from self.engine.hold(self.costs.dereg_tpt_us(npages))
             mr.invalidate()
             mr.buffer.pinned_pages -= npages
             yield from self.cpu.consume(npages * self.costs.unpin_cpu_per_page_us)

@@ -275,9 +275,11 @@ class CachingNfsClient:
                 continue
             start = page * self.config.page_bytes
             take = min(len(payload), max(0, size - start))
+            generation = self.pages.generation(key)
             if take:
                 yield from self.inner.write(fh, start, payload[:take])
-            self.pages.mark_clean(key)
+            # A rewrite during the WRITE made a new generation: keep it dirty.
+            self.pages.mark_clean(key, generation)
             self._dirty_bytes -= self.config.page_bytes
         self._dirty_bytes = max(0, self._dirty_bytes)
-        handle.dirty = False
+        handle.dirty = bool(self.pages.dirty_pages(fh.fileid, limit=1))

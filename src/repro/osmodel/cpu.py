@@ -4,13 +4,15 @@ Work is expressed as microseconds of service demand.  ``consume`` claims
 a core for that long; ``copy`` converts a byte count into service demand
 through the node's memcpy bandwidth (this is what makes TCP and the
 Read-Read client path CPU-hungry, and the zero-copy direct-I/O path of
-the Read-Write design cheap — §4.2 of the paper).
+the Read-Write design cheap — §4.2 of the paper).  Both return the
+claim itself (a :meth:`Resource.hold <repro.sim.Resource.hold>`), which
+callers drive with ``yield from``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Iterable
 
 from repro.sim import Counter, Resource, Simulator, UtilizationMeter
 
@@ -55,33 +57,31 @@ class CPU:
         self.name = name
         self.cores = Resource(sim, capacity=config.cores, name=f"{name}.cores")
         self.meter = UtilizationMeter(sim, capacity=config.cores, name=name)
-        self.busy_us_total = 0.0
+        self._meters = (self.meter,)
+        self._busy = Counter(f"{name}.busy_us")
         self.crypt_bytes = Counter(f"{name}.crypt_bytes")
 
-    def consume(self, service_us: float, priority: int = 0) -> Generator:
-        """Process generator: occupy one core for ``service_us``."""
+    @property
+    def busy_us_total(self) -> float:
+        """Core-microseconds of completed work since construction."""
+        return self._busy.value
+
+    def consume(self, service_us: float, priority: int = 0) -> Iterable:
+        """Occupy one core for ``service_us``; drive with ``yield from``."""
         if service_us < 0:
             raise ValueError(f"negative CPU demand {service_us!r}")
         if service_us == 0.0:
-            return
-        req = self.cores.request(priority=priority)
-        yield req
-        self.meter.acquire()
-        try:
-            yield self.sim.timeout(service_us)
-            self.busy_us_total += service_us
-        finally:
-            self.meter.release()
-            self.cores.release(req)
+            return ()
+        return self.cores.hold(service_us, priority, self._meters, None, self._busy)
 
-    def copy(self, nbytes: int, priority: int = 0) -> Generator:
-        """Process generator: charge one memory copy of ``nbytes``."""
-        yield from self.consume(self.config.copy_cost_us(nbytes), priority=priority)
+    def copy(self, nbytes: int, priority: int = 0) -> Iterable:
+        """Charge one memory copy of ``nbytes``; drive with ``yield from``."""
+        return self.consume(self.config.copy_cost_us(nbytes), priority)
 
-    def crypt(self, nbytes: int, priority: int = 0) -> Generator:
-        """Process generator: charge one AES pass over ``nbytes``."""
+    def crypt(self, nbytes: int, priority: int = 0) -> Iterable:
+        """Charge one AES pass over ``nbytes``; drive with ``yield from``."""
         self.crypt_bytes.add(nbytes)
-        yield from self.consume(self.config.crypt_cost_us(nbytes), priority=priority)
+        return self.consume(self.config.crypt_cost_us(nbytes), priority)
 
     def stall(self, duration_us: float, priority: int = -1) -> Generator:
         """Process generator: seize *every* core for ``duration_us``.
@@ -100,7 +100,7 @@ class CPU:
             self.meter.acquire()
         try:
             yield self.sim.timeout(duration_us)
-            self.busy_us_total += duration_us * self.config.cores
+            self._busy.add(duration_us * self.config.cores)
         finally:
             for req in requests:
                 self.meter.release()

@@ -9,7 +9,7 @@ measured utilization and throughput.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from repro.sim import Counter, Simulator
 from repro.osmodel.cpu import CPU
@@ -37,19 +37,26 @@ class InterruptController:
         self.coalesced = Counter(f"{name}.coalesced")
         self._last_delivery = -float("inf")
 
-    def raise_irq(self, handler: Optional[Callable[[], Generator]] = None) -> Generator:
-        """Process generator: deliver one interrupt.
+    def charge(self) -> Iterable:
+        """Deliver one interrupt's CPU charge; drive with ``yield from``.
 
         If a previous interrupt was delivered within the coalescing
-        window the CPU charge is skipped (the handler still runs): this
-        models completion-event moderation on the HCA.
+        window the CPU charge is skipped: this models completion-event
+        moderation on the HCA.
         """
         now = self.sim.now
         if self.coalesce_window_us > 0 and now - self._last_delivery < self.coalesce_window_us:
             self.coalesced.add()
-        else:
-            self._last_delivery = now
-            self.delivered.add()
-            yield from self.cpu.consume(self.cost_us, priority=-1)
+            return ()
+        self._last_delivery = now
+        self.delivered.add()
+        return self.cpu.consume(self.cost_us, -1)
+
+    def raise_irq(self, handler: Optional[Callable[[], Generator]] = None) -> Generator:
+        """Process generator: deliver one interrupt, then run ``handler``.
+
+        The handler runs even when the charge is coalesced away.
+        """
+        yield from self.charge()
         if handler is not None:
             yield from handler()

@@ -1918,6 +1918,62 @@ resource_dealloc(ResourceObject *self)
     tp->tp_free((PyObject *)self);
 }
 
+/* claim one unit: granted now (scheduled at delay 0) or queued.  The
+ * caller owns the returned request. */
+static RequestObject *
+resource_request_impl(ResourceObject *self, long long priority)
+{
+    RequestObject *req = request_new_fast(self, priority);
+    if (req == NULL)
+        return NULL;
+    if (PySet_GET_SIZE(self->in_use) < self->capacity && self->wlen == 0) {
+        if (PySet_Add(self->in_use, (PyObject *)req) < 0 ||
+            event_trigger(&req->ev, (PyObject *)self, 1, 0.0) < 0) {
+            Py_DECREF(req);
+            return NULL;
+        }
+    }
+    else if (wheap_push(self, req) < 0) {
+        Py_DECREF(req);
+        return NULL;
+    }
+    return req;
+}
+
+/* return a granted unit and wake the next waiter.  0/-1. */
+static int
+resource_release_impl(ResourceObject *self, PyObject *request)
+{
+    int had = PySet_Discard(self->in_use, request);
+    if (had < 0)
+        return -1;
+    if (had == 0) {
+        if (self->name != NULL && PyUnicode_Check(self->name) &&
+            PyUnicode_GET_LENGTH(self->name) > 0)
+            raise_formatted(SimulationError,
+                            "release of request not held on %U", self->name);
+        else
+            PyErr_SetString(SimulationError,
+                            "release of request not held on resource");
+        return -1;
+    }
+    while (self->wlen > 0) {
+        RequestObject *nxt = wheap_pop(self);
+        if (nxt->ev.triggered) {   /* cancelled: lazy removal */
+            Py_DECREF(nxt);
+            continue;
+        }
+        if (PySet_Add(self->in_use, (PyObject *)nxt) < 0 ||
+            event_trigger(&nxt->ev, (PyObject *)self, 1, 0.0) < 0) {
+            Py_DECREF(nxt);
+            return -1;
+        }
+        Py_DECREF(nxt);
+        break;
+    }
+    return 0;
+}
+
 static PyObject *
 resource_request(ResourceObject *self, PyObject *const *args, Py_ssize_t nargs,
                  PyObject *kwnames)
@@ -1953,53 +2009,14 @@ resource_request(ResourceObject *self, PyObject *const *args, Py_ssize_t nargs,
         if (priority == -1 && PyErr_Occurred())
             return NULL;
     }
-    RequestObject *req = request_new_fast(self, priority);
-    if (req == NULL)
-        return NULL;
-    if (PySet_GET_SIZE(self->in_use) < self->capacity && self->wlen == 0) {
-        if (PySet_Add(self->in_use, (PyObject *)req) < 0 ||
-            event_trigger(&req->ev, (PyObject *)self, 1, 0.0) < 0) {
-            Py_DECREF(req);
-            return NULL;
-        }
-    }
-    else if (wheap_push(self, req) < 0) {
-        Py_DECREF(req);
-        return NULL;
-    }
-    return (PyObject *)req;
+    return (PyObject *)resource_request_impl(self, priority);
 }
 
 static PyObject *
 resource_release(ResourceObject *self, PyObject *request)
 {
-    int had = PySet_Discard(self->in_use, request);
-    if (had < 0)
+    if (resource_release_impl(self, request) < 0)
         return NULL;
-    if (had == 0) {
-        if (self->name != NULL && PyUnicode_Check(self->name) &&
-            PyUnicode_GET_LENGTH(self->name) > 0)
-            raise_formatted(SimulationError,
-                            "release of request not held on %U", self->name);
-        else
-            PyErr_SetString(SimulationError,
-                            "release of request not held on resource");
-        return NULL;
-    }
-    while (self->wlen > 0) {
-        RequestObject *nxt = wheap_pop(self);
-        if (nxt->ev.triggered) {   /* cancelled: lazy removal */
-            Py_DECREF(nxt);
-            continue;
-        }
-        if (PySet_Add(self->in_use, (PyObject *)nxt) < 0 ||
-            event_trigger(&nxt->ev, (PyObject *)self, 1, 0.0) < 0) {
-            Py_DECREF(nxt);
-            return NULL;
-        }
-        Py_DECREF(nxt);
-        break;
-    }
     Py_RETURN_NONE;
 }
 
@@ -2060,6 +2077,9 @@ resource_get_queue_length(ResourceObject *self, void *closure)
     return PyLong_FromSsize_t(self->wlen);
 }
 
+static PyObject *resource_hold(ResourceObject *self, PyObject *const *args,
+                               Py_ssize_t nargs);
+
 static PyMemberDef resource_members[] = {
     {"sim", T_OBJECT, offsetof(ResourceObject, sim), 0, NULL},
     {"capacity", T_LONGLONG, offsetof(ResourceObject, capacity), 0, NULL},
@@ -2079,6 +2099,10 @@ static PyMethodDef resource_methods[] = {
      "Claim one unit; returned event fires when the unit is granted."},
     {"release", (PyCFunction)resource_release, METH_O,
      "Return a granted unit and wake the next waiter."},
+    {"hold", (PyCFunction)(void (*)(void))resource_hold, METH_FASTCALL,
+     "hold(delay, priority=0, meters=(), partner=None, busy=None): "
+     "iterator for `yield from` that claims a unit, holds it for each "
+     "delay and releases it (see repro.sim.resources.Resource.hold)."},
     {"_cancel", (PyCFunction)resource_cancel_meth, METH_O, NULL},
     {"_ticket", (PyCFunction)resource_ticket, METH_NOARGS, NULL},
     {NULL},
@@ -2391,6 +2415,18 @@ counter_dealloc(CounterObject *self)
     tp->tp_free((PyObject *)self);
 }
 
+static int
+counter_add_impl(CounterObject *self, double amount)
+{
+    if (amount < 0.0) {
+        raise_formatted(SimulationError, "Counter %R decremented", self->name);
+        return -1;
+    }
+    self->value += amount;
+    self->events++;
+    return 0;
+}
+
 static PyObject *
 counter_add(CounterObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -2404,12 +2440,8 @@ counter_add(CounterObject *self, PyObject *const *args, Py_ssize_t nargs)
         if (amount == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    if (amount < 0.0) {
-        raise_formatted(SimulationError, "Counter %R decremented", self->name);
+    if (counter_add_impl(self, amount) < 0)
         return NULL;
-    }
-    self->value += amount;
-    self->events++;
     Py_RETURN_NONE;
 }
 
@@ -2537,13 +2569,11 @@ meter_parse_units(const char *meth, PyObject *const *args, Py_ssize_t nargs,
     return 0;
 }
 
-static PyObject *
-meter_acquire(MeterObject *self, PyObject *const *args, Py_ssize_t nargs)
+static int
+meter_acquire_impl(MeterObject *self, double units)
 {
-    double units;
-    if (meter_parse_units("acquire", args, nargs, &units) < 0 ||
-        meter_settle(self) < 0)
-        return NULL;
+    if (meter_settle(self) < 0)
+        return -1;
     self->level += units;
     if (self->level > self->capacity + 1e-9) {
         PyObject *lv = float_obj(self->level);
@@ -2554,8 +2584,32 @@ meter_acquire(MeterObject *self, PyObject *const *args, Py_ssize_t nargs)
                             self->name, lv, cap);
         Py_XDECREF(lv);
         Py_XDECREF(cap);
-        return NULL;
+        return -1;
     }
+    return 0;
+}
+
+static int
+meter_release_impl(MeterObject *self, double units)
+{
+    if (meter_settle(self) < 0)
+        return -1;
+    self->level -= units;
+    if (self->level < -1e-9) {
+        raise_formatted(SimulationError,
+                        "UtilizationMeter %R released below zero", self->name);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+meter_acquire(MeterObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    double units;
+    if (meter_parse_units("acquire", args, nargs, &units) < 0 ||
+        meter_acquire_impl(self, units) < 0)
+        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -2564,14 +2618,8 @@ meter_release(MeterObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     double units;
     if (meter_parse_units("release", args, nargs, &units) < 0 ||
-        meter_settle(self) < 0)
+        meter_release_impl(self, units) < 0)
         return NULL;
-    self->level -= units;
-    if (self->level < -1e-9) {
-        raise_formatted(SimulationError,
-                        "UtilizationMeter %R released below zero", self->name);
-        return NULL;
-    }
     Py_RETURN_NONE;
 }
 
@@ -2645,6 +2693,431 @@ static PyTypeObject Meter_Type = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Resource.hold: the compiled timed claim                             */
+/*
+ * The reference is the generator Resource.hold in repro.sim.resources;
+ * this iterator is that generator's state machine, one state per yield:
+ *
+ *   START    nothing claimed yet (a just-started generator)
+ *   CLAIM    waiting for the unit's Request
+ *   PARTNER  waiting for the partner's Request (unit held)
+ *   HOLD     waiting for the delay's Timeout (unit, partner, meters held)
+ *   DONE     finished, failed or closed
+ *
+ * Each state yields the event the generator yields at that point, and
+ * requests, grants, meter settles and releases happen in the same
+ * order, so schedules (and the event count) are identical to the
+ * reference and to the request/timeout/release pattern written out by
+ * hand.  Driven through am_send (PyIter_Send: the compiled Process, and
+ * `yield from` on 3.10/3.11) or tp_iternext/send (`yield from` on
+ * 3.12+); throw and close release what the current state holds.
+ */
+
+enum { HOLD_START, HOLD_CLAIM, HOLD_PARTNER, HOLD_HOLD, HOLD_DONE };
+
+static PyTypeObject Hold_Type;
+static PyObject *str_timeout;       /* interned "timeout" */
+
+typedef struct {
+    PyObject_HEAD
+    ResourceObject *res;
+    ResourceObject *partner;    /* NULL: no partner */
+    PyObject *meters;           /* tuple of UtilizationMeters, in order */
+    CounterObject *busy;        /* charged per finished cycle, or NULL */
+    PyObject *delays;           /* one delay, or a list/tuple of them */
+    Py_ssize_t next;            /* index of the next cycle's delay */
+    long long priority;
+    RequestObject *req;         /* the unit's claim while one is live */
+    RequestObject *preq;        /* the partner's claim while one is live */
+    double delay;               /* the current cycle's delay */
+    char is_seq, state;
+} HoldObject;
+
+/* a Timeout `delay` us from now, made the way `sim.timeout(delay)` makes
+ * it: directly on the compiled Simulator, else through the simulator's
+ * own method (the schedule-perturbation checker's python Simulator) */
+static PyObject *
+timeout_make(PyObject *sim, double delay, PyObject *delay_obj)
+{
+    if (Py_TYPE(sim) != &Simulator_Type)
+        return PyObject_CallMethodOneArg(sim, str_timeout, delay_obj);
+    if (delay < 0.0) {
+        raise_formatted(SimulationError, "negative timeout delay %R",
+                        delay_obj);
+        return NULL;
+    }
+    TimeoutObject *t = (TimeoutObject *)Timeout_Type.tp_alloc(&Timeout_Type, 0);
+    if (t == NULL)
+        return NULL;
+    EventObject *ev = &t->ev;
+    ev->callbacks = PyList_New(0);
+    if (ev->callbacks == NULL) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    ev->sim = Py_NewRef(sim);
+    ev->value = Py_NewRef(Py_None);
+    ev->ok = 1;
+    ev->triggered = 1;   /* a timeout is born fired */
+    ev->processed = ev->defused = 0;
+    t->delay = delay;
+    if (schedule_c((SimObject *)sim, (PyObject *)t, delay) < 0) {
+        Py_DECREF(t);
+        return NULL;
+    }
+    return (PyObject *)t;
+}
+
+/* give back a claim whose waiter is leaving: release it if granted,
+ * else cancel it (Resource._withdraw) */
+static int
+resource_withdraw(ResourceObject *res, RequestObject *req)
+{
+    int granted = PySet_Contains(res->in_use, (PyObject *)req);
+    if (granted < 0)
+        return -1;
+    return granted ? resource_release_impl(res, (PyObject *)req)
+                   : resource_cancel_impl(res, (PyObject *)req);
+}
+
+/* the reference's `finally`: meters, partner, unit.  A failing release
+ * stops the rest, as an exception in the finally block does. */
+static int
+hold_release_all(HoldObject *self)
+{
+    PyObject *meters = self->meters;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(meters); i++)
+        if (meter_release_impl((MeterObject *)PyTuple_GET_ITEM(meters, i),
+                               1.0) < 0)
+            return -1;
+    if (self->partner != NULL) {
+        RequestObject *preq = self->preq;
+        self->preq = NULL;
+        int rc = resource_release_impl(self->partner, (PyObject *)preq);
+        Py_DECREF(preq);
+        if (rc < 0)
+            return -1;
+    }
+    RequestObject *req = self->req;
+    self->req = NULL;
+    int rc = resource_release_impl(self->res, (PyObject *)req);
+    Py_DECREF(req);
+    return rc;
+}
+
+/* a throw or close reached the current yield: undo what it holds */
+static int
+hold_abort(HoldObject *self)
+{
+    int state = self->state;
+    self->state = HOLD_DONE;
+    int rc = 0;
+    if (state == HOLD_CLAIM)
+        rc = resource_withdraw(self->res, self->req);
+    else if (state == HOLD_PARTNER) {
+        rc = resource_withdraw(self->partner, self->preq);
+        if (rc == 0)
+            rc = resource_release_impl(self->res, (PyObject *)self->req);
+    }
+    else if (state == HOLD_HOLD)
+        rc = hold_release_all(self);
+    Py_CLEAR(self->req);
+    Py_CLEAR(self->preq);
+    return rc;
+}
+
+static PySendResult
+hold_am_send(HoldObject *self, PyObject *arg, PyObject **presult)
+{
+    *presult = NULL;
+    switch (self->state) {
+    case HOLD_START:
+        if (arg != Py_None) {
+            PyErr_SetString(PyExc_TypeError,
+                            "can't send non-None value to a just-started "
+                            "generator");
+            return PYGEN_ERROR;
+        }
+        goto claim;
+    case HOLD_CLAIM:
+        if (self->partner != NULL) {
+            self->preq = resource_request_impl(self->partner, self->priority);
+            if (self->preq == NULL)
+                goto fail;
+            self->state = HOLD_PARTNER;
+            *presult = Py_NewRef((PyObject *)self->preq);
+            return PYGEN_NEXT;
+        }
+        goto hold;
+    case HOLD_PARTNER:
+        goto hold;
+    case HOLD_HOLD:
+        self->state = HOLD_DONE;
+        if (hold_release_all(self) < 0)
+            goto fail;
+        if (self->busy != NULL &&
+            counter_add_impl(self->busy, self->delay) < 0)
+            goto fail;
+        goto claim;
+    default:
+        *presult = Py_NewRef(Py_None);
+        return PYGEN_RETURN;
+    }
+claim:
+    if (self->next >= (self->is_seq ? PySequence_Fast_GET_SIZE(self->delays)
+                                    : 1)) {
+        self->state = HOLD_DONE;
+        *presult = Py_NewRef(Py_None);
+        return PYGEN_RETURN;
+    }
+    self->req = resource_request_impl(self->res, self->priority);
+    if (self->req == NULL)
+        goto fail;
+    self->state = HOLD_CLAIM;
+    *presult = Py_NewRef((PyObject *)self->req);
+    return PYGEN_NEXT;
+hold:
+    self->state = HOLD_DONE;
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(self->meters); i++)
+        if (meter_acquire_impl(
+                (MeterObject *)PyTuple_GET_ITEM(self->meters, i), 1.0) < 0)
+            goto fail;
+    {
+        PyObject *item = self->is_seq
+            ? PySequence_Fast_GET_ITEM(self->delays, self->next)
+            : self->delays;
+        self->next++;
+        self->delay = PyFloat_AsDouble(item);
+        PyObject *timer = (self->delay == -1.0 && PyErr_Occurred())
+            ? NULL : timeout_make(self->res->sim, self->delay, item);
+        if (timer == NULL) {
+            /* the reference's `finally` runs on the way out */
+            PyObject *et, *ev, *etb;
+            PyErr_Fetch(&et, &ev, &etb);
+            if (hold_release_all(self) < 0) {
+                Py_XDECREF(et);
+                Py_XDECREF(ev);
+                Py_XDECREF(etb);
+            }
+            else
+                PyErr_Restore(et, ev, etb);
+            goto fail;
+        }
+        self->state = HOLD_HOLD;
+        *presult = timer;
+        return PYGEN_NEXT;
+    }
+fail:
+    self->state = HOLD_DONE;
+    Py_CLEAR(self->req);
+    Py_CLEAR(self->preq);
+    return PYGEN_ERROR;
+}
+
+static PyObject *
+hold_iternext(HoldObject *self)
+{
+    PyObject *result;
+    PySendResult sr = hold_am_send(self, Py_None, &result);
+    if (sr == PYGEN_NEXT)
+        return result;
+    Py_XDECREF(result);   /* PYGEN_RETURN: exhausted, value None */
+    return NULL;
+}
+
+static PyObject *
+hold_send(HoldObject *self, PyObject *arg)
+{
+    PyObject *result;
+    PySendResult sr = hold_am_send(self, arg, &result);
+    if (sr == PYGEN_NEXT)
+        return result;
+    if (sr == PYGEN_RETURN) {
+        Py_DECREF(result);
+        PyErr_SetNone(PyExc_StopIteration);
+    }
+    return NULL;
+}
+
+/* throw(typ[, val[, tb]]), the generator signature `yield from` uses */
+static PyObject *
+hold_throw(HoldObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 3) {
+        PyErr_SetString(PyExc_TypeError, "throw expected 1 to 3 arguments");
+        return NULL;
+    }
+    PyObject *typ = args[0];
+    PyObject *val = nargs > 1 ? args[1] : Py_None;
+    PyObject *tb = nargs > 2 ? args[2] : Py_None;
+    if (!PyExceptionInstance_Check(typ) && !PyExceptionClass_Check(typ)) {
+        PyErr_Format(PyExc_TypeError,
+                     "exceptions must be classes or instances deriving from "
+                     "BaseException, not %s", Py_TYPE(typ)->tp_name);
+        return NULL;
+    }
+    if (hold_abort(self) < 0)
+        return NULL;
+    if (PyExceptionInstance_Check(typ))
+        PyErr_SetObject((PyObject *)Py_TYPE(typ), typ);
+    else
+        PyErr_SetObject(typ, val);
+    if (tb != Py_None) {
+        PyObject *et, *ev, *etb;
+        PyErr_Fetch(&et, &ev, &etb);
+        PyErr_NormalizeException(&et, &ev, &etb);
+        Py_XDECREF(etb);
+        PyErr_Restore(et, ev, Py_NewRef(tb));
+    }
+    return NULL;
+}
+
+static PyObject *
+hold_close(HoldObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (hold_abort(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+hold_traverse(HoldObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT((PyObject *)self->res);
+    Py_VISIT((PyObject *)self->partner);
+    Py_VISIT(self->meters);
+    Py_VISIT((PyObject *)self->busy);
+    Py_VISIT(self->delays);
+    Py_VISIT((PyObject *)self->req);
+    Py_VISIT((PyObject *)self->preq);
+    return 0;
+}
+
+static int
+hold_clear(HoldObject *self)
+{
+    Py_CLEAR(self->res);
+    Py_CLEAR(self->partner);
+    Py_CLEAR(self->meters);
+    Py_CLEAR(self->busy);
+    Py_CLEAR(self->delays);
+    Py_CLEAR(self->req);
+    Py_CLEAR(self->preq);
+    self->state = HOLD_DONE;
+    return 0;
+}
+
+static void
+hold_dealloc(HoldObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    hold_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+hold_get_name(HoldObject *self, void *closure)
+{
+    return PyUnicode_FromString("hold");
+}
+
+static PyObject *
+resource_hold(ResourceObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 5) {
+        PyErr_Format(PyExc_TypeError,
+                     "hold() takes 1 to 5 positional arguments (%zd given)",
+                     nargs);
+        return NULL;
+    }
+    long long priority = 0;
+    if (nargs > 1) {
+        priority = PyLong_AsLongLong(args[1]);
+        if (priority == -1 && PyErr_Occurred())
+            return NULL;
+    }
+    PyObject *meters = nargs > 2 ? args[2] : NULL;
+    if (meters != NULL) {
+        int ok = PyTuple_Check(meters);
+        for (Py_ssize_t i = 0; ok && i < PyTuple_GET_SIZE(meters); i++)
+            ok = PyObject_TypeCheck(PyTuple_GET_ITEM(meters, i), &Meter_Type);
+        if (!ok) {
+            PyErr_SetString(PyExc_TypeError,
+                            "hold() meters must be a tuple of UtilizationMeters");
+            return NULL;
+        }
+    }
+    PyObject *partner = nargs > 3 && args[3] != Py_None ? args[3] : NULL;
+    if (partner != NULL && !PyObject_TypeCheck(partner, &Resource_Type)) {
+        PyErr_Format(PyExc_TypeError,
+                     "hold() partner must be a Resource, not %s",
+                     Py_TYPE(partner)->tp_name);
+        return NULL;
+    }
+    PyObject *busy = nargs > 4 && args[4] != Py_None ? args[4] : NULL;
+    if (busy != NULL && !PyObject_TypeCheck(busy, &Counter_Type)) {
+        PyErr_Format(PyExc_TypeError, "hold() busy must be a Counter, not %s",
+                     Py_TYPE(busy)->tp_name);
+        return NULL;
+    }
+    HoldObject *h = PyObject_GC_New(HoldObject, &Hold_Type);
+    if (h == NULL)
+        return NULL;
+    h->res = (ResourceObject *)Py_NewRef((PyObject *)self);
+    h->partner = (ResourceObject *)Py_XNewRef(partner);
+    h->meters = meters != NULL ? Py_NewRef(meters) : PyTuple_New(0);
+    h->busy = (CounterObject *)Py_XNewRef(busy);
+    h->delays = Py_NewRef(args[0]);
+    h->is_seq = (char)(PyList_Check(args[0]) || PyTuple_Check(args[0]));
+    h->next = 0;
+    h->priority = priority;
+    h->req = h->preq = NULL;
+    h->delay = 0.0;
+    h->state = HOLD_START;
+    if (h->meters == NULL) {
+        Py_DECREF(h);
+        return NULL;
+    }
+    PyObject_GC_Track((PyObject *)h);
+    return (PyObject *)h;
+}
+
+static PyAsyncMethods hold_as_async = {
+    .am_send = (sendfunc)hold_am_send,
+};
+
+static PyMethodDef hold_methods[] = {
+    {"send", (PyCFunction)hold_send, METH_O,
+     "Resume with a value; the next event to wait on."},
+    {"throw", (PyCFunction)(void (*)(void))hold_throw, METH_FASTCALL,
+     "Raise an exception at the current wait, releasing what it holds."},
+    {"close", (PyCFunction)hold_close, METH_NOARGS,
+     "Finish early, releasing what the current wait holds."},
+    {NULL},
+};
+
+static PyGetSetDef hold_getset[] = {
+    {"__name__", (getter)hold_get_name, NULL, NULL, NULL},
+    {NULL},
+};
+
+static PyTypeObject Hold_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cengine.Hold",
+    .tp_basicsize = sizeof(HoldObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A timed claim on a Resource (see Resource.hold).",
+    .tp_as_async = &hold_as_async,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)hold_iternext,
+    .tp_dealloc = (destructor)hold_dealloc,
+    .tp_traverse = (traverseproc)hold_traverse,
+    .tp_clear = (inquiry)hold_clear,
+    .tp_methods = hold_methods,
+    .tp_getset = hold_getset,
+};
+
+/* ------------------------------------------------------------------ */
 /* module                                                              */
 
 static PyObject *
@@ -2685,7 +3158,8 @@ PyInit__cengine(void)
         return NULL;
     str_throw = PyUnicode_InternFromString("throw");
     str_value = PyUnicode_InternFromString("value");
-    if (str_throw == NULL || str_value == NULL)
+    str_timeout = PyUnicode_InternFromString("timeout");
+    if (str_throw == NULL || str_value == NULL || str_timeout == NULL)
         return NULL;
     /* defining tp_richcompare suppresses tp_hash inheritance; Request
      * compares by (priority, seq) but hashes by identity, like the
@@ -2701,7 +3175,8 @@ PyInit__cengine(void)
         PyType_Ready(&Resource_Type) < 0 ||
         PyType_Ready(&Store_Type) < 0 ||
         PyType_Ready(&Counter_Type) < 0 ||
-        PyType_Ready(&Meter_Type) < 0)
+        PyType_Ready(&Meter_Type) < 0 ||
+        PyType_Ready(&Hold_Type) < 0)
         return NULL;
     PyObject *mod = PyModule_Create(&cengine_module);
     if (mod == NULL)

@@ -53,14 +53,21 @@ class Request(Event):
 class Resource:
     """Counted semaphore.  ``capacity`` units; requests queue when busy.
 
-    Typical use inside a process generator::
+    A timed claim is one :meth:`hold`, returned by the model call and
+    driven with ``yield from``::
 
-        req = cpu.request()
+        yield from cpu.hold(service_time)
+
+    ``request``/``release`` stay for claims that span other work (a
+    pipeline stage held across a whole segment, a lock around a
+    delivery)::
+
+        req = stage.request()
         yield req
         try:
-            yield sim.timeout(service_time)
+            ...
         finally:
-            cpu.release(req)
+            stage.release(req)
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_waiting", "_seq")
@@ -110,6 +117,61 @@ class Resource:
             self._in_use.add(nxt)
             nxt.succeed(self)
             break
+
+    def hold(self, delay, priority: int = 0, meters: tuple = (),
+             partner: "Resource | None" = None, busy=None):
+        """Iterator for ``yield from``: claim a unit, hold it, release it.
+
+        One claim cycle per delay (``delay`` is a number or a list/tuple
+        of chunk delays): request a unit (at ``priority``), then one unit
+        of ``partner`` (same priority) once the first is granted, acquire
+        each of ``meters`` in order, wait ``delay``, release the meters,
+        the partner unit and the unit, and add the delay to the ``busy``
+        :class:`~repro.sim.Counter`.  It yields exactly the events of
+        that pattern written out by hand, in the same order.
+
+        A throw while waiting for a grant withdraws the request (releasing
+        it if it was granted in the meantime) and any unit already held;
+        a throw while holding releases everything; the busy counter is
+        only charged for cycles that complete.  The compiled core's
+        ``Resource.hold`` is a C iterator with these semantics, taking
+        the same arguments positionally.
+        """
+        sim = self.sim
+        for d in (delay if isinstance(delay, (list, tuple)) else (delay,)):
+            req = self.request(priority)
+            try:
+                yield req
+            except BaseException:
+                self._withdraw(req)
+                raise
+            if partner is not None:
+                preq = partner.request(priority)
+                try:
+                    yield preq
+                except BaseException:
+                    partner._withdraw(preq)
+                    self.release(req)
+                    raise
+            for meter in meters:
+                meter.acquire()
+            try:
+                yield sim.timeout(d)
+            finally:
+                for meter in meters:
+                    meter.release()
+                if partner is not None:
+                    partner.release(preq)
+                self.release(req)
+            if busy is not None:
+                busy.add(d)
+
+    def _withdraw(self, request: Request) -> None:
+        """Give back a claim whose waiter is leaving: release or cancel."""
+        if request in self._in_use:
+            self.release(request)
+        else:
+            request.cancel()
 
     def _cancel(self, request: Request) -> None:
         if request in self._in_use:

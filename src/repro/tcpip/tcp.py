@@ -146,19 +146,16 @@ class TcpConnection:
         yield req
         try:
             # Receiver: interrupt (coalesced) then copy out of the stack.
-            yield from self._rx_side(peer, seg)
+            now = self.sim.now
+            if now - peer._rx_irq_last >= peer.profile.rx_interrupt_coalesce_us:
+                peer._rx_irq_last = now
+                yield from peer.irq.charge()
+            yield from peer.cpu.consume(peer._rx_cpu_us(seg))
         finally:
             rx_stage.release(req)
         left[0] -= 1
         if not left[0]:
             done.succeed()
-
-    def _rx_side(self, peer: TcpEndpoint, nbytes: int) -> Generator:
-        now = self.sim.now
-        if now - peer._rx_irq_last >= peer.profile.rx_interrupt_coalesce_us:
-            peer._rx_irq_last = now
-            yield from peer.irq.raise_irq()
-        yield from peer.cpu.consume(peer._rx_cpu_us(nbytes))
 
     def recv(self, side: TcpEndpoint):
         """Event firing with the next message addressed to ``side``."""

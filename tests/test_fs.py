@@ -450,6 +450,64 @@ def test_blockfs_commit_flushes_dirty_pages():
     assert fs.cache.dirty_pages() == []
 
 
+def _rewrite_during_writeback(fs, sim, writeback, rewrite_at):
+    """Dirty page 0, run ``writeback``, and rewrite page 0 at time
+    ``rewrite_at(start of writeback)``, while that write-back is on the
+    disk.  Returns the fid."""
+    page = fs.page_bytes
+    box = {}
+
+    def rewriter(fid, at):
+        yield sim.timeout(at - sim.now)
+        yield from fs.write(fid, 0, b"2" * page)
+
+    def proc():
+        fid = yield from fs.create(fs.root_id, "f")
+        yield from fs.write(fid, 0, b"1" * page)
+        box["fid"] = fid
+        rewrite = sim.process(rewriter(fid, rewrite_at(sim.now)))
+        yield from writeback(fid)
+        yield rewrite
+
+    run(sim, proc())
+    return box["fid"]
+
+
+def _disk_bytes_written(fs):
+    return sum(d.bytes_written.value for d in fs.raid.disks)
+
+
+def test_blockfs_commit_keeps_page_rewritten_during_writeback():
+    sim, fs = make_blockfs(cache_bytes=64 << 20)
+    fid = _rewrite_during_writeback(fs, sim, fs.commit, lambda t: t + 1.0)
+    assert fs.cache.dirty_pages() == [(fid, 0)]
+
+    def second_commit():
+        before, start = _disk_bytes_written(fs), sim.now
+        yield from fs.commit(fid)
+        return _disk_bytes_written(fs) - before, sim.now - start
+
+    written, took = run(sim, second_commit())
+    assert written == fs.page_bytes     # the rewrite still reaches the disk
+    assert took > 1000.0                # a real disk write, not a no-op
+    assert fs.cache.dirty_pages() == []
+
+
+def test_blockfs_flusher_keeps_page_rewritten_during_writeback():
+    sim, fs = make_blockfs(cache_bytes=64 << 20, flush_interval_us=1000.0)
+
+    def first_flush(fid):
+        # The flusher's first tick starts a ~2.2 ms write-back at 1 ms.
+        yield sim.timeout(3500.0 - sim.now)
+
+    fid = _rewrite_during_writeback(fs, sim, first_flush, lambda t: 1001.0)
+    assert fs.cache.dirty_pages() == [(fid, 0)]
+    assert _disk_bytes_written(fs) == fs.page_bytes
+    sim.run(until=8000.0)               # the next tick writes the rewrite
+    assert fs.cache.dirty_pages() == []
+    assert _disk_bytes_written(fs) == 2 * fs.page_bytes
+
+
 def test_blockfs_background_flusher_cleans():
     sim, fs = make_blockfs(cache_bytes=64 << 20, flush_interval_us=1000.0)
 

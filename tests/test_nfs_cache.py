@@ -100,6 +100,32 @@ def test_write_back_defers_rpcs_until_flush():
     assert data == b"x" * 64 * 1024
 
 
+def test_flush_keeps_page_rewritten_during_its_write():
+    c, (cache,) = make()
+    page = 64 * 1024
+
+    def rewriter(handle):
+        yield c.sim.timeout(1.0)
+        yield from cache.write(handle, 0, b"2" * page)
+
+    def proc():
+        fh, _ = yield from cache.inner.create(cache.root, "rw")
+        handle = yield from cache.open(fh)
+        yield from cache.write(handle, 0, b"1" * page)
+        rewrite = c.sim.process(rewriter(handle))
+        yield from cache.flush(handle)
+        yield rewrite
+        still_dirty = cache.pages.dirty_pages(fh.fileid)
+        yield from cache.close(handle)
+        data, _, _ = yield from cache.inner.read(fh, 0, page)
+        return still_dirty, handle.dirty, data
+
+    still_dirty, handle_dirty, data = c.run(proc())
+    assert len(still_dirty) == 1        # the rewrite is not marked clean
+    assert data == b"2" * page          # close pushed it to the server
+    assert not handle_dirty
+
+
 def test_dirty_limit_forces_synchronous_flush():
     c, (cache,) = make(dirty_limit_bytes=128 * 1024)
 

@@ -136,6 +136,53 @@ def test_pagecache_matches_reference_lru(ops):
         }
 
 
+@settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(
+    st.tuples(st.sampled_from(["touch", "insert", "insert_dirty", "clean",
+                               "clean_stale", "invalidate", "scan"]),
+              st.integers(0, 3), st.integers(0, 15),
+              st.one_of(st.none(), st.integers(0, 8))),
+    max_size=200,
+))
+def test_pagecache_dirty_index_matches_full_scan(ops):
+    """The ordered dirty index answers as the old scan over every page
+    did; a write-back's stale generation leaves a rewritten page dirty."""
+    page = 64 * 1024
+    cache = PageCache(capacity_bytes=6 * page, page_bytes=page)
+    oracle = ReferenceLru(max_pages=6)
+
+    def scan(fileid, limit):
+        keys = [k for k, d in oracle.entries.items()
+                if d and (fileid is None or k[0] == fileid)]
+        return keys if limit is None else keys[:limit]
+
+    for op, fid, pg, limit in ops:
+        key = (fid, pg)
+        if op == "touch":
+            assert cache.touch(key) == oracle.touch(key)
+        elif op == "clean":
+            cache.mark_clean(key, cache.generation(key))
+            if key in oracle.entries:
+                oracle.entries[key] = False
+        elif op == "clean_stale":
+            # Rewritten while its write-back was in flight: stays dirty.
+            generation = cache.generation(key)
+            assert cache.insert(key, dirty=True) == oracle.insert(key, True)
+            cache.mark_clean(key, generation)
+        elif op == "invalidate":
+            dropped = [k for k in oracle.entries if k[0] == fid]
+            for k in dropped:
+                del oracle.entries[k]
+            assert cache.invalidate(fid) == len(dropped)
+        elif op == "scan":
+            assert cache.dirty_pages(fid, limit) == scan(fid, limit)
+        else:
+            dirty = op == "insert_dirty"
+            assert cache.insert(key, dirty=dirty) == oracle.insert(key, dirty)
+        assert cache.dirty_pages(limit=limit) == scan(None, limit)
+        assert (cache.generation(key) != 0) == oracle.entries.get(key, False)
+
+
 # ---------------------------------------------------------------- file system
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
