@@ -3,7 +3,7 @@
 Four clients run a Postmark-style workload over ``rdma-rw`` on the RAID
 backend while a seeded plan kills QPs, drops ~1% of channel messages
 and injects transient disk errors.  No test code ever repairs a mount —
-recovery is entirely the transport's retransmit/reconnect machinery —
+recovery is entirely the transport's redial-and-resend machinery —
 and the invariants checked are exactly-once execution of non-idempotent
 procedures and durability of every acknowledged stable write.
 """
@@ -34,7 +34,8 @@ def test_chaos_soak(benchmark, bench_scale, record_result):
     # Every fired kill was healed by the transport's own redial policy.
     reconnects = sum(m.transport.reconnects.events for m in out.cluster.mounts)
     assert reconnects >= faults.qp_kills_fired.events
-    # Loss was recovered by retransmission, duplicates absorbed server-side.
+    # Loss expired reply timers, whose redials resent the calls; the
+    # duplicates were absorbed server-side.
     retrans = sum(m.transport.retransmissions.events for m in out.cluster.mounts)
     assert retrans > 0
     drc = out.cluster.drc

@@ -4,11 +4,11 @@
 Builds a four-client deployment with a seeded chaos schedule — QP
 kills, ~1.5% message loss, transient disk errors — and runs a
 Postmark-style workload straight through it.  Nothing in the workload
-handles failures: the transport's reply timers retransmit lost
-messages with the same xid, the server's duplicate request cache
-absorbs the duplicates (exactly-once for CREATE/REMOVE/RENAME), and a
-dead queue pair triggers an automatic redial that replays the
-in-flight call on the fresh connection.
+handles failures: a dead queue pair, or a reply timer that expires
+because a message was lost, triggers an automatic redial that resends
+the in-flight calls with the same xid on the fresh connection, and the
+server's duplicate request cache absorbs the duplicates (exactly-once
+for CREATE/REMOVE/RENAME).
 
 Run:  python examples/chaos_recovery.py
 """
@@ -40,8 +40,8 @@ def main() -> None:
 
     reconnects = sum(m.transport.reconnects.events for m in cluster.mounts)
     retrans = sum(m.transport.retransmissions.events for m in cluster.mounts)
-    print(f"\n{faults.qp_kills_fired.events} QP kills healed by "
-          f"{reconnects} automatic redials; {retrans} retransmissions "
+    print(f"\n{faults.qp_kills_fired.events} QP kills and {retrans} reply "
+          f"timeouts healed by {reconnects} automatic redials; the resends "
           f"covered {faults.messages_dropped.events} dropped messages and "
           "every slow reply, with the DRC absorbing the duplicates; "
           "the workload never saw an error.")

@@ -64,13 +64,12 @@ DATA_CHUNK_POSITION = 1
 #: Transport bookkeeping CPU per operation, charged on each side.
 PER_OP_CPU_US = 3.0
 
-# Client recovery: a reply timer (when ``reply_timeout_us`` is set)
-# retransmits up to MAX_RETRANSMITS times per connection attempt,
-# growing the timeout by BACKOFF_FACTOR up to MAX_REPLY_TIMEOUT_US; a
-# dead connection is redialed after RECONNECT_BACKOFF_US, at most
-# MAX_RECONNECTS times per call.  Every delay is jittered by
+# Client recovery: a dead connection, or a reply timer (when
+# ``reply_timeout_us`` is set) that expires, is redialed after
+# RECONNECT_BACKOFF_US and the call resent, at most MAX_RECONNECTS times
+# per call.  Each attempt's reply timer is BACKOFF_FACTOR times the
+# last, up to MAX_REPLY_TIMEOUT_US.  Every delay is jittered by
 # ±BACKOFF_JITTER of itself.
-MAX_RETRANSMITS = 6
 MAX_REPLY_TIMEOUT_US = 2_000_000.0
 BACKOFF_FACTOR = 2.0
 BACKOFF_JITTER = 0.1
@@ -244,7 +243,7 @@ class _RdmaEndpoint:
     def send_header(self, wire: bytes) -> Generator:
         """Process: ship one encoded RPC/RDMA header (plus inline body)
         via Send.  Callers encode each message once and size-test those
-        same bytes; a retransmit resends them unchanged."""
+        same bytes."""
         if len(wire) > self.config.inline_threshold:
             raise TransportError(
                 f"header of {len(wire)} bytes exceeds inline threshold "
@@ -405,18 +404,20 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
 
     # -- public API ---------------------------------------------------------
     def call(self, call: RpcCall) -> Generator:
-        """Issue one RPC; transparently retransmit and reconnect.
+        """Issue one RPC; transparently redial and resend.
 
-        The xid is preserved across every resend and redial, so the
-        server's duplicate request cache guarantees at-most-once
-        execution while the retry loop guarantees at-least-once
-        delivery — together, exactly-once.
+        A call is resent only on a new connection: when the old one
+        dies or the reply timer expires (which kills it).  The xid is
+        preserved across every redial, so the server's duplicate request
+        cache guarantees at-most-once execution while the retry loop
+        guarantees at-least-once delivery — together, exactly-once.
         """
         redials = 0
+        timeout_us = self.config.reply_timeout_us
         while True:
             epoch = self._epoch
             try:
-                return (yield from self._attempt_call(call))
+                return (yield from self._attempt_call(call, timeout_us))
             except (TransportError, QPError, RpcTimeout):
                 if self.reconnector is None:
                     raise
@@ -426,25 +427,28 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 if self._epoch == epoch:
                     yield from self._recover()
                 self.calls_recovered.add()
+            if timeout_us is not None:
+                timeout_us = min(timeout_us * BACKOFF_FACTOR, MAX_REPLY_TIMEOUT_US)
+                timeout_us *= 1.0 + BACKOFF_JITTER * self._jitter_rng.uniform(-1.0, 1.0)
 
-    def _attempt_call(self, call: RpcCall) -> Generator:
+    def _attempt_call(self, call: RpcCall, timeout_us: Optional[float]) -> Generator:
         telemetry = self.sim.telemetry
         tracer = telemetry.tracer if telemetry is not None else None
         if tracer is None:
-            return (yield from self._attempt_call_inner(call))
+            return (yield from self._attempt_call_inner(call, timeout_us))
         span = tracer.begin("rpc.call", "rpc", self.node.name, "rpcrdma",
                             parent=tracer.task_span(), xid=call.xid)
         call.trace_id = span.trace_id
         prev = tracer.push_task(span)
         tracer.bind_xid(call.xid, span)
         try:
-            return (yield from self._attempt_call_inner(call))
+            return (yield from self._attempt_call_inner(call, timeout_us))
         finally:
             tracer.unbind_xid(call.xid, span)
             tracer.pop_task(prev)
             span.end()
 
-    def _attempt_call_inner(self, call: RpcCall) -> Generator:
+    def _attempt_call_inner(self, call: RpcCall, timeout_us: Optional[float]) -> Generator:
         if not self.ready.processed:
             yield self.ready
         if self.peer_ready is not None and not self.peer_ready.processed:
@@ -462,9 +466,11 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 san.advertise(self.node.hca.tpt.name, call.xid, header.chunks)
             waiter = Event(self.sim)
             self._pending[call.xid] = waiter
+            qp = self.qp
             yield from self.send_header(wire)
             self.calls_sent.add()
-            reply_header: RpcRdmaHeader = yield from self._await_reply(call, wire, waiter)
+            reply_header: RpcRdmaHeader = yield from self._await_reply(
+                call, qp, waiter, timeout_us)
             reply = yield from self._handle_reply(reply_header, ctx)
             return reply
         finally:
@@ -477,43 +483,24 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
                 yield from self.strategy.release(region)
             self.credits.release(ctx.get("new_grant"))
 
-    def _await_reply(self, call: RpcCall, wire: bytes,
-                     waiter: Event) -> Generator:
-        """Wait for the reply; with a timeout configured, retransmit with
-        exponential backoff + jitter, resending the call's encoded bytes
-        as they are: same xid, same advertised chunks (the server replays
-        into the same windows)."""
-        timeout_us = self.config.reply_timeout_us
+    def _await_reply(self, call: RpcCall, qp: QueuePair, waiter: Event,
+                     timeout_us: Optional[float]) -> Generator:
+        """Wait for the reply, or for the reply timer when one is set.
+
+        On expiry ``qp``, the connection the call went out on, enters
+        ERROR before the caller releases the call's chunks: a late reply
+        is then flushed by the HCA instead of landing in released
+        memory, and ``call`` resends on a new connection."""
         if timeout_us is None:
             # No timer configured: zero extra events on this path.
             return (yield waiter)
-        for attempt in range(MAX_RETRANSMITS + 1):
-            yield AnyOf(self.sim, [waiter, self.sim.timeout(timeout_us)])
-            if waiter.triggered:
-                return waiter.value
-            if attempt >= MAX_RETRANSMITS:
-                break
-            self.retransmissions.add()
-            telemetry = self.sim.telemetry
-            tracer = telemetry.tracer if telemetry is not None else None
-            rspan = prev = None
-            if tracer is not None:
-                rspan = tracer.begin("rpc.retransmit", "rpc", self.node.name,
-                                     "rpcrdma", parent=tracer.task_span(),
-                                     xid=call.xid, attempt=attempt + 1)
-                prev = tracer.push_task(rspan)
-            try:
-                yield from self.node.cpu.consume(PER_OP_CPU_US)
-                yield from self.send_header(wire)
-            finally:
-                if tracer is not None:
-                    tracer.pop_task(prev)
-                    rspan.end()
-            timeout_us = min(timeout_us * BACKOFF_FACTOR, MAX_REPLY_TIMEOUT_US)
-            timeout_us *= 1.0 + BACKOFF_JITTER * self._jitter_rng.uniform(-1.0, 1.0)
+        yield AnyOf(self.sim, [waiter, self.sim.timeout(timeout_us)])
+        if waiter.triggered:
+            return waiter.value
+        self.retransmissions.add()
+        qp.enter_error(f"reply timeout: xid {call.xid:#x}")
         raise RpcTimeout(
-            f"{self.name}: xid {call.xid:#x} unanswered after "
-            f"{MAX_RETRANSMITS} retransmissions"
+            f"{self.name}: xid {call.xid:#x} unanswered after {timeout_us:.0f} us"
         )
 
     def _recover(self) -> Generator:

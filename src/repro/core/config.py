@@ -18,12 +18,13 @@ class RpcRdmaConfig:
     the number of pre-posted receive buffers per connection and the cap
     on a client's outstanding calls.
 
-    ``reply_timeout_us = None`` (the default) disables the retransmit
-    timer entirely — no timer events are scheduled, so a fault-free run
-    is event-for-event identical to a transport without the recovery
-    layer.  Reconnection on a dead QP works even without timers because
-    flushed work requests wake the waiting calls.  The backoff and
-    retry limits are constants of :mod:`repro.core.base`.
+    ``reply_timeout_us = None`` (the default) disables the reply timer
+    entirely — no timer events are scheduled, so a fault-free run is
+    event-for-event identical to a transport without the recovery
+    layer.  An expired timer kills the call's connection, which is
+    then redialed like any dead QP; reconnection works even without
+    timers because flushed work requests wake the waiting calls.  The
+    backoff and redial limits are constants of :mod:`repro.core.base`.
 
     The hardening knobs all default to *off* (``None``/``False``) and
     are inert when unset: no lease timers are scheduled, no quota is
@@ -39,7 +40,7 @@ class RpcRdmaConfig:
 
     inline_threshold: int = 1024
     credits: int = 32
-    #: per-call reply timeout; None = no retransmit timer (zero events).
+    #: first reply timeout of a call; None = no reply timer (zero events).
     reply_timeout_us: Optional[float] = None
     #: Read-Read exposure lease; None = exposures await DONE forever.
     lease_timeout_us: Optional[float] = None

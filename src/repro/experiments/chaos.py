@@ -8,7 +8,7 @@ channel messages and injects transient disk errors — then checks the
 recovery machinery's two promises:
 
 * **exactly-once** — no non-idempotent NFS procedure (CREATE, REMOVE,
-  RENAME) executes twice, however many times it was retransmitted;
+  RENAME) executes twice, however many times it was resent;
 * **durability** — every acknowledged stable WRITE reads back intact
   after all faults and recoveries.
 
@@ -78,7 +78,7 @@ def recovery_summary(cluster: Cluster) -> ExperimentResult:
         headers=["where", "counter", "events"],
         rows=rows,
         paper_reference=(
-            "robustness extension: exactly-once retransmit semantics and "
+            "robustness extension: exactly-once resend semantics and "
             "self-healing mounts (not measured in the paper)"
         ),
     )

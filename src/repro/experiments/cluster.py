@@ -261,8 +261,8 @@ class ServerStack:
             self.raid = Raid0(self.sim)
             self.fs = BlockFs(self.sim, self.node.cpu, self.raid,
                               cache_bytes=config.cache_bytes)
-        # Any transport-level retry (TCP retransmit, RDMA recovery) must
-        # not re-execute non-idempotent procedures.
+        # A call resent after an RDMA redial must not re-execute
+        # non-idempotent procedures.
         service = cluster.names.service(name)
         self.drc = DuplicateRequestCache(name=f"{service}.drc")
         self.rpc_server = RpcServer(

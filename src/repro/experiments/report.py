@@ -100,9 +100,9 @@ printable, diffable and hashable.
 Invariants asserted (benchmarks/test_chaos_soak.py):
 
 * the Postmark-style workload completes with **zero** manual repair —
-  every recovery is the transport's own retransmit/redial machinery;
+  every recovery is the transport's own redial-and-resend machinery;
 * every non-idempotent procedure (CREATE/REMOVE/RENAME) executed
-  exactly once per (xid, proc) despite retransmits and reconnects;
+  exactly once per (xid, proc) despite resends across reconnects;
 * every acknowledged stable WRITE read back intact;
 * the schedule actually bit: >=3 QP kills fired, messages dropped,
   >=2 disk errors hit.

@@ -62,6 +62,10 @@ class PageCache:
         return len(self._lru) * self.page_bytes
 
     @property
+    def dirty_bytes(self) -> int:
+        return len(self._dirty) * self.page_bytes
+
+    @property
     def max_pages(self) -> int:
         return self.capacity_bytes // self.page_bytes
 

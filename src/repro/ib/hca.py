@@ -283,13 +283,19 @@ class HCA:
             # Injected loss at the receiving HCA/driver boundary: the
             # wire-level ack already went out, so the sender's CQE is a
             # success, but no receive ever fires — exactly the silent
-            # loss an RPC retransmit timer exists to cover.
+            # loss an RPC reply timer exists to cover.
             yield self.sim.timeout(peer_hca.port.config.latency_us)
             wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
             return
         lock = self._delivery_locks[qp.qp_num].request()
         yield lock
         try:
+            if qp.state is QPState.ERROR or peer_qp.state is QPState.ERROR:
+                # As in _deliver_write: a dead connection takes no Send
+                # (no receive will ever be posted on it to RNR-wait for).
+                wr._complete(qp, qp.send_cq, CqeStatus.WR_FLUSH_ERR,
+                             error=qp.error_cause or peer_qp.error_cause)
+                return
             # Match a pre-posted receive; RNR-retry if the peer is slow.
             recv = peer_qp.take_recv()
             retries = 0

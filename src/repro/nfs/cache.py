@@ -73,7 +73,6 @@ class CachingNfsClient:
         #: cached page contents: ``bytes`` or zero-copy :class:`Payload`
         #: descriptors, possibly shorter than a page (zero tail implied).
         self._content: dict[tuple[int, int], PayloadLike] = {}
-        self._dirty_bytes = 0
         self.attr_hits = Counter(f"{name}.attr_hits")
         self.attr_misses = Counter(f"{name}.attr_misses")
         self.name_hits = Counter(f"{name}.name_hits")
@@ -247,12 +246,11 @@ class CachingNfsClient:
                     yield from self._writeback(evicted_key)
                 else:
                     self._content.pop(evicted_key, None)
-            self._dirty_bytes += pb
             pos += take
         handle.dirty = True
         new_size = max(handle.attrs.size, offset + len(data))
         handle.attrs.size = new_size
-        if self._dirty_bytes >= self.config.dirty_limit_bytes:
+        if self.pages.dirty_bytes >= self.config.dirty_limit_bytes:
             yield from self.flush(handle)
         return len(data)
 
@@ -280,6 +278,4 @@ class CachingNfsClient:
                 yield from self.inner.write(fh, start, payload[:take])
             # A rewrite during the WRITE made a new generation: keep it dirty.
             self.pages.mark_clean(key, generation)
-            self._dirty_bytes -= self.config.page_bytes
-        self._dirty_bytes = max(0, self._dirty_bytes)
         handle.dirty = bool(self.pages.dirty_pages(fh.fileid, limit=1))

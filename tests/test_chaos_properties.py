@@ -5,7 +5,7 @@ kill times) against a live cluster; the invariants checked are the two
 the recovery machinery promises:
 
 * every non-idempotent NFS procedure the server runs, it runs exactly
-  once per (xid, proc) — retransmits and redials never re-execute;
+  once per (xid, proc) — resends after redials never re-execute;
 * every acknowledged WRITE is readable after recovery — no lost
   acknowledged data.
 

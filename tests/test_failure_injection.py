@@ -112,7 +112,7 @@ def test_new_calls_recover_after_failure():
 
 def test_drc_replay_over_rdma():
     """A lost reply over the RDMA transport is recovered by xid-preserving
-    retransmit + DRC replay: the non-idempotent CREATE runs once."""
+    resend after a redial + DRC replay: the non-idempotent CREATE runs once."""
     profile = replace(
         SOLARIS_SDR,
         rpcrdma=replace(RpcRdmaConfig(), reply_timeout_us=20_000.0),

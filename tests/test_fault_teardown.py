@@ -1,17 +1,22 @@
 """Recovery paths release what they acquired, at any fault time, on any shape.
 
 Each case runs iozone under the RDMA sanitizer with one fault — a QP
-kill on mount 1 or a server crash-restart — at a time drawn from the
-whole run, then runs on past the end and checks teardown.  A clean case
-has no failed server call, no sanitizer violation, and no registration,
-receive buffer or SRQ slot left behind.
+kill on mount 1, a server crash-restart, or a server stall longer than
+the clients' reply timer — at a time drawn from the whole run, then
+runs on past the end and checks teardown.  A clean case has no failed
+server call, no sanitizer violation, and no registration, receive
+buffer or SRQ slot left behind.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.analysis import SOLARIS_SDR
+from repro.core.config import RpcRdmaConfig
 from repro.experiments import Cluster, ClusterConfig
 from repro.experiments.topology import TopologyConfig
-from repro.faults import FaultPlan, QpKill, ServerCrash
+from repro.faults import FaultPlan, QpKill, ServerCrash, ServerStall
 from repro.workloads import IozoneParams, run_iozone
 
 FAULTS = (
@@ -20,7 +25,15 @@ FAULTS = (
     + [pytest.param(ServerCrash(at_us=at, restart_us=10_000.0),
                     id=f"crash@{at:g}")
        for at in (5000.0, 8500.0, 15000.0, 20000.0)]
+    # Longer than the 30 ms reply timer: the replies the server sends
+    # after the stall must not land in chunks a timed-out call released.
+    + [pytest.param(ServerStall(at_us=at, duration_us=50_000.0),
+                    id=f"stall@{at:g}")
+       for at in (3000.0, 5000.0, 8000.0, 12000.0)]
 )
+
+TIMED = replace(SOLARIS_SDR,
+                rpcrdma=replace(RpcRdmaConfig(), reply_timeout_us=30_000.0))
 
 SHAPES = {
     "one-server": lambda **kw: ClusterConfig(**kw),
@@ -33,14 +46,18 @@ SHAPES = {
 def _plan(fault) -> FaultPlan:
     if isinstance(fault, QpKill):
         return FaultPlan(seed=3, qp_kills=(fault,))
+    if isinstance(fault, ServerStall):
+        return FaultPlan(seed=3, server_stalls=(fault,))
     return FaultPlan(seed=3, server_crashes=(fault,))
 
 
 @pytest.mark.parametrize("shape", list(SHAPES))
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_leaves_clean_teardown(shape, fault):
+    timer = {"profile": TIMED} if isinstance(fault, ServerStall) else {}
     cluster = Cluster(SHAPES[shape](transport="rdma-rw", nclients=4,
-                                    sanitizer=True, fault_plan=_plan(fault)))
+                                    sanitizer=True, fault_plan=_plan(fault),
+                                    **timer))
     run_iozone(cluster, IozoneParams(record_bytes=64 * 1024,
                                      file_bytes=1 << 20, ops_per_thread=16))
     cluster.sim.run(until=cluster.sim.now + 1_000_000.0)

@@ -1,16 +1,10 @@
 """Each RPC/RDMA message is encoded once: the transport size-tests the
-encoded bytes against the inline threshold and sends those same bytes,
-and a retransmit resends them without encoding again."""
-
-from dataclasses import replace
+encoded bytes against the inline threshold and sends those same bytes."""
 
 import pytest
 
-from repro.analysis import SOLARIS_SDR
-from repro.core.config import RpcRdmaConfig
 from repro.core.header import MessageType, RpcRdmaHeader
 from repro.experiments import Cluster, ClusterConfig
-from repro.faults import FaultPlan
 
 MSG, DONE = MessageType.RDMA_MSG, MessageType.RDMA_DONE
 
@@ -57,28 +51,3 @@ def test_one_encode_per_message(transport, read_reply, encodes):
         encodes.clear()
         cluster.run(op)
         assert encodes == expected, name
-
-
-def test_retransmit_resends_the_encoded_bytes(encodes):
-    profile = replace(SOLARIS_SDR,
-                      rpcrdma=replace(RpcRdmaConfig(), reply_timeout_us=20_000.0))
-    cluster = Cluster(ClusterConfig(transport="rdma-rw", profile=profile,
-                                    fault_plan=FaultPlan(seed=11)))
-    nfs, fh = _mount(cluster)
-    transport = cluster.mounts[0].transport
-    sent = []
-    send_header = transport.send_header
-
-    def recording(wire):
-        sent.append(wire)
-        return (yield from send_header(wire))
-
-    transport.send_header = recording
-    encodes.clear()
-    # Lose the call on its way in: only the reply timer can recover it.
-    cluster.faults.drop_next(cluster.server_node.name, 1)
-    cluster.run(nfs.getattr(fh))
-    assert transport.retransmissions.events == 1
-    assert cluster.faults.messages_dropped.events == 1
-    assert len(sent) == 2 and sent[1] is sent[0]
-    assert encodes == [MSG, MSG]  # the call once, the one reply once

@@ -140,6 +140,30 @@ def test_dirty_limit_forces_synchronous_flush():
     assert rpcs > 0  # crossed the dirty limit: flushed without close
 
 
+def test_rewriting_a_dirty_page_counts_it_once():
+    """A page rewritten while dirty is one dirty page, not one per write:
+    four rewrites stay under a two-page limit, and once flushed a write
+    to another page starts from an empty dirty budget."""
+    page = 64 * 1024
+    c, (cache,) = make(page_bytes=page, dirty_limit_bytes=2 * page)
+
+    def proc():
+        fh, _ = yield from cache.inner.create(cache.root, "hot")
+        handle = yield from cache.open(fh)
+        before = cache.inner.ops.events
+        for fill in b"1234":
+            yield from cache.write(handle, 0, bytes([fill]) * page)
+        rewrites = cache.inner.ops.events - before
+        yield from cache.flush(handle)
+        before = cache.inner.ops.events
+        yield from cache.write(handle, page, b"5" * page)
+        return rewrites, cache.inner.ops.events - before
+
+    rewrites, next_write = c.run(proc())
+    assert rewrites == 0
+    assert next_write == 0
+
+
 def test_close_to_open_consistency_between_clients():
     c, (alice, bob) = make(nclients=2)
 

@@ -1,40 +1,61 @@
-"""Retransmission + duplicate request cache: exactly-once under loss."""
+"""Redial + duplicate request cache: exactly-once under reply loss.
+
+The end-to-end cases run an NFS mount over RPC/RDMA (Read-Write) with
+a reply timer: a lost reply expires the timer, the client redials and
+resends the same xid with fresh chunks, and the server's DRC answers
+the duplicate without running the procedure again.
+"""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.osmodel import CPU, CPUConfig, InterruptController
-from repro.rpc import RpcCall, RpcReply, RpcServer, TcpRpcClient, TcpRpcServerTransport
+from repro.analysis import SOLARIS_SDR
+from repro.core.base import MAX_RECONNECTS, MAX_REPLY_TIMEOUT_US
+from repro.core.config import RpcRdmaConfig
+from repro.core.header import RpcRdmaHeader
+from repro.experiments import Cluster, ClusterConfig
+from repro.faults import FaultPlan
+from repro.ib.verbs import QPState
+from repro.nfs.protocol import NfsError
+from repro.rpc import RpcReply
 from repro.rpc.drc import DrcDecision, DuplicateRequestCache
 from repro.rpc.transport import RpcTimeout
-from repro.sim import Simulator
-from repro.tcpip import IPOIB_PROFILE, TcpConnection, TcpEndpoint
 
 PROG, VERS = 100003, 3
 
 
-def rig(retrans_timeout_us=50_000.0, max_retries=4, drc=None, handler_delay=5.0,
-        **client_kwargs):
-    sim = Simulator()
-    eps = []
-    for name in ("client", "server"):
-        cpu = CPU(sim, CPUConfig(cores=2), name=f"{name}.cpu")
-        irq = InterruptController(sim, cpu, name=f"{name}.irq")
-        eps.append(TcpEndpoint(sim, cpu, irq, IPOIB_PROFILE, name=name))
-    conn = TcpConnection(eps[0], eps[1])
-    client = TcpRpcClient(eps[0], conn, retrans_timeout_us=retrans_timeout_us,
-                          max_retries=max_retries, **client_kwargs)
-    server_transport = TcpRpcServerTransport(eps[1], conn)
-    rpc_server = RpcServer(sim, eps[1].cpu, nthreads=4, drc=drc)
-    executions = []
+def rig(reply_timeout_us=20_000.0, handler_delay_us=0.0):
+    """A one-mount Read-Write cluster with a reply timer, and a tally of
+    (xid, proc) executions of the NFS program."""
+    profile = replace(SOLARIS_SDR, rpcrdma=replace(
+        RpcRdmaConfig(), reply_timeout_us=reply_timeout_us))
+    cluster = Cluster(ClusterConfig(transport="rdma-rw", profile=profile,
+                                    fault_plan=FaultPlan(seed=11)))
+    executions: dict = {}
+    original = cluster.rpc_server._programs[(PROG, VERS)]
 
     def handler(call):
-        executions.append(call.xid)
-        yield sim.timeout(handler_delay)
-        return RpcReply(xid=call.xid, header=b"OK" + call.header[:2])
+        key = (call.xid, call.proc)
+        executions[key] = executions.get(key, 0) + 1
+        if handler_delay_us:
+            yield cluster.sim.timeout(handler_delay_us)
+        return (yield from original(call))
 
-    rpc_server.register_program(PROG, VERS, handler)
-    server_transport.attach(rpc_server)
-    return sim, client, server_transport, rpc_server, executions
+    cluster.rpc_server._programs[(PROG, VERS)] = handler
+    return cluster, cluster.mounts[0].transport, executions
+
+
+def create(cluster, name="once", lose_replies=0):
+    """CREATE ``name``, losing the next ``lose_replies`` replies."""
+    nfs = cluster.mounts[0].nfs
+
+    def proc():
+        cluster.faults.drop_next("client0", lose_replies)
+        fh, _ = yield from nfs.create(nfs.root, name)
+        return fh
+
+    return cluster.run(proc())
 
 
 # ---------------------------------------------------------------- DRC unit
@@ -72,132 +93,107 @@ def test_drc_validation():
 
 # ---------------------------------------------------------------- end to end
 def test_no_loss_no_retransmission():
-    sim, client, st, rs, executions = rig()
-
-    def proc():
-        reply = yield from client.call(RpcCall(prog=PROG, vers=VERS, proc=0,
-                                               header=b"hi"))
-        return reply
-
-    reply = sim.run_until_complete(sim.process(proc()))
-    assert reply.header[:2] == b"OK"
-    assert client.retransmissions.events == 0
+    cluster, transport, executions = rig()
+    create(cluster)
+    assert transport.retransmissions.events == 0
+    assert transport.reconnects.events == 0
+    assert list(executions.values()) == [1]
 
 
 def test_lost_reply_recovered_by_retransmission():
-    drc = DuplicateRequestCache()
-    sim, client, st, rs, executions = rig(drc=drc)
-    st.drop_next_replies = 1  # first reply vanishes
-
-    def proc():
-        reply = yield from client.call(RpcCall(prog=PROG, vers=VERS, proc=8,
-                                               header=b"cr"))
-        return reply
-
-    reply = sim.run_until_complete(sim.process(proc()))
-    assert reply.header[:2] == b"OK"
-    assert client.retransmissions.events == 1
-    assert st.replies_dropped.events == 1
+    cluster, transport, executions = rig()
+    create(cluster, lose_replies=1)
+    assert transport.retransmissions.events == 1
+    assert transport.reconnects.events == 1
+    assert cluster.faults.messages_dropped.events == 1
     # The DRC replayed; the handler ran exactly once (exactly-once!).
-    assert len(executions) == 1
-    assert drc.replays.events == 1
+    assert list(executions.values()) == [1]
+    assert cluster.drc.replays.events == 1
 
 
 def test_multiple_losses_with_backoff():
-    drc = DuplicateRequestCache()
-    sim, client, st, rs, executions = rig(drc=drc, max_retries=5)
-    st.drop_next_replies = 3
-
-    def proc():
-        reply = yield from client.call(RpcCall(prog=PROG, vers=VERS, proc=8,
-                                               header=b"zz"))
-        return reply
-
-    reply = sim.run_until_complete(sim.process(proc()))
-    assert reply.header[:2] == b"OK"
-    assert client.retransmissions.events == 3
-    assert len(executions) == 1
+    cluster, transport, executions = rig()
+    create(cluster, lose_replies=3)
+    assert transport.retransmissions.events == 3
+    assert transport.reconnects.events == 3
+    assert list(executions.values()) == [1]
 
 
 def test_slow_handler_duplicate_dropped_not_reexecuted():
-    """Retransmit while the original is still executing: the duplicate
-    must neither re-execute nor produce a second reply."""
-    drc = DuplicateRequestCache()
-    sim, client, st, rs, executions = rig(
-        drc=drc, retrans_timeout_us=10_000.0, handler_delay=25_000.0
-    )
-
-    def proc():
-        reply = yield from client.call(RpcCall(prog=PROG, vers=VERS, proc=8,
-                                               header=b"sl"))
-        return reply
-
-    reply = sim.run_until_complete(sim.process(proc()))
-    assert reply.header[:2] == b"OK"
-    assert client.retransmissions.events >= 1
-    assert len(executions) == 1
-    assert drc.drops.events >= 1
+    """Resend while the original is still executing: the duplicate's
+    responder is parked on the new connection, not re-executed."""
+    cluster, transport, executions = rig(reply_timeout_us=10_000.0,
+                                         handler_delay_us=25_000.0)
+    create(cluster)
+    assert transport.retransmissions.events >= 1
+    assert list(executions.values()) == [1]
+    assert cluster.drc.drops.events >= 1
 
 
 def test_exhausted_retries_raise_timeout():
-    drc = DuplicateRequestCache()
-    sim, client, st, rs, executions = rig(drc=drc, max_retries=2)
-    st.drop_next_replies = 10  # everything vanishes
-
-    def proc():
-        try:
-            yield from client.call(RpcCall(prog=PROG, vers=VERS, proc=8,
-                                           header=b"xx"))
-        except RpcTimeout:
-            return "timed-out"
-        return "unexpected"
-
-    assert sim.run_until_complete(sim.process(proc())) == "timed-out"
+    cluster, transport, executions = rig()
+    with pytest.raises(RpcTimeout):
+        create(cluster, lose_replies=10)  # everything vanishes
+    assert transport.reconnects.events == MAX_RECONNECTS
+    assert transport.retransmissions.events == MAX_RECONNECTS + 1
+    assert list(executions.values()) == [1]
 
 
-def test_tcp_backoff_capped():
-    """Exponential backoff stops doubling at the configured ceiling."""
-    sim, client, st, rs, executions = rig(
-        retrans_timeout_us=10_000.0, max_retries=5,
-        max_retrans_timeout_us=20_000.0,
-    )
-    st.drop_next_replies = 10
-
-    def proc():
-        try:
-            yield from client.call(RpcCall(prog=PROG, vers=VERS, proc=8,
-                                           header=b"xx"))
-        except RpcTimeout:
-            return sim.now
-        return None
-
-    elapsed = sim.run_until_complete(sim.process(proc()))
-    assert elapsed is not None
-    # Capped: 10k + 20k*5 = 110k (plus wire time).  Uncapped doubling
-    # would need 10k+20k+40k+80k+160k+320k = 630k.
-    assert elapsed < 200_000.0
-    assert client.retransmissions.events == 5
-
-
-def test_tcp_backoff_cap_validation():
-    sim = Simulator()
-    cpu = CPU(sim, CPUConfig(cores=2), name="c.cpu")
-    irq = InterruptController(sim, cpu, name="c.irq")
-    ep = TcpEndpoint(sim, cpu, irq, IPOIB_PROFILE, name="c")
-    conn = TcpConnection(ep, ep)
-    with pytest.raises(ValueError):
-        TcpRpcClient(ep, conn, max_retrans_timeout_us=0.0)
+def test_reply_timer_backoff_capped():
+    """Each attempt's timer doubles, but stops at MAX_REPLY_TIMEOUT_US."""
+    first = 0.75 * MAX_REPLY_TIMEOUT_US
+    cluster, transport, executions = rig(reply_timeout_us=first)
+    start = cluster.sim.now
+    with pytest.raises(RpcTimeout):
+        create(cluster, lose_replies=10)
+    elapsed = cluster.sim.now - start
+    # Capped (±10% jitter): first + 4 × ~cap.  Uncapped doubling would
+    # need first × (1 + 2 + 4 + 8 + 16) = 31 × first.
+    assert first + MAX_RECONNECTS * 0.9 * MAX_REPLY_TIMEOUT_US < elapsed
+    assert elapsed < first + MAX_RECONNECTS * 1.2 * MAX_REPLY_TIMEOUT_US
 
 
 def test_without_drc_retransmission_reexecutes():
     """The hazard the DRC exists to prevent, demonstrated."""
-    sim, client, st, rs, executions = rig(drc=None)
-    st.drop_next_replies = 1
+    cluster, transport, executions = rig()
+    cluster.rpc_server.drc = None
+    # Re-executed, the exclusive CREATE fails on the file it just made.
+    with pytest.raises(NfsError, match="EXIST"):
+        create(cluster, lose_replies=1)
+    assert list(executions.values()) == [2]  # not exactly-once
 
-    def proc():
-        reply = yield from client.call(RpcCall(prog=PROG, vers=VERS, proc=8,
-                                               header=b"cr"))
-        return reply
 
-    sim.run_until_complete(sim.process(proc()))
-    assert len(executions) == 2  # re-executed: not exactly-once
+def test_timeout_resends_on_a_new_qp():
+    """A timed-out READ goes out again with the same xid on a new QP,
+    and its first QP was in ERROR before its chunks were released, so
+    the late reply cannot land in them."""
+    cluster, transport, executions = rig()
+    nfs = cluster.mounts[0].nfs
+    fh = create(cluster)
+    sends = []
+    send_header = transport.send_header
+
+    def recording_send(wire):
+        sends.append((transport.qp, RpcRdmaHeader.decode(wire).xid))
+        return (yield from send_header(wire))
+
+    released = []
+    release = transport.strategy.release
+
+    def recording_release(region):
+        released.append(sends[0][0].state)
+        return (yield from release(region))
+
+    transport.send_header = recording_send
+    transport.strategy.release = recording_release
+
+    def read():
+        cluster.faults.drop_next("client0", 1)
+        data, _, _ = yield from nfs.read(fh, 0, 64 * 1024)
+        return data
+
+    cluster.run(read())
+    (qp1, xid1), (qp2, xid2) = sends
+    assert xid1 == xid2
+    assert qp2 is not qp1 and qp2.state is QPState.RTS
+    assert released and all(state is QPState.ERROR for state in released)

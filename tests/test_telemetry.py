@@ -6,8 +6,8 @@ Covers the PR's acceptance criteria:
   tree (client op → RPC call → dispatch → nfsd → file system, and
   dispatch → reply → RDMA Write → Send) with per-lane HCA spans that
   are monotone and non-overlapping;
-* an injected reply drop yields a retransmit span sharing the original
-  call's xid and trace id;
+* an injected reply drop yields a second ``rpc.call`` span for the
+  same xid, after the redial that resends it;
 * the golden 17-point grid is bit-identical with telemetry off and on;
 * the Chrome export carries every required ``trace_event`` key and
   round-trips through JSON.
@@ -16,11 +16,14 @@ Covers the PR's acceptance criteria:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import SOLARIS_SDR
+from repro.core.config import RpcRdmaConfig
 from repro.experiments import Cluster, ClusterConfig
+from repro.faults import FaultPlan
 
 
 def make_cluster(**kwargs):
@@ -128,27 +131,28 @@ def test_regcache_hit_instants():
     assert c.server_strategy.hits.events == len(hits)
 
 
-def test_tcp_retransmit_span_shares_trace():
-    c = make_cluster(transport="tcp-ipoib", strategy="dynamic",
-                     profile=SOLARIS_SDR)
+def test_redial_resend_shares_xid():
+    """A lost reply over RDMA: the timed-out attempt and its resend are
+    two ``rpc.call`` spans with one xid, with the redial between them."""
+    profile = replace(SOLARIS_SDR, rpcrdma=replace(
+        RpcRdmaConfig(), reply_timeout_us=30_000.0))
+    c = make_cluster(transport="rdma-rw", profile=profile,
+                     fault_plan=FaultPlan(seed=11))
     mount = c.mounts[0]
-    mount.transport.retrans_timeout_us = 30_000.0
-    c.server_transports[0].drop_next_replies = 1
     nfs = mount.nfs
 
     def proc():
+        c.faults.drop_next("client0", 1)
         yield from nfs.getattr(nfs.root)
 
     c.run(proc())
     tracer = c.telemetry.tracer
-    retrans = _one(tracer.find(name="rpc.retransmit"))
-    call = _one(tracer.find(name="rpc.call",
-                            trace_id=retrans.trace_id))
-    assert retrans.args["xid"] == call.args["xid"]
-    assert retrans.parent_id == call.id
+    first, second = sorted(tracer.find(name="rpc.call"), key=lambda s: s.start)
+    assert first.args["xid"] == second.args["xid"]
+    redial = _one([i for i in tracer.instants if i["name"] == "rpc.redial"])
+    assert first.finish <= redial["ts"] <= second.start
     assert mount.transport.retransmissions.events == 1
-    drops = [i for i in tracer.instants if i["name"] == "fault.reply_dropped"]
-    assert len(drops) == 1
+    assert mount.transport.reconnects.events == 1
 
 
 # ---------------------------------------------------------------- zero cost
