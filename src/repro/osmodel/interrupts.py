@@ -23,7 +23,6 @@ class InterruptController:
         sim: Simulator,
         cpu: CPU,
         cost_us: float = 4.0,
-        coalesce_window_us: float = 0.0,
         name: str = "irq",
     ):
         if cost_us < 0:
@@ -31,32 +30,16 @@ class InterruptController:
         self.sim = sim
         self.cpu = cpu
         self.cost_us = cost_us
-        self.coalesce_window_us = coalesce_window_us
         self.name = name
         self.delivered = Counter(f"{name}.delivered")
-        self.coalesced = Counter(f"{name}.coalesced")
-        self._last_delivery = -float("inf")
 
     def charge(self) -> Iterable:
-        """Deliver one interrupt's CPU charge; drive with ``yield from``.
-
-        If a previous interrupt was delivered within the coalescing
-        window the CPU charge is skipped: this models completion-event
-        moderation on the HCA.
-        """
-        now = self.sim.now
-        if self.coalesce_window_us > 0 and now - self._last_delivery < self.coalesce_window_us:
-            self.coalesced.add()
-            return ()
-        self._last_delivery = now
+        """Deliver one interrupt's CPU charge; drive with ``yield from``."""
         self.delivered.add()
         return self.cpu.consume(self.cost_us, -1)
 
     def raise_irq(self, handler: Optional[Callable[[], Generator]] = None) -> Generator:
-        """Process generator: deliver one interrupt, then run ``handler``.
-
-        The handler runs even when the charge is coalesced away.
-        """
+        """Process generator: deliver one interrupt, then run ``handler``."""
         yield from self.charge()
         if handler is not None:
             yield from handler()

@@ -19,7 +19,7 @@ from typing import Generator
 
 from repro.ib.link import DuplexLink
 from repro.osmodel import CPU, InterruptController
-from repro.sim import Counter, Simulator, Store
+from repro.sim import Counter, Resource, Simulator, Store
 
 from repro.tcpip.nic import NicProfile
 
@@ -56,6 +56,22 @@ class TcpEndpoint:
         return passes * self.cpu.config.copy_cost_us(nbytes) + self.profile.per_segment_cpu_us
 
 
+class _Direction:
+    """One direction of a connection: the sender, the receiver, the two
+    pipeline stages its segments pass through, and the receiver's inbox."""
+
+    __slots__ = ("side", "peer", "tx_stage", "rx_stage", "inbox")
+
+    def __init__(self, sim: Simulator, side: TcpEndpoint, peer: TcpEndpoint):
+        self.side = side
+        self.peer = peer
+        # Pipeline stages keep segments ordered within the direction
+        # while letting CPU work overlap wire time.
+        self.tx_stage = Resource(sim)
+        self.rx_stage = Resource(sim)
+        self.inbox = Store(sim)
+
+
 class TcpConnection:
     """A reliable, ordered, bidirectional message pipe between endpoints."""
 
@@ -70,22 +86,18 @@ class TcpConnection:
         self.conn_id = next(_conn_ids)
         self.a = a
         self.b = b
-        self._rx: dict[int, Store] = {id(a): Store(self.sim), id(b): Store(self.sim)}
-        # Per-direction pipeline stages: keep segments ordered within a
-        # direction while letting CPU work overlap wire time.
-        from repro.sim import Resource
-
-        self._tx_stage = {id(a): Resource(self.sim), id(b): Resource(self.sim)}
-        self._rx_stage = {id(a): Resource(self.sim), id(b): Resource(self.sim)}
+        self._ab = _Direction(self.sim, a, b)
+        self._ba = _Direction(self.sim, b, a)
         self.bytes_sent = Counter(f"tcp{self.conn_id}.bytes")
         self.messages_sent = Counter(f"tcp{self.conn_id}.messages")
         self.closed = False
 
-    def _other(self, side: TcpEndpoint) -> TcpEndpoint:
+    def _direction(self, side: TcpEndpoint, inbound: bool = False) -> _Direction:
+        """The direction ``side`` sends on, or with ``inbound`` receives on."""
         if side is self.a:
-            return self.b
+            return self._ba if inbound else self._ab
         if side is self.b:
-            return self.a
+            return self._ab if inbound else self._ba
         raise ValueError("endpoint not part of this connection")
 
     def send(self, side: TcpEndpoint, message: bytes) -> Generator:
@@ -96,13 +108,18 @@ class TcpConnection:
         """
         if self.closed:
             raise ConnectionError("send on closed TCP connection")
-        peer = self._other(side)
-        profile = side.profile
+        direction = self._direction(side)
+        peer = direction.peer
         total = len(message)
-        sizes = [0] if total == 0 else [
-            min(profile.segment_bytes, total - off)
-            for off in range(0, total, profile.segment_bytes)
-        ]
+        # The message plan: one (bytes, tx_us, rx_us) per segment.  Every
+        # full-size segment costs the same, so they share one tuple priced
+        # once; the tail (or the one empty segment of an empty message)
+        # gets its own.
+        step = side.profile.segment_bytes
+        full, tail = divmod(total, step)
+        plan = [(step, side._tx_cpu_us(step), peer._rx_cpu_us(step))] * full if full else []
+        if tail or not full:
+            plan.append((tail, side._tx_cpu_us(tail), peer._rx_cpu_us(tail)))
         # Three-stage pipeline per segment: tx CPU, wire, rx CPU.  Stages
         # are FIFO resources so segments stay ordered within a direction
         # while stage N+1 of one segment overlaps stage N of the next —
@@ -117,31 +134,33 @@ class TcpConnection:
         # overtakes the two-chunk segments before it), so ``done`` fires
         # when the last one to *finish* counts ``left`` down to zero.
         done = self.sim.event()
-        req = self._tx_stage[id(side)].request()
-        self.sim.process(self._segment(side, peer, sizes, 0, req, [len(sizes)], done))
+        req = direction.tx_stage.request()
+        self.sim.process(self._segment(direction, plan, 0, req, [len(plan)], done))
         yield done
         self.bytes_sent.add(total)
         self.messages_sent.add(1)
-        yield self._rx[id(peer)].put(message)
+        yield direction.inbox.put(message)
 
-    def _segment(self, side: TcpEndpoint, peer: TcpEndpoint, sizes: list[int],
+    def _segment(self, direction: _Direction, plan: list[tuple[int, float, float]],
                  k: int, req, left: list[int], done) -> Generator:
-        rx_stage = self._rx_stage[id(side)]
-        seg = sizes[k]
+        side = direction.side
+        peer = direction.peer
+        seg, tx_us, rx_us = plan[k]
         if k == 0:
             yield req
         try:
             # Sender: copy into the stack + checksum + protocol work.
-            yield from side.cpu.consume(side._tx_cpu_us(seg))
+            yield from side.cpu.consume(tx_us)
         finally:
             # Hand the slot on: the successor starts its tx work only
             # once this segment's ends, which keeps the stage FIFO.
-            if k + 1 < len(sizes):
-                self.sim.process(self._segment(side, peer, sizes, k + 1, req, left, done))
+            if k + 1 < len(plan):
+                self.sim.process(self._segment(direction, plan, k + 1, req, left, done))
             else:
-                self._tx_stage[id(side)].release(req)
+                direction.tx_stage.release(req)
         # Wire: occupies sender egress and receiver ingress.
         yield from side.port.transfer(peer.port, seg)
+        rx_stage = direction.rx_stage
         req = rx_stage.request()
         yield req
         try:
@@ -150,7 +169,7 @@ class TcpConnection:
             if now - peer._rx_irq_last >= peer.profile.rx_interrupt_coalesce_us:
                 peer._rx_irq_last = now
                 yield from peer.irq.charge()
-            yield from peer.cpu.consume(peer._rx_cpu_us(seg))
+            yield from peer.cpu.consume(rx_us)
         finally:
             rx_stage.release(req)
         left[0] -= 1
@@ -159,12 +178,11 @@ class TcpConnection:
 
     def recv(self, side: TcpEndpoint):
         """Event firing with the next message addressed to ``side``."""
-        if side is not self.a and side is not self.b:
-            raise ValueError("endpoint not part of this connection")
-        return self._rx[id(side)].get()
+        return self._direction(side, inbound=True).inbox.get()
 
     def pending(self, side: TcpEndpoint) -> int:
-        return len(self._rx[id(side)])
+        """Messages delivered to ``side`` and not yet received."""
+        return len(self._direction(side, inbound=True).inbox)
 
     def close(self) -> None:
         self.closed = True

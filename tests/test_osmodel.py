@@ -102,23 +102,6 @@ def test_interrupt_charges_cpu():
     assert irq.delivered.events == 1
 
 
-def test_interrupt_coalescing_skips_cpu_charge():
-    sim = Simulator()
-    cpu = CPU(sim, CPUConfig(cores=1))
-    irq = InterruptController(sim, cpu, cost_us=4.0, coalesce_window_us=100.0)
-
-    def proc():
-        yield from irq.raise_irq()
-        yield from irq.raise_irq()  # inside window: coalesced
-        yield sim.timeout(200.0)
-        yield from irq.raise_irq()  # outside window: charged
-
-    sim.run_until_complete(sim.process(proc()))
-    assert irq.delivered.events == 2
-    assert irq.coalesced.events == 1
-    assert cpu.busy_us_total == pytest.approx(8.0)
-
-
 def test_interrupt_runs_handler():
     sim = Simulator()
     cpu = CPU(sim, CPUConfig(cores=1))

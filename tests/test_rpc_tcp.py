@@ -196,6 +196,119 @@ def test_send_returns_when_last_segment_finishes(core, profile, size, returns_at
     assert taken == steps
 
 
+def test_foreign_endpoint_rejected_everywhere():
+    """send, recv and pending all refuse an endpoint outside the connection."""
+    sim, c, s = make_endpoints()
+    conn = TcpConnection(c, s)
+    stranger = TcpEndpoint(sim, c.cpu, c.irq, IPOIB_PROFILE, name="stranger")
+    with pytest.raises(ValueError):
+        next(conn.send(stranger, b"x"))
+    with pytest.raises(ValueError):
+        conn.recv(stranger)
+    with pytest.raises(ValueError):
+        conn.pending(stranger)
+
+
+PLAN_SNIPPET = """
+import json
+from repro.osmodel import CPU, CPUConfig, InterruptController
+from repro.sim import Simulator
+from repro.sim.engine import ACTIVE_CORE
+from repro.tcpip import GIGE_PROFILE, IPOIB_PROFILE, TcpConnection, TcpEndpoint
+
+assert ACTIVE_CORE == {core!r}, ACTIVE_CORE
+sim = Simulator()
+profile = {profile}
+eps = []
+# Unequal copy bandwidths, so a price taken from the wrong host shows.
+for name, memcpy_mb_s in (("client", 1600.0), ("server", 1100.0)):
+    cpu = CPU(sim, CPUConfig(cores=2, memcpy_mb_s=memcpy_mb_s), name=name + ".cpu")
+    irq = InterruptController(sim, cpu, cost_us=4.0, name=name + ".irq")
+    eps.append(TcpEndpoint(sim, cpu, irq, profile, name=name))
+c, s = eps
+conn = TcpConnection(c, s)
+step = profile.segment_bytes
+sizes = [0, 1, step - 1, step, step + 1, 1 << 20]
+
+
+def sender(side, returns):
+    for size in sizes:
+        yield from conn.send(side, bytes(size))
+        returns.append(sim.now)
+
+
+def receiver(side):
+    for size in sizes:
+        assert len((yield conn.recv(side))) == size
+
+
+def competitor():
+    while True:
+        yield from c.cpu.consume(7.5)
+        yield sim.timeout(3.0)
+
+
+returns = ([], [])
+senders = [sim.process(sender(c, returns[0])), sim.process(sender(s, returns[1]))]
+sim.process(receiver(c))
+sim.process(receiver(s))
+sim.process(competitor())
+
+
+def main():
+    yield sim.all_of(senders)
+
+
+sim.run_until_complete(sim.process(main()))
+print(json.dumps({{
+    "returns": returns,
+    "busy_us": [c.cpu.busy_us_total, s.cpu.busy_us_total],
+    "bytes_carried": [c.port.tx.bytes_carried.value, c.port.rx.bytes_carried.value,
+                      s.port.tx.bytes_carried.value, s.port.rx.bytes_carried.value],
+    "irq_delivered": [c.irq.delivered.events, s.irq.delivered.events],
+    "steps": sim.steps,
+}}))
+"""
+
+
+@pytest.mark.parametrize("core", CORES)
+@pytest.mark.parametrize("profile,expected", [
+    pytest.param("GIGE_PROFILE", {
+        "returns": [[32.0, 64.01197727272726, 488.4712727272727,
+                     912.9425454545454, 1353.4218181818183, 12535.906181818204],
+                    [32.0, 64.01169318181817, 479.16218181818186,
+                     894.3243636363636, 1325.4945454545457, 11673.680727272746]],
+        "busy_us": [12953.503125000014, 5665.09545454545],
+        "bytes_carried": [1146881.0, 1146881.0, 1146881.0, 1146881.0],
+        "irq_delivered": [37, 37],
+        "steps": 4745,
+    }, id="gige"),
+    pytest.param("IPOIB_PROFILE", {
+        "returns": [[36.53894736842105, 73.0859928229665, 175.95636363636362,
+                     278.83483253588514, 401.71784688995217, 7773.614497607635],
+                    [36.53894736842105, 73.08570873205741, 173.6290909090909,
+                     274.1802870813397, 396.9204575358852, 7408.257846889962]],
+        "busy_us": [14415.485624999996, 13604.342727272779],
+        "bytes_carried": [1073153.0, 1073153.0, 1073153.0, 1073153.0],
+        "irq_delivered": [134, 134],
+        "steps": 4698,
+    }, id="ipoib"),
+])
+def test_segment_costs_bit_identical(core, profile, expected):
+    """Per-segment tx/rx CPU prices, wire bytes and interrupts are pinned.
+
+    Messages of 0, 1, segment-1, segment, segment+1 bytes and 1 MiB go
+    both ways at once while another process competes for the client
+    CPU, so the empty segment, a tail, an exact fit, a one-byte tail and
+    a long run of full segments all price and interleave.  Every float is
+    compared exactly.  The literals were recorded while every segment
+    priced itself, so pricing a message once per distinct segment size
+    must give the same bits.
+    """
+    got = run_json(core, PLAN_SNIPPET.format(core=core, profile=profile))
+    assert got == expected
+
+
 # ---------------------------------------------------------------- rpc messages
 def test_rpc_call_encode_decode_roundtrip():
     call = Call(prog=100003, vers=3, proc=6, header=b"\x01\x02\x03\x04")
