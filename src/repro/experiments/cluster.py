@@ -355,11 +355,11 @@ class ServerStack:
         """TCP connect from ``host``; returns the client transport."""
         client_ep = TcpEndpoint(self.sim, host.cpu, host.irq, self.nic,
                                 name=f"{host.name}.tcp")
-        server_ep = TcpEndpoint(self.sim, self.node.cpu, self.node.irq,
-                                self.nic, name=f"{self.name}.tcp.{host.name}")
+        name = f"{self.name}.tcp.{host.name}"
         if self._tcp_port is None:
-            self._tcp_port = server_ep.port
-        server_ep.port = self._tcp_port
+            self._tcp_port = self.nic.port(self.sim, f"{name}.{self.nic.name}")
+        server_ep = TcpEndpoint(self.sim, self.node.cpu, self.node.irq,
+                                self.nic, name=name, port=self._tcp_port)
         conn = TcpConnection(client_ep, server_ep)
         client = TcpRpcClient(client_ep, conn)
         server = TcpRpcServerTransport(server_ep, conn)

@@ -27,7 +27,7 @@ from typing import Generator
 
 from repro.payload import join_parts
 from repro.sim import Counter, Resource, Simulator
-from repro.ib.link import DuplexLink, LinkConfig
+from repro.ib.link import DuplexLink, LinkConfig, Route
 from repro.ib.memory import (
     AccessFlags,
     MemoryArena,
@@ -153,6 +153,7 @@ class HCA:
         if qp.peer is None:
             raise ValueError("activate before peer wired")
         effective_ord = min(qp.ord, qp.peer.ird)
+        qp.route = Route(self.port, qp.peer.hca.port)
         self._ord_slots[qp.qp_num] = Resource(
             self.sim, capacity=effective_ord, name=f"qp{qp.qp_num}.ord"
         )
@@ -257,7 +258,6 @@ class HCA:
 
     # -- SEND ---------------------------------------------------------------
     def _execute_send(self, qp: QueuePair, wr: SendWR) -> Generator:
-        peer_hca: HCA = qp.peer.hca
         san = self.sim.sanitizer
         if san is not None:
             san.on_wr_execute(self, wr)
@@ -270,21 +270,22 @@ class HCA:
         # Serialize onto the wire, then move on: propagation and remote
         # delivery overlap the next WQE (per-QP delivery lock keeps RC
         # in-order delivery).
-        yield from self.port.transfer(peer_hca.port, len(payload))
+        yield from qp.route.carry(len(payload))
         self.sim.process(self._deliver_send(qp, wr, payload),
                          name=f"{self.name}.dlv")
 
     def _deliver_send(self, qp: QueuePair, wr: SendWR, payload: bytes) -> Generator:
         peer_qp = qp.peer
         peer_hca: HCA = peer_qp.hca
-        yield self.sim.timeout(self.port.propagation_us(peer_hca.port))
-        hook = peer_hca.port.fault_hook
-        if hook is not None and hook.drop_message(peer_hca.port):
+        route = qp.route
+        yield self.sim.timeout(route.propagation_us)
+        hook = route.dst.fault_hook
+        if hook is not None and hook.drop_message(route.dst):
             # Injected loss at the receiving HCA/driver boundary: the
             # wire-level ack already went out, so the sender's CQE is a
             # success, but no receive ever fires — exactly the silent
             # loss an RPC reply timer exists to cover.
-            yield self.sim.timeout(peer_hca.port.config.latency_us)
+            yield self.sim.timeout(route.ack_us)
             wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
             return
         lock = self._delivery_locks[qp.qp_num].request()
@@ -325,12 +326,11 @@ class HCA:
             self.sends.add(len(payload))
         finally:
             self._delivery_locks[qp.qp_num].release(lock)
-        yield self.sim.timeout(peer_hca.port.config.latency_us)  # ack
+        yield self.sim.timeout(route.ack_us)
         wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
 
     # -- RDMA WRITE -----------------------------------------------------------
     def _execute_write(self, qp: QueuePair, wr: RdmaWriteWR) -> Generator:
-        peer_hca: HCA = qp.peer.hca
         san = self.sim.sanitizer
         if san is not None:
             san.on_wr_execute(self, wr)
@@ -340,13 +340,14 @@ class HCA:
             wr._complete(qp, qp.send_cq, CqeStatus.LOC_PROT_ERR, error=str(exc))
             self._fatal(qp, f"local protection error on write: {exc}")
             return
-        yield from self.port.transfer(peer_hca.port, len(payload))
+        yield from qp.route.carry(len(payload))
         self.sim.process(self._deliver_write(qp, wr, payload),
                          name=f"{self.name}.dlv")
 
     def _deliver_write(self, qp: QueuePair, wr: RdmaWriteWR, payload: bytes) -> Generator:
         peer_hca: HCA = qp.peer.hca
-        yield self.sim.timeout(self.port.propagation_us(peer_hca.port))
+        route = qp.route
+        yield self.sim.timeout(route.propagation_us)
         lock = self._delivery_locks[qp.qp_num].request()
         yield lock
         try:
@@ -381,7 +382,7 @@ class HCA:
             self.writes.add(len(payload))
         finally:
             self._delivery_locks[qp.qp_num].release(lock)
-        yield self.sim.timeout(peer_hca.port.config.latency_us)  # ack
+        yield self.sim.timeout(route.ack_us)
         wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
 
     # -- RDMA READ ---------------------------------------------------------------
@@ -392,7 +393,7 @@ class HCA:
         done = self.sim.event()
         self._outstanding_reads[qp.qp_num][done] = None
         # Tiny request packet to the responder; SQ then moves on.
-        yield from self.port.transfer(qp.peer.hca.port, _READ_REQUEST_BYTES)
+        yield from qp.route.carry(_READ_REQUEST_BYTES)
         self.sim.process(self._read_response(qp, wr, slot, done),
                          name=f"{self.name}.rdresp")
 
@@ -440,8 +441,8 @@ class HCA:
                     self._fatal(peer_qp, f"NAK sent for bad read: {exc}")
                     return
                 yield self.sim.timeout(peer_hca.config.read_response_setup_us)
-                yield from peer_hca.port.transfer(self.port, len(payload))
-                yield self.sim.timeout(peer_hca.port.propagation_us(self.port))
+                yield from peer_qp.route.carry(len(payload))
+                yield self.sim.timeout(peer_qp.route.propagation_us)
             finally:
                 engine.release(req)
                 peer_hca._inbound_reads_active[peer_qp.qp_num] -= 1

@@ -1,7 +1,12 @@
 """Wire model: full-duplex ports with bandwidth, latency and chunking.
 
-A node owns one port with independent transmit (egress) and receive
-(ingress) sides.  A message transfer claims the sender's egress and the
+A node owns one port (:class:`DuplexLink`) with independent transmit
+(egress) and receive (ingress) sides.  Traffic from one port to another
+moves over a :class:`Route`, built once per sending port → receiving
+port when a connection (a TCP direction or an RDMA queue pair) is
+wired: it takes the pair's bandwidth (the slower port's), chunk size,
+per-message overhead and latencies once, and prices each message with
+:meth:`Route.delays`.  A message claims the sender's egress and the
 receiver's ingress *per chunk*, so concurrent flows interleave fairly at
 chunk granularity while a single node's aggregate in/out bandwidth is
 capped by its port — which is exactly what caps the NFS server at its
@@ -17,7 +22,7 @@ from typing import Generator, Iterable
 
 from repro.sim import Counter, Resource, Simulator, UtilizationMeter
 
-__all__ = ["DuplexLink", "LinkConfig", "LinkFaultHook", "PortDirection"]
+__all__ = ["DuplexLink", "LinkConfig", "LinkFaultHook", "PortDirection", "Route"]
 
 
 class LinkFaultHook:
@@ -64,12 +69,10 @@ class LinkConfig:
             raise ValueError("bandwidth must be positive")
         if self.latency_us < 0:
             raise ValueError("latency must be non-negative")
+        if self.per_message_overhead_bytes < 0:
+            raise ValueError("per-message overhead must be non-negative")
         if self.chunk_bytes < 1024:
             raise ValueError("chunk size unreasonably small")
-
-    def wire_time_us(self, nbytes: int) -> float:
-        """Serialisation time for ``nbytes`` plus per-message overhead."""
-        return (nbytes + self.per_message_overhead_bytes) / self.bandwidth_mb_s
 
 
 class PortDirection:
@@ -96,51 +99,88 @@ class DuplexLink:
         #: optional LinkFaultHook; installed by a FaultInjector, else None.
         self.fault_hook = None
 
-    def propagation_us(self, dst: "DuplexLink") -> float:
-        """One-way propagation delay to ``dst`` (switch hop included)."""
-        return self.config.latency_us + dst.config.latency_us
-
-    def transfer(self, dst: "DuplexLink", nbytes: int) -> Iterable:
-        """Serialize ``nbytes`` from this port toward ``dst``; drive with
-        ``yield from``.
-
-        Completes when the last byte has left the wire — *not* when it
-        arrives; callers model propagation with :meth:`propagation_us`
-        so back-to-back messages pipeline the way real HCAs do.  Each
-        chunk claims source egress and then destination ingress (one
-        :meth:`Resource.hold <repro.sim.Resource.hold>` cycle per chunk,
-        the ingress as its partner), so the slower of the two ports
-        paces the transfer and concurrent flows share fairly.  The bytes
-        are counted on both ports when the transfer is issued.
-        """
-        if nbytes < 0:
-            raise ValueError("negative transfer size")
-        cfg = self.config
-        total = nbytes + cfg.per_message_overhead_bytes
-        bw = min(cfg.bandwidth_mb_s, dst.config.bandwidth_mb_s)
-        chunk = cfg.chunk_bytes
-        if total <= chunk:
-            delays = total / bw if total > 0 else []
-        else:
-            full, tail = divmod(total, chunk)
-            delays = [chunk / bw] * full
-            if tail:
-                delays.append(tail / bw)
-        self.tx.bytes_carried.add(nbytes)
-        dst.rx.bytes_carried.add(nbytes)
-        wire = self.tx.arbiter.hold(delays, 0, (self.tx.meter, dst.rx.meter),
-                                    dst.rx.arbiter)
-        if self.fault_hook is not None:
-            spike = self.fault_hook.transfer_delay_us(self, nbytes)
-            if spike > 0.0:
-                return self._after_spike(spike, wire)
-        return wire
-
-    def _after_spike(self, spike: float, wire: Iterable) -> Generator:
-        """A congestion spike (fault injection) delays the whole transfer."""
-        yield self.sim.timeout(spike)
-        yield from wire
-
     def utilization(self) -> tuple[float, float]:
         """(tx, rx) mean utilization since window reset."""
         return self.tx.meter.utilization(), self.rx.meter.utilization()
+
+
+class Route:
+    """The wire from one sending port to one receiving port, priced once.
+
+    A port pair's wire never changes, so its owner (a TCP direction or
+    an RDMA queue pair) builds one when it is wired and carries every
+    message over it.  Neither port refers to the route, so it is freed
+    with its owner by reference counting alone.
+    """
+
+    __slots__ = ("src", "dst", "bandwidth_mb_s", "chunk_bytes", "chunk_us",
+                 "overhead_bytes", "propagation_us", "ack_us", "arbiter",
+                 "partner", "meters", "tx_bytes", "rx_bytes")
+
+    def __init__(self, src: DuplexLink, dst: DuplexLink):
+        cfg = src.config
+        self.src = src
+        self.dst = dst
+        #: the slower of the two ports paces the pair.
+        self.bandwidth_mb_s = min(cfg.bandwidth_mb_s, dst.config.bandwidth_mb_s)
+        self.chunk_bytes = cfg.chunk_bytes
+        self.chunk_us = cfg.chunk_bytes / self.bandwidth_mb_s
+        self.overhead_bytes = cfg.per_message_overhead_bytes
+        #: one-way propagation delay, switch hop included.
+        self.propagation_us = cfg.latency_us + dst.config.latency_us
+        #: the receiver's side of the hop an ack takes back.
+        self.ack_us = dst.config.latency_us
+        self.arbiter = src.tx.arbiter
+        self.partner = dst.rx.arbiter
+        self.meters = (src.tx.meter, dst.rx.meter)
+        self.tx_bytes = src.tx.bytes_carried
+        self.rx_bytes = dst.rx.bytes_carried
+
+    def delays(self, nbytes: int):
+        """Wire time of an ``nbytes`` message with its overhead: one
+        delay, or a list with one per chunk (empty for zero bytes)."""
+        if nbytes < 0:
+            raise ValueError("negative transfer size")
+        total = nbytes + self.overhead_bytes
+        chunk = self.chunk_bytes
+        if total <= chunk:
+            return total / self.bandwidth_mb_s if total > 0 else []
+        full, tail = divmod(total, chunk)
+        delays = [self.chunk_us] * full
+        if tail:
+            delays.append(tail / self.bandwidth_mb_s)
+        return delays
+
+    def carry(self, nbytes: int, delays=None) -> Iterable:
+        """Serialize ``nbytes`` onto the wire; drive with ``yield from``.
+
+        ``delays`` is :meth:`delays` of ``nbytes`` when the caller has
+        priced the message already.  Completes when the last byte has
+        left the wire — *not* when it arrives; callers add
+        :attr:`propagation_us` so back-to-back messages pipeline the way
+        real HCAs do.  Each chunk claims source egress and then
+        destination ingress (one :meth:`Resource.hold
+        <repro.sim.Resource.hold>` cycle per chunk, the ingress as its
+        partner), so the slower of the two ports paces the transfer and
+        concurrent flows share fairly.  The bytes are counted on both
+        ports when the transfer is issued.  The source's fault hook is
+        read here, not at construction, because a fault injector
+        installs it after the connections are wired.
+        """
+        if delays is None:
+            delays = self.delays(nbytes)
+        self.tx_bytes.add(nbytes)
+        self.rx_bytes.add(nbytes)
+        wire = self.arbiter.hold(delays, 0, self.meters, self.partner)
+        hook = self.src.fault_hook
+        if hook is not None:
+            spike = hook.transfer_delay_us(self.src, nbytes)
+            if spike > 0.0:
+                return _after_spike(self.src.sim, spike, wire)
+        return wire
+
+
+def _after_spike(sim: Simulator, spike: float, wire: Iterable) -> Generator:
+    """A congestion spike (fault injection) delays the whole transfer."""
+    yield sim.timeout(spike)
+    yield from wire

@@ -314,6 +314,9 @@ class QueuePair:
         self.ord = ord
         self.state = QPState.RESET
         self.peer: Optional["QueuePair"] = None
+        #: the wire toward the peer's port (``repro.ib.link.Route``),
+        #: bound when the HCA activates the QP.
+        self.route = None
         self.sq: Store = Store(sim, name=f"qp{self.qp_num}.sq")
         self.rq: deque[RecvWR] = deque()
         #: shared receive pool (``repro.ib.srq``); when set, inbound

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Generator
 
-from repro.ib.link import DuplexLink
+from repro.ib.link import DuplexLink, Route
 from repro.osmodel import CPU, InterruptController
 from repro.sim import Counter, Resource, Simulator, Store
 
@@ -38,13 +38,17 @@ class TcpEndpoint:
         irq: InterruptController,
         profile: NicProfile,
         name: str = "tcp-ep",
+        port: DuplexLink | None = None,
     ):
         self.sim = sim
         self.cpu = cpu
         self.irq = irq
         self.profile = profile
         self.name = name
-        self.port: DuplexLink = profile.port(sim, f"{name}.{profile.name}")
+        #: the NIC port; endpoints sharing one physical NIC pass it in,
+        #: else the endpoint gets a port of its own.
+        self.port: DuplexLink = (profile.port(sim, f"{name}.{profile.name}")
+                                 if port is None else port)
         self._rx_irq_last = -float("inf")
 
     def _tx_cpu_us(self, nbytes: int) -> float:
@@ -57,14 +61,16 @@ class TcpEndpoint:
 
 
 class _Direction:
-    """One direction of a connection: the sender, the receiver, the two
-    pipeline stages its segments pass through, and the receiver's inbox."""
+    """One direction of a connection: the sender, the receiver, the wire
+    between their ports, the two pipeline stages its segments pass
+    through, and the receiver's inbox."""
 
-    __slots__ = ("side", "peer", "tx_stage", "rx_stage", "inbox")
+    __slots__ = ("side", "peer", "route", "tx_stage", "rx_stage", "inbox")
 
     def __init__(self, sim: Simulator, side: TcpEndpoint, peer: TcpEndpoint):
         self.side = side
         self.peer = peer
+        self.route = Route(side.port, peer.port)
         # Pipeline stages keep segments ordered within the direction
         # while letting CPU work overlap wire time.
         self.tx_stage = Resource(sim)
@@ -111,15 +117,18 @@ class TcpConnection:
         direction = self._direction(side)
         peer = direction.peer
         total = len(message)
-        # The message plan: one (bytes, tx_us, rx_us) per segment.  Every
-        # full-size segment costs the same, so they share one tuple priced
-        # once; the tail (or the one empty segment of an empty message)
-        # gets its own.
+        # The message plan: one (bytes, tx_us, wire delays, rx_us) per
+        # segment.  Every full-size segment costs the same, so they share
+        # one tuple priced once; the tail (or the one empty segment of an
+        # empty message) gets its own.
+        route = direction.route
         step = side.profile.segment_bytes
         full, tail = divmod(total, step)
-        plan = [(step, side._tx_cpu_us(step), peer._rx_cpu_us(step))] * full if full else []
+        plan = [(step, side._tx_cpu_us(step), route.delays(step),
+                 peer._rx_cpu_us(step))] * full if full else []
         if tail or not full:
-            plan.append((tail, side._tx_cpu_us(tail), peer._rx_cpu_us(tail)))
+            plan.append((tail, side._tx_cpu_us(tail), route.delays(tail),
+                         peer._rx_cpu_us(tail)))
         # Three-stage pipeline per segment: tx CPU, wire, rx CPU.  Stages
         # are FIFO resources so segments stay ordered within a direction
         # while stage N+1 of one segment overlaps stage N of the next —
@@ -141,11 +150,11 @@ class TcpConnection:
         self.messages_sent.add(1)
         yield direction.inbox.put(message)
 
-    def _segment(self, direction: _Direction, plan: list[tuple[int, float, float]],
-                 k: int, req, left: list[int], done) -> Generator:
+    def _segment(self, direction: _Direction, plan: list[tuple], k: int, req,
+                 left: list[int], done) -> Generator:
         side = direction.side
         peer = direction.peer
-        seg, tx_us, rx_us = plan[k]
+        seg, tx_us, wire, rx_us = plan[k]
         if k == 0:
             yield req
         try:
@@ -159,7 +168,7 @@ class TcpConnection:
             else:
                 direction.tx_stage.release(req)
         # Wire: occupies sender egress and receiver ingress.
-        yield from side.port.transfer(peer.port, seg)
+        yield from direction.route.carry(seg, wire)
         rx_stage = direction.rx_stage
         req = rx_stage.request()
         yield req

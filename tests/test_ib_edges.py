@@ -16,6 +16,7 @@ from repro.ib import (
     Segment,
     SendWR,
 )
+from repro.ib.link import DuplexLink, Route
 from repro.ib.verbs import Cqe, Opcode, QPState
 from repro.sim import Simulator
 
@@ -223,12 +224,16 @@ def test_link_config_validation():
         LinkConfig(latency_us=-1)
     with pytest.raises(ValueError):
         LinkConfig(chunk_bytes=100)
+    with pytest.raises(ValueError):
+        LinkConfig(per_message_overhead_bytes=-1)
 
 
 def test_wire_time_includes_overhead():
     cfg = LinkConfig(bandwidth_mb_s=1000.0, per_message_overhead_bytes=1000)
-    assert cfg.wire_time_us(0) == pytest.approx(1.0)
-    assert cfg.wire_time_us(9000) == pytest.approx(10.0)
+    sim = Simulator()
+    route = Route(DuplexLink(sim, cfg, "a"), DuplexLink(sim, cfg, "b"))
+    assert route.delays(0) == pytest.approx(1.0)
+    assert route.delays(9000) == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------- counters
