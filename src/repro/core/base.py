@@ -76,9 +76,16 @@ BACKOFF_JITTER = 0.1
 MAX_RECONNECTS = 4
 RECONNECT_BACKOFF_US = 1_000.0
 
+#: a reply header's lane fields on a dedicated connection.
+_NO_LANE = (None, 0, 0)
+
 
 def slice_segments(segments: list[Segment], offset: int, length: int) -> list[Segment]:
     """A sub-window of a (possibly fragmented) segment list."""
+    if offset == 0 and segments:
+        stag, addr, first = segments[0]
+        if 0 < length <= first:
+            return [Segment(stag, addr, length)]
     out: list[Segment] = []
     pos = 0
     for seg in segments:
@@ -196,6 +203,7 @@ class _RdmaEndpoint:
         #: layer, waited on before the first send.
         self.peer_ready = None
         self.failed = False
+        self._reclaim_name = f"{name}.reclaim"
 
     # -- connection binding ------------------------------------------------
     def _bind_qp(self, qp: QueuePair) -> None:
@@ -244,22 +252,25 @@ class _RdmaEndpoint:
         """Process: ship one encoded RPC/RDMA header (plus inline body)
         via Send.  Callers encode each message once and size-test those
         same bytes."""
-        if len(wire) > self.config.inline_threshold:
+        nbytes = len(wire)
+        if nbytes > self.config.inline_threshold:
             raise TransportError(
-                f"header of {len(wire)} bytes exceeds inline threshold "
+                f"header of {nbytes} bytes exceeds inline threshold "
                 f"{self.config.inline_threshold}"
             )
+        sim = self.sim
+        node = self.node
         region = yield self.send_pool.free.get()
-        yield from self.node.cpu.copy(len(wire))  # marshal into send buffer
-        region.fill(wire)
-        seg = region.segments[0]
-        wr = SendWR(self.sim, segments=[Segment(seg.stag, seg.addr, len(wire))])
-        telemetry = self.sim.telemetry
+        yield from node.cpu.copy(nbytes)  # marshal into send buffer
+        stag, addr, _ = region.segments[0]
+        region.buffer.fill(wire, addr - region.buffer.addr)
+        wr = SendWR(sim, segments=[Segment(stag, addr, nbytes)])
+        telemetry = sim.telemetry
         if telemetry is not None and telemetry.tracer is not None:
             wr.tspan = telemetry.tracer.task_span()
-        yield from self.node.hca.post_send(self.qp, wr)
+        yield from node.hca.post_send(self.qp, wr)
         self.headers_sent.add()
-        self.sim.process(self._reclaim_send(region, wr), name=f"{self.name}.reclaim")
+        sim.process(self._reclaim_send(region, wr), name=self._reclaim_name)
         return wr
 
     def _reclaim_send(self, region: RegisteredRegion, wr: SendWR) -> Generator:
@@ -451,49 +462,53 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
     def _attempt_call_inner(self, call: RpcCall, timeout_us: Optional[float]) -> Generator:
         if not self.ready.processed:
             yield self.ready
-        if self.peer_ready is not None and not self.peer_ready.processed:
-            yield self.peer_ready
+        peer_ready = self.peer_ready
+        if peer_ready is not None and not peer_ready.processed:
+            yield peer_ready
         if self.failed:
             raise TransportError(f"{self.name}: connection failed")
+        sim = self.sim
+        xid = call.xid
         yield from self.credits.acquire()
         yield from self.node.cpu.consume(PER_OP_CPU_US)
-        ctx: dict = {"regions": [], "call": call}
-        self._contexts[call.xid] = ctx
+        regions: list = []
+        ctx: dict = {"regions": regions, "call": call}
+        self._contexts[xid] = ctx
         try:
             header, wire = yield from self._build_call(call, ctx)
-            san = self.sim.sanitizer
+            san = sim.sanitizer
             if san is not None:
-                san.advertise(self.node.hca.tpt.name, call.xid, header.chunks)
-            waiter = Event(self.sim)
-            self._pending[call.xid] = waiter
+                san.advertise(self.node.hca.tpt.name, xid, header.chunks)
+            waiter = Event(sim)
+            self._pending[xid] = waiter
             qp = self.qp
             yield from self.send_header(wire)
             self.calls_sent.add()
-            reply_header: RpcRdmaHeader = yield from self._await_reply(
-                call, qp, waiter, timeout_us)
-            reply = yield from self._handle_reply(reply_header, ctx)
-            return reply
+            if timeout_us is None:
+                # No timer configured: zero extra events on this path.
+                reply_header: RpcRdmaHeader = yield waiter
+            else:
+                reply_header = yield from self._await_reply(
+                    call, qp, waiter, timeout_us)
+            return (yield from self._handle_reply(reply_header, ctx))
         finally:
-            self._contexts.pop(call.xid, None)
-            self._pending.pop(call.xid, None)
-            san = self.sim.sanitizer
+            self._contexts.pop(xid, None)
+            self._pending.pop(xid, None)
+            san = sim.sanitizer
             if san is not None:
-                san.retire(self.node.hca.tpt.name, call.xid)
-            for region in ctx["regions"]:
+                san.retire(self.node.hca.tpt.name, xid)
+            for region in regions:
                 yield from self.strategy.release(region)
             self.credits.release(ctx.get("new_grant"))
 
     def _await_reply(self, call: RpcCall, qp: QueuePair, waiter: Event,
-                     timeout_us: Optional[float]) -> Generator:
-        """Wait for the reply, or for the reply timer when one is set.
+                     timeout_us: float) -> Generator:
+        """Wait for the reply or for the reply timer.
 
         On expiry ``qp``, the connection the call went out on, enters
         ERROR before the caller releases the call's chunks: a late reply
         is then flushed by the HCA instead of landing in released
         memory, and ``call`` resends on a new connection."""
-        if timeout_us is None:
-            # No timer configured: zero extra events on this path.
-            return (yield waiter)
         yield AnyOf(self.sim, [waiter, self.sim.timeout(timeout_us)])
         if waiter.triggered:
             return waiter.value
@@ -692,6 +707,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         #: per-lane ledger, created lazily on the first version-2 call;
         #: stays None (zero cost) on dedicated connections.
         self.lanes: Optional[LaneLedger] = None
+        self._req_name = f"{name}.req"
         self.ready = self.sim.process(self._setup_pools(), name=f"{name}.setup")
 
     @property
@@ -749,7 +765,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             # don't head-of-line-block subsequent requests; a connection
             # dying mid-fetch fails that request, not the server.
             self.sim.process(self._handle_message_safely(header),
-                             name=f"{self.name}.req")
+                             name=self._req_name)
 
     def _srq_receiver(self) -> Generator:
         """Receive loop in shared-pool mode: drain this QP's inbox.
@@ -781,7 +797,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
                 continue
             self.srq.recycle(wr)
             self.sim.process(self._handle_message_safely(header),
-                             name=f"{self.name}.req")
+                             name=self._req_name)
 
     def _handle_message_safely(self, header: RpcRdmaHeader) -> Generator:
         try:
@@ -903,14 +919,15 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
 
         return respond
 
-    def _lane_reply_fields(self, ctx: dict) -> dict:
-        """Version-2 header fields echoing the call's lane; empty for
-        dedicated connections, which keeps replies at wire version 1."""
-        lane = ctx["header"].lane
+    def _lane_reply_fields(self, ctx: dict) -> tuple:
+        """The reply header's ``(lane, lane_seq, lane_credits)``: the
+        call's lane echoed at version 2, or ``_NO_LANE`` for dedicated
+        connections, which keeps replies at wire version 1."""
+        header = ctx["header"]
+        lane = header.lane
         if lane is None or self.lanes is None:
-            return {}
-        return {"lane": lane, "lane_seq": ctx["header"].lane_seq,
-                "lane_credits": self.lanes.grant_for(lane, self.grant())}
+            return _NO_LANE
+        return lane, header.lane_seq, self.lanes.grant_for(lane, self.grant())
 
     def _respond(self, ctx: dict, reply: RpcReply) -> Generator:
         raise NotImplementedError

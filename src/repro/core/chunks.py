@@ -19,7 +19,7 @@ counted sequence; segments are (handle u32, length u32, offset u64).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.ib.verbs import Segment
@@ -40,20 +40,34 @@ class ReadChunk:
         return self.segment.length
 
 
-@dataclass(frozen=True)
-class WriteChunk:
-    """A counted array of remotely-writable segments (one target window)."""
+class WriteChunk(tuple):
+    """A counted array of remotely-writable segments (one target window).
 
-    segments: tuple[Segment, ...]
+    An immutable tuple of its segments; ``segments`` names the same
+    tuple.
+    """
 
-    def __init__(self, segments):
-        object.__setattr__(self, "segments", tuple(segments))
-        if not self.segments:
+    __slots__ = ()
+
+    def __new__(cls, segments):
+        chunk = tuple.__new__(cls, segments)
+        if not chunk:
             raise ValueError("write chunk needs at least one segment")
+        return chunk
+
+    def __getnewargs__(self):
+        return (tuple(self),)
+
+    def __repr__(self) -> str:
+        return f"WriteChunk(segments={tuple(self)!r})"
+
+    @property
+    def segments(self) -> "WriteChunk":
+        return self
 
     @property
     def capacity(self) -> int:
-        return sum(s.length for s in self.segments)
+        return sum(s.length for s in self)
 
 
 #: one segment: handle, length, offset.
@@ -89,13 +103,31 @@ def _decode_read_chunk(dec: XdrDecoder) -> ReadChunk:
     return ReadChunk(position, Segment(stag, addr, length))
 
 
-@dataclass
 class ChunkList:
     """The three chunk lists carried by one RPC/RDMA header."""
 
-    read_chunks: list[ReadChunk] = field(default_factory=list)
-    write_chunks: list[WriteChunk] = field(default_factory=list)
-    reply_chunk: Optional[WriteChunk] = None
+    __slots__ = ("read_chunks", "write_chunks", "reply_chunk")
+
+    def __init__(self, read_chunks: Optional[list[ReadChunk]] = None,
+                 write_chunks: Optional[list[WriteChunk]] = None,
+                 reply_chunk: Optional[WriteChunk] = None):
+        self.read_chunks = [] if read_chunks is None else read_chunks
+        self.write_chunks = [] if write_chunks is None else write_chunks
+        self.reply_chunk = reply_chunk
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ChunkList:
+            return NotImplemented
+        return (self.read_chunks == other.read_chunks
+                and self.write_chunks == other.write_chunks
+                and self.reply_chunk == other.reply_chunk)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"ChunkList(read_chunks={self.read_chunks!r}, "
+                f"write_chunks={self.write_chunks!r}, "
+                f"reply_chunk={self.reply_chunk!r})")
 
     @property
     def empty(self) -> bool:
@@ -122,8 +154,5 @@ class ChunkList:
             for segs in dec.array(_decode_segments, max_items=256)
         ]
         reply = dec.optional(_decode_segments)
-        return cls(
-            read_chunks=read_chunks,
-            write_chunks=write_chunks,
-            reply_chunk=WriteChunk(reply) if reply else None,
-        )
+        return cls(read_chunks, write_chunks,
+                   WriteChunk(reply) if reply else None)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.chunks import ChunkList
@@ -51,22 +50,37 @@ _MTYPES = tuple(MessageType)
 _WITH_BODY = (MessageType.RDMA_MSG, MessageType.RDMA_MSGP)
 
 
-@dataclass
 class RpcRdmaHeader:
-    """One transport header, always sent inline via RDMA Send."""
+    """One transport header, always sent inline via RDMA Send.
 
-    xid: int
-    credits: int
-    mtype: MessageType
-    chunks: ChunkList = field(default_factory=ChunkList)
-    rpc_message: bytes = b""
-    #: virtual lane (mount id) on a shared QP; ``None`` on dedicated
-    #: connections, which keeps the wire encoding at version 1.
-    lane: Optional[int] = None
-    #: per-lane send sequence number (FIFO audit, version 2 only).
-    lane_seq: int = 0
-    #: per-lane credit grant on replies (version 2 only); 0 on calls.
-    lane_credits: int = 0
+    ``lane`` is the virtual lane (mount id) on a shared QP; ``None`` on
+    dedicated connections, which keeps the wire encoding at version 1.
+    ``lane_seq`` is the per-lane send sequence number (FIFO audit) and
+    ``lane_credits`` the per-lane credit grant on replies (0 on calls);
+    both are written at version 2 only.
+    """
+
+    __slots__ = ("xid", "credits", "mtype", "chunks", "rpc_message", "lane",
+                 "lane_seq", "lane_credits")
+
+    def __init__(self, xid: int, credits: int, mtype: MessageType,
+                 chunks: Optional[ChunkList] = None, rpc_message: bytes = b"",
+                 lane: Optional[int] = None, lane_seq: int = 0,
+                 lane_credits: int = 0):
+        self.xid = xid
+        self.credits = credits
+        self.mtype = mtype
+        self.chunks = ChunkList() if chunks is None else chunks
+        self.rpc_message = rpc_message
+        self.lane = lane
+        self.lane_seq = lane_seq
+        self.lane_credits = lane_credits
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"RpcRdmaHeader(xid={self.xid:#x}, credits={self.credits}, "
+                f"mtype={self.mtype!r}, chunks={self.chunks!r}, "
+                f"rpc_message=<{len(self.rpc_message)} bytes>, lane={self.lane}, "
+                f"lane_seq={self.lane_seq}, lane_credits={self.lane_credits})")
 
     def encode(self) -> bytes:
         """The wire bytes.  The transport encodes each message once and
@@ -100,6 +114,5 @@ class RpcRdmaHeader:
         message = b""
         if mtype in _WITH_BODY:
             message = dec.opaque()
-        return cls(xid=xid, credits=credits, mtype=mtype, chunks=chunks,
-                   rpc_message=message, lane=lane,
-                   lane_seq=lane_seq, lane_credits=lane_credits)
+        return cls(xid, credits, mtype, chunks, message, lane, lane_seq,
+                   lane_credits)

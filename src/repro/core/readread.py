@@ -182,14 +182,8 @@ class ReadReadServer(RpcRdmaServerBase):
 
         message = frame_message(reply_bytes, inline_payload)
         lane_fields = self._lane_reply_fields(ctx)
-        wire = RpcRdmaHeader(
-            xid=reply.xid,
-            credits=self.grant(),
-            mtype=MessageType.RDMA_MSG,
-            chunks=reply_chunks,
-            rpc_message=message,
-            **lane_fields,
-        ).encode()
+        wire = RpcRdmaHeader(reply.xid, self.grant(), MessageType.RDMA_MSG,
+                             reply_chunks, message, *lane_fields).encode()
         if len(wire) > self.config.inline_threshold:
             # RPC long reply, Read-Read style: expose the message itself.
             region = yield from self.strategy.acquire(len(message), AccessFlags.REMOTE_READ)
@@ -200,14 +194,8 @@ class ReadReadServer(RpcRdmaServerBase):
                 *(ReadChunk(position=0, segment=seg) for seg in region.segments),
                 *(c for c in reply_chunks.read_chunks if c.position != 0),
             ]
-            wire = RpcRdmaHeader(
-                xid=reply.xid,
-                credits=self.grant(),
-                mtype=MessageType.RDMA_NOMSG,
-                chunks=reply_chunks,
-                rpc_message=b"",
-                **lane_fields,
-            ).encode()
+            wire = RpcRdmaHeader(reply.xid, self.grant(), MessageType.RDMA_NOMSG,
+                                 reply_chunks, b"", *lane_fields).encode()
         if exposed:
             # Lifetime now rests with the client: nothing is released
             # until (unless!) its RDMA_DONE arrives.  Merge, don't

@@ -146,30 +146,29 @@ class ReadWriteServer(RpcRdmaServerBase):
         payload = reply.read_payload
 
         if payload:
-            fits_inline = (
-                4 + len(reply_bytes) + len(payload) + 64 <= self.config.inline_threshold
-            )
-            if call_header.chunks.write_chunks:
+            nbytes = len(payload)
+            write_chunks = call_header.chunks.write_chunks
+            if write_chunks:
                 # RDMA-Write the data into the client's advertised chunk.
-                target = call_header.chunks.write_chunks[0]
-                if len(payload) > target.capacity:
+                target = write_chunks[0]
+                if nbytes > target.capacity:
                     raise TransportError(
-                        f"{self.name}: {len(payload)} bytes exceed client's "
+                        f"{self.name}: {nbytes} bytes exceed client's "
                         f"write chunk of {target.capacity}"
                     )
                 region = yield from self.strategy.acquire(
-                    len(payload), AccessFlags.LOCAL_WRITE
+                    nbytes, AccessFlags.LOCAL_WRITE
                 )
                 ctx["regions"].append(region)
-                yield from self._crypt(len(payload))
+                yield from self._crypt(nbytes)
                 region.fill(payload)
-                yield from self.push_chunks(region, list(target.segments), len(payload))
+                yield from self.push_chunks(region, target, nbytes)
                 self.rdma_writes_issued.add()
                 # Echo the chunk trimmed to the bytes actually written.
                 reply_chunks.write_chunks.append(
-                    WriteChunk(slice_segments(list(target.segments), 0, len(payload)))
+                    WriteChunk(slice_segments(target, 0, nbytes))
                 )
-            elif fits_inline:
+            elif 4 + len(reply_bytes) + nbytes + 64 <= self.config.inline_threshold:
                 inline_payload = payload
             else:
                 raise TransportError(
@@ -178,14 +177,8 @@ class ReadWriteServer(RpcRdmaServerBase):
 
         message = frame_message(reply_bytes, inline_payload)
         lane_fields = self._lane_reply_fields(ctx)
-        wire = RpcRdmaHeader(
-            xid=reply.xid,
-            credits=self.grant(),
-            mtype=MessageType.RDMA_MSG,
-            chunks=reply_chunks,
-            rpc_message=message,
-            **lane_fields,
-        ).encode()
+        wire = RpcRdmaHeader(reply.xid, self.grant(), MessageType.RDMA_MSG,
+                             reply_chunks, message, *lane_fields).encode()
         if len(wire) > self.config.inline_threshold:
             # RPC long reply: write the whole message into the client's
             # reply chunk, send a bodyless NOMSG reply.
@@ -203,19 +196,13 @@ class ReadWriteServer(RpcRdmaServerBase):
             ctx["regions"].append(region)
             yield from self._crypt(len(message))
             region.fill(message)
-            yield from self.push_chunks(region, list(target.segments), len(message))
+            yield from self.push_chunks(region, target, len(message))
             self.long_replies.add()
             reply_chunks.reply_chunk = WriteChunk(
-                slice_segments(list(target.segments), 0, len(message))
+                slice_segments(target, 0, len(message))
             )
-            wire = RpcRdmaHeader(
-                xid=reply.xid,
-                credits=self.grant(),
-                mtype=MessageType.RDMA_NOMSG,
-                chunks=reply_chunks,
-                rpc_message=b"",
-                **lane_fields,
-            ).encode()
+            wire = RpcRdmaHeader(reply.xid, self.grant(), MessageType.RDMA_NOMSG,
+                                 reply_chunks, b"", *lane_fields).encode()
         send_wr = yield from self.send_header(wire)
         # The send's completion guarantees all prior RDMA Writes landed
         # (§4.2); only then may the bulk buffers be released — which the

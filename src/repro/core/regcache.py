@@ -30,6 +30,7 @@ from repro.osmodel.slab import SlabAllocator, SlabObject
 from repro.sim import Counter
 
 from repro.core.strategies import (
+    FALLBACK,
     DynamicRegistration,
     RegisteredRegion,
     RegistrationStrategy,
@@ -59,7 +60,7 @@ class RegistrationCacheStrategy(RegistrationStrategy):
         obj: SlabObject = self.slab.alloc(nbytes)
         buffer: MemoryBuffer = obj.buffer
         mr = obj.registration
-        if mr is not None and mr.valid and (access & ~mr.access) == AccessFlags(0):
+        if mr is not None and mr.valid and not (int(access) & ~mr.rights):
             # Cache hit: the slab object came back still registered with
             # (at least) the rights we need.  Zero registration cost.
             self.hits.add()
@@ -86,12 +87,12 @@ class RegistrationCacheStrategy(RegistrationStrategy):
 
     def wrap(self, buffer, access, addr=None, length=None) -> Generator:
         region = yield from self._fallback.wrap(buffer, access, addr=addr, length=length)
-        region.handle = "fallback"
+        region.handle = FALLBACK
         self.acquires.add()
         return region
 
     def release(self, region: RegisteredRegion) -> Generator:
-        if region.handle == "fallback":
+        if region.handle is FALLBACK:
             yield from self._fallback.release(region)
         else:
             # Return to the slab *registered*; reclaim (if the budget
@@ -156,7 +157,7 @@ class ClientRegistrationCache(RegistrationStrategy):
         entry = self._wrapped.get(key)
         if entry is not None:
             cached_buffer, mr = entry
-            if mr.valid and (access & ~mr.access) == AccessFlags(0):
+            if mr.valid and not (int(access) & ~mr.rights):
                 # LRU-promote and reuse: zero registration cost.
                 del self._wrapped[key]
                 self._wrapped[key] = entry

@@ -46,7 +46,12 @@ __all__ = [
 ]
 
 
-@dataclass
+#: ``RegisteredRegion.handle`` of a region that a pool or cache handed
+#: to dynamic registration; compared by identity.
+FALLBACK = "fallback"
+
+
+@dataclass(slots=True)
 class RegisteredRegion:
     """A usable, RDMA-addressable window plus how to give it back."""
 
@@ -163,7 +168,7 @@ class FmrStrategy(RegistrationStrategy):
             mr = yield from self.pool.map(buffer, access, addr=addr, length=length)
         except (FMRExhausted, FMRTooLarge):
             region = yield from self._fallback.wrap(buffer, access, addr=addr, length=length)
-            region.handle = "fallback"
+            region.handle = FALLBACK
             self.fallbacks.add()
             self.acquires.add()
             return region
@@ -177,7 +182,7 @@ class FmrStrategy(RegistrationStrategy):
         )
 
     def release(self, region: RegisteredRegion) -> Generator:
-        if region.handle == "fallback":
+        if region.handle is FALLBACK:
             owned, region.owned = region.owned, False
             yield from self._fallback.release(region)
             if owned:

@@ -44,7 +44,6 @@ from repro.ib.verbs import (
     QueuePair,
     RdmaReadWR,
     RdmaWriteWR,
-    RecvWR,
     Segment,
     SendWR,
 )
@@ -58,6 +57,10 @@ _NO_RIGHTS = 0
 _LOCAL_WRITE = AccessFlags.LOCAL_WRITE.value
 _REMOTE_READ = AccessFlags.REMOTE_READ.value
 _REMOTE_WRITE = AccessFlags.REMOTE_WRITE.value
+
+_SEND = Opcode.SEND
+_RDMA_WRITE = Opcode.RDMA_WRITE
+_RDMA_READ = Opcode.RDMA_READ
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,10 @@ class HCA:
         self.writes = Counter(f"{name}.writes")
         self.reads = Counter(f"{name}.reads")
         self.rnr_events = Counter(f"{name}.rnr")
-        # Per-QP structures keyed by qp_num, created on connect.
-        self._ord_slots: dict[int, Resource] = {}
-        self._read_engines: dict[int, Resource] = {}
-        self._delivery_locks: dict[int, Resource] = {}
-        # done-events of in-flight reads, dict-as-ordered-set so drain
-        # order is insertion order, never id() order.
-        self._outstanding_reads: dict[int, dict] = {}
-        self._inbound_reads_active: dict[int, int] = {}
         self.max_inbound_reads_seen: int = 0
+        # Process labels, built once rather than per WR.
+        self._dlv_name = f"{name}.dlv"
+        self._rdresp_name = f"{name}.rdresp"
 
     # -- setup -------------------------------------------------------------
     def create_cq(self, name: str = "cq", interrupts: bool = True) -> CompletionQueue:
@@ -154,17 +152,17 @@ class HCA:
             raise ValueError("activate before peer wired")
         effective_ord = min(qp.ord, qp.peer.ird)
         qp.route = Route(self.port, qp.peer.hca.port)
-        self._ord_slots[qp.qp_num] = Resource(
+        qp.ord_slots = Resource(
             self.sim, capacity=effective_ord, name=f"qp{qp.qp_num}.ord"
         )
-        self._read_engines[qp.qp_num] = Resource(
+        qp.read_engine = Resource(
             self.sim, capacity=1, name=f"qp{qp.qp_num}.rdeng"
         )
-        self._delivery_locks[qp.qp_num] = Resource(
+        qp.delivery_lock = Resource(
             self.sim, capacity=1, name=f"qp{qp.qp_num}.deliver"
         )
-        self._outstanding_reads[qp.qp_num] = {}
-        self._inbound_reads_active[qp.qp_num] = 0
+        qp.outstanding_reads = {}
+        qp.inbound_reads = 0
         qp.state = QPState.RTS
         self.sim.process(self._dispatcher(qp), name=f"{self.name}.qp{qp.qp_num}")
 
@@ -175,35 +173,43 @@ class HCA:
         qp.post_send(wr)
         return wr
 
-    def post_recv(self, qp: QueuePair, wr: RecvWR) -> Generator:
-        yield from self.cpu.consume(self.config.post_cpu_us)
-        qp.post_recv(wr)
-        return wr
-
     # -- local address resolution ---------------------------------------------
     def _gather(self, segments: list[Segment]):
         """Read local scatter/gather elements (lkey path).
 
         Returns real bytes or a zero-copy payload descriptor — whatever
-        representation the registered memory holds.
+        representation the registered memory holds.  A one-SGE list
+        reads its one element directly; a longer list joins the
+        one-SGE reads of its elements.
         """
-        parts = []
-        for seg in segments:
-            if seg.stag == GLOBAL_STAG:
-                buf, off = self.arena.resolve(seg.addr, seg.length)
-                parts.append(buf.peek(off, seg.length))
-            else:
-                mr = self.tpt.lookup(seg.stag, seg.addr, seg.length, _NO_RIGHTS)
-                parts.append(mr.read(seg.addr, seg.length))
-        return join_parts(parts)
+        if len(segments) != 1:
+            return join_parts([self._gather((seg,)) for seg in segments])
+        stag, addr, length = segments[0]
+        if stag == GLOBAL_STAG:
+            buf, off = self.arena.resolve(addr, length)
+            return buf.peek(off, length)
+        return self.tpt.lookup(stag, addr, length, _NO_RIGHTS).read(addr, length)
 
     def _scatter(self, segments: list[Segment], payload) -> int:
-        """Write ``payload`` across local scatter elements; returns bytes placed."""
+        """Write ``payload`` across local scatter elements; returns bytes placed.
+
+        A payload that fits a one-SGE list is placed with one lookup;
+        anything else walks the elements in order.
+        """
+        n = len(payload)
+        if len(segments) == 1 and 0 < n <= segments[0].length:
+            stag, addr, _ = segments[0]
+            if stag == GLOBAL_STAG:
+                buf, off = self.arena.resolve(addr, n)
+                buf.fill(payload, off)
+            else:
+                self.tpt.lookup(stag, addr, n, _LOCAL_WRITE).write(addr, payload)
+            return n
         pos = 0
         for seg in segments:
-            if pos >= len(payload):
+            if pos >= n:
                 break
-            take = min(seg.length, len(payload) - pos)
+            take = min(seg.length, n - pos)
             if seg.stag == GLOBAL_STAG:
                 buf, off = self.arena.resolve(seg.addr, take)
                 buf.fill(payload[pos : pos + take], off)
@@ -211,37 +217,48 @@ class HCA:
                 mr = self.tpt.lookup(seg.stag, seg.addr, take, _LOCAL_WRITE)
                 mr.write(seg.addr, payload[pos : pos + take])
             pos += take
-        if pos < len(payload):
+        if pos < n:
             raise ProtectionError(
-                f"scatter list too small: {len(payload)} bytes into "
+                f"scatter list too small: {n} bytes into "
                 f"{sum(s.length for s in segments)}"
             )
         return pos
 
     # -- dispatcher -------------------------------------------------------------
     def _dispatcher(self, qp: QueuePair) -> Generator:
+        sim = self.sim
+        get = qp.sq.get
+        route = qp.route
+        wqe_process_us = self.config.wqe_process_us
+        lane = f"qp{qp.qp_num}"
         while qp.state is QPState.RTS:
-            wr = yield qp.sq.get()
+            wr = yield get()
             if qp.state is not QPState.RTS:
                 wr._complete(qp, qp.send_cq, CqeStatus.WR_FLUSH_ERR, error=qp.error_cause)
                 return
-            if getattr(wr, "fence", False):
+            if wr.fence:
                 yield from self._drain_reads(qp)
-            telemetry = self.sim.telemetry
+            opcode = wr.opcode
+            telemetry = sim.telemetry
             span = None
             if telemetry is not None and telemetry.tracer is not None:
                 # Span covers the dispatcher's occupancy by this WQE:
                 # serial per QP, parented under whoever posted the WR.
                 span = telemetry.tracer.begin(
-                    f"hca.{wr.opcode.value}", "hca", self._pid,
-                    f"qp{qp.qp_num}", parent=wr.tspan)
+                    f"hca.{opcode.value}", "hca", self._pid, lane, parent=wr.tspan)
             try:
-                yield self.sim.timeout(self.config.wqe_process_us)
-                if wr.opcode is Opcode.SEND:
-                    yield from self._execute_send(qp, wr)
-                elif wr.opcode is Opcode.RDMA_WRITE:
-                    yield from self._execute_write(qp, wr)
-                elif wr.opcode is Opcode.RDMA_READ:
+                yield sim.timeout(wqe_process_us)
+                if opcode is _SEND or opcode is _RDMA_WRITE:
+                    payload = self._source(qp, wr)
+                    if payload is not None:
+                        # Serialize onto the wire, then move on: propagation
+                        # and remote delivery overlap the next WQE (the
+                        # per-QP delivery lock keeps RC in-order delivery).
+                        yield from route.carry(len(payload))
+                        deliver = (self._deliver_send if opcode is _SEND
+                                   else self._deliver_write)
+                        sim.process(deliver(qp, wr, payload), name=self._dlv_name)
+                elif opcode is _RDMA_READ:
                     yield from self._execute_read(qp, wr)
                 else:  # pragma: no cover - defensive
                     wr._complete(qp, qp.send_cq, CqeStatus.LOC_PROT_ERR,
@@ -251,44 +268,48 @@ class HCA:
                     span.end()
 
     def _drain_reads(self, qp: QueuePair) -> Generator:
-        pending = list(self._outstanding_reads[qp.qp_num])
-        for ev in pending:
+        for ev in list(qp.outstanding_reads):
             if not ev.processed:
                 yield ev
 
-    # -- SEND ---------------------------------------------------------------
-    def _execute_send(self, qp: QueuePair, wr: SendWR) -> Generator:
+    # -- SEND and RDMA WRITE -----------------------------------------------
+    def _source(self, qp: QueuePair, wr):
+        """What a Send or RDMA Write puts on the wire: its inline bytes
+        or its gathered local SGEs.  ``None`` after a local protection
+        fault, which completes the WR and kills the QP."""
         san = self.sim.sanitizer
         if san is not None:
             san.on_wr_execute(self, wr)
+        if wr.opcode is _SEND:
+            if wr.inline is not None:
+                return wr.inline
+            segments, kind = wr.segments, "send"
+        else:
+            segments, kind = wr.local, "write"
         try:
-            payload = wr.inline if wr.inline is not None else self._gather(wr.segments)
+            return self._gather(segments)
         except ProtectionError as exc:
             wr._complete(qp, qp.send_cq, CqeStatus.LOC_PROT_ERR, error=str(exc))
-            self._fatal(qp, f"local protection error on send: {exc}")
-            return
-        # Serialize onto the wire, then move on: propagation and remote
-        # delivery overlap the next WQE (per-QP delivery lock keeps RC
-        # in-order delivery).
-        yield from qp.route.carry(len(payload))
-        self.sim.process(self._deliver_send(qp, wr, payload),
-                         name=f"{self.name}.dlv")
+            self._fatal(qp, f"local protection error on {kind}: {exc}")
+            return None
 
     def _deliver_send(self, qp: QueuePair, wr: SendWR, payload: bytes) -> Generator:
+        sim = self.sim
         peer_qp = qp.peer
-        peer_hca: HCA = peer_qp.hca
         route = qp.route
-        yield self.sim.timeout(route.propagation_us)
+        nbytes = len(payload)
+        yield sim.timeout(route.propagation_us)
         hook = route.dst.fault_hook
         if hook is not None and hook.drop_message(route.dst):
             # Injected loss at the receiving HCA/driver boundary: the
             # wire-level ack already went out, so the sender's CQE is a
             # success, but no receive ever fires — exactly the silent
             # loss an RPC reply timer exists to cover.
-            yield self.sim.timeout(route.ack_us)
-            wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
+            yield sim.timeout(route.ack_us)
+            wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=nbytes)
             return
-        lock = self._delivery_locks[qp.qp_num].request()
+        delivery_lock = qp.delivery_lock
+        lock = delivery_lock.request()
         yield lock
         try:
             if qp.state is QPState.ERROR or peer_qp.state is QPState.ERROR:
@@ -309,8 +330,9 @@ class HCA:
                     self._fatal(peer_qp, "RNR retry exceeded (remote)")
                     return
                 retries += 1
-                yield self.sim.timeout(self.config.rnr_retry_us)
+                yield sim.timeout(self.config.rnr_retry_us)
                 recv = peer_qp.take_recv()
+            peer_hca: HCA = peer_qp.hca
             try:
                 peer_hca._scatter(recv.segments, payload)
             except ProtectionError as exc:
@@ -322,85 +344,74 @@ class HCA:
                 self._fatal(peer_qp, "receive buffer overflow")
                 return
             recv.received = payload
-            recv._complete(peer_qp, peer_qp.recv_cq, CqeStatus.SUCCESS, byte_len=len(payload))
-            self.sends.add(len(payload))
+            recv._complete(peer_qp, peer_qp.recv_cq, CqeStatus.SUCCESS, byte_len=nbytes)
+            self.sends.add(nbytes)
         finally:
-            self._delivery_locks[qp.qp_num].release(lock)
-        yield self.sim.timeout(route.ack_us)
-        wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
-
-    # -- RDMA WRITE -----------------------------------------------------------
-    def _execute_write(self, qp: QueuePair, wr: RdmaWriteWR) -> Generator:
-        san = self.sim.sanitizer
-        if san is not None:
-            san.on_wr_execute(self, wr)
-        try:
-            payload = self._gather(wr.local)
-        except ProtectionError as exc:
-            wr._complete(qp, qp.send_cq, CqeStatus.LOC_PROT_ERR, error=str(exc))
-            self._fatal(qp, f"local protection error on write: {exc}")
-            return
-        yield from qp.route.carry(len(payload))
-        self.sim.process(self._deliver_write(qp, wr, payload),
-                         name=f"{self.name}.dlv")
+            delivery_lock.release(lock)
+        yield sim.timeout(route.ack_us)
+        wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=nbytes)
 
     def _deliver_write(self, qp: QueuePair, wr: RdmaWriteWR, payload: bytes) -> Generator:
-        peer_hca: HCA = qp.peer.hca
+        sim = self.sim
+        peer_qp = qp.peer
         route = qp.route
-        yield self.sim.timeout(route.propagation_us)
-        lock = self._delivery_locks[qp.qp_num].request()
+        nbytes = len(payload)
+        yield sim.timeout(route.propagation_us)
+        delivery_lock = qp.delivery_lock
+        lock = delivery_lock.request()
         yield lock
         try:
-            if qp.state is QPState.ERROR or qp.peer.state is QPState.ERROR:
+            if qp.state is QPState.ERROR or peer_qp.state is QPState.ERROR:
                 # The connection died while the data was on the wire: the
                 # target may already have reused the chunk, so drop it.
                 wr._complete(qp, qp.send_cq, CqeStatus.WR_FLUSH_ERR,
-                             error=qp.error_cause or qp.peer.error_cause)
+                             error=qp.error_cause or peer_qp.error_cause)
                 return
-            san = self.sim.sanitizer
+            peer_hca: HCA = peer_qp.hca
+            san = sim.sanitizer
             if san is not None:
-                san.on_rdma_write_target(peer_hca.tpt, wr, len(payload))
+                san.on_rdma_write_target(peer_hca.tpt, wr, nbytes)
+            stag, addr, _ = wr.remote
             try:
                 # Target-side validation: TPT or (if honoured) the global stag.
-                if wr.remote.stag == GLOBAL_STAG:
-                    buf, off = peer_hca.phys.resolve(wr.remote.addr, len(payload))
+                if stag == GLOBAL_STAG:
+                    buf, off = peer_hca.phys.resolve(addr, nbytes)
                     buf.fill(payload, off)
                 else:
-                    mr = peer_hca.tpt.lookup(
-                        wr.remote.stag, wr.remote.addr, len(payload),
-                        _REMOTE_WRITE,
-                    )
-                    mr.write(wr.remote.addr, payload)
+                    mr = peer_hca.tpt.lookup(stag, addr, nbytes, _REMOTE_WRITE)
+                    mr.write(addr, payload)
             except ProtectionError as exc:
                 wr._complete(qp, qp.send_cq, CqeStatus.REM_ACCESS_ERR, error=str(exc))
                 if peer_hca.protection_nak_hook is not None:
                     peer_hca.protection_nak_hook(qp, exc)
                 self._fatal(qp, f"remote access error on write: {exc}")
-                self._fatal(qp.peer, f"NAK sent for bad write: {exc}")
+                self._fatal(peer_qp, f"NAK sent for bad write: {exc}")
                 return
             # No remote CQE, no remote CPU, no remote interrupt: one-sided.
-            self.writes.add(len(payload))
+            self.writes.add(nbytes)
         finally:
-            self._delivery_locks[qp.qp_num].release(lock)
-        yield self.sim.timeout(route.ack_us)
-        wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
+            delivery_lock.release(lock)
+        yield sim.timeout(route.ack_us)
+        wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=nbytes)
 
     # -- RDMA READ ---------------------------------------------------------------
     def _execute_read(self, qp: QueuePair, wr: RdmaReadWR) -> Generator:
         # ORD: stall the SQ until a slot frees (this is the §4.1 cap).
-        slot = self._ord_slots[qp.qp_num].request()
+        slot = qp.ord_slots.request()
         yield slot
         done = self.sim.event()
-        self._outstanding_reads[qp.qp_num][done] = None
+        qp.outstanding_reads[done] = None
         # Tiny request packet to the responder; SQ then moves on.
         yield from qp.route.carry(_READ_REQUEST_BYTES)
         self.sim.process(self._read_response(qp, wr, slot, done),
-                         name=f"{self.name}.rdresp")
+                         name=self._rdresp_name)
 
     def _read_response(self, qp: QueuePair, wr: RdmaReadWR, slot, done) -> Generator:
+        sim = self.sim
         peer_qp = qp.peer
         peer_hca: HCA = peer_qp.hca
-        telemetry = self.sim.telemetry
+        stag, addr, length = wr.remote
+        telemetry = sim.telemetry
         span = None
         if telemetry is not None and telemetry.tracer is not None:
             # The responder-side half of the read: engine occupancy + data
@@ -408,31 +419,27 @@ class HCA:
             span = telemetry.tracer.begin(
                 "hca.read_response", "hca", peer_hca._pid,
                 f"qp{peer_qp.qp_num}.rdeng", parent=wr.tspan,
-                bytes=wr.remote.length)
+                bytes=length)
         try:
             # Responder: serialized per-QP read engine (request scheduling,
             # DMA setup) then the data streams back on the reverse path.
-            count = peer_hca._inbound_reads_active[peer_qp.qp_num] = (
-                peer_hca._inbound_reads_active[peer_qp.qp_num] + 1
-            )
-            peer_hca.max_inbound_reads_seen = max(peer_hca.max_inbound_reads_seen, count)
-            engine = peer_hca._read_engines[peer_qp.qp_num]
+            peer_qp.inbound_reads = count = peer_qp.inbound_reads + 1
+            if count > peer_hca.max_inbound_reads_seen:
+                peer_hca.max_inbound_reads_seen = count
+            engine = peer_qp.read_engine
             req = engine.request()
             yield req
             try:
-                san = self.sim.sanitizer
+                san = sim.sanitizer
                 if san is not None:
                     san.on_rdma_read_target(peer_hca.tpt, wr)
                 try:
-                    if wr.remote.stag == GLOBAL_STAG:
-                        buf, off = peer_hca.phys.resolve(wr.remote.addr, wr.remote.length)
-                        payload = buf.peek(off, wr.remote.length)
+                    if stag == GLOBAL_STAG:
+                        buf, off = peer_hca.phys.resolve(addr, length)
+                        payload = buf.peek(off, length)
                     else:
-                        mr = peer_hca.tpt.lookup(
-                            wr.remote.stag, wr.remote.addr, wr.remote.length,
-                            _REMOTE_READ,
-                        )
-                        payload = mr.read(wr.remote.addr, wr.remote.length)
+                        mr = peer_hca.tpt.lookup(stag, addr, length, _REMOTE_READ)
+                        payload = mr.read(addr, length)
                 except ProtectionError as exc:
                     wr._complete(qp, qp.send_cq, CqeStatus.REM_ACCESS_ERR, error=str(exc))
                     if peer_hca.protection_nak_hook is not None:
@@ -440,12 +447,13 @@ class HCA:
                     self._fatal(qp, f"remote access error on read: {exc}")
                     self._fatal(peer_qp, f"NAK sent for bad read: {exc}")
                     return
-                yield self.sim.timeout(peer_hca.config.read_response_setup_us)
-                yield from peer_qp.route.carry(len(payload))
-                yield self.sim.timeout(peer_qp.route.propagation_us)
+                yield sim.timeout(peer_hca.config.read_response_setup_us)
+                back = peer_qp.route
+                yield from back.carry(len(payload))
+                yield sim.timeout(back.propagation_us)
             finally:
                 engine.release(req)
-                peer_hca._inbound_reads_active[peer_qp.qp_num] -= 1
+                peer_qp.inbound_reads -= 1
             if san is not None:
                 san.on_wr_execute(self, wr)
             try:
@@ -459,8 +467,8 @@ class HCA:
         finally:
             if span is not None:
                 span.end()
-            self._ord_slots[qp.qp_num].release(slot)
-            self._outstanding_reads[qp.qp_num].pop(done, None)
+            qp.ord_slots.release(slot)
+            qp.outstanding_reads.pop(done, None)
             if not done.triggered:
                 done.succeed()
 

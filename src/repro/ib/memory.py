@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.errors import ReproError
+from repro.payload import Payload, join_parts
 from repro.sim import Counter, DeterministicRNG, Resource, Simulator
 
 __all__ = [
@@ -62,7 +63,12 @@ class AccessFlags(enum.IntFlag):
 
     @property
     def remote(self) -> bool:
-        return bool(self & (AccessFlags.REMOTE_READ | AccessFlags.REMOTE_WRITE))
+        return bool(int(self) & _REMOTE_RIGHTS)
+
+
+#: the rights that expose a buffer, as a plain int: an ``IntFlag``
+#: operation builds a new member on every call.
+_REMOTE_RIGHTS = AccessFlags.REMOTE_READ.value | AccessFlags.REMOTE_WRITE.value
 
 
 class MemoryBuffer:
@@ -109,56 +115,62 @@ class MemoryBuffer:
 
     def _clip_overlays(self, start: int, end: int) -> None:
         """Remove overlay coverage of ``[start, end)``, keeping edges."""
-        if not self._overlays:
-            return
         kept = []
         for s, e, p in self._overlays:
             if e <= start or s >= end:
                 kept.append((s, e, p))
                 continue
             if s < start:
-                kept.append((s, start, p[: start - s]))
+                kept.append((s, start, p.slice(0, start - s)))
             if e > end:
-                kept.append((end, e, p[end - s:]))
+                kept.append((end, e, p.slice(end - s, e - s)))
         self._overlays = kept
 
     def fill(self, payload, offset: int = 0) -> None:
         n = len(payload)
-        if offset < 0 or offset + n > self.length:
+        end = offset + n
+        if offset < 0 or end > self.length:
             raise ValueError(
                 f"fill of {n} bytes at offset {offset} "
                 f"overruns buffer of {self.length}"
             )
         if n == 0:
             return
-        from repro.payload import Payload
+        if self._overlays:
+            self._clip_overlays(offset, end)
         if isinstance(payload, Payload):
-            self._clip_overlays(offset, offset + n)
-            self._overlays.append((offset, offset + n, payload))
-            self._overlays.sort(key=lambda o: o[0])
+            # Clipping left the overlays disjoint from [offset, end), so
+            # no other overlay starts at ``offset``: tuples compare by
+            # their start alone, never by payload.
+            insort(self._overlays, (offset, end, payload))
             return
-        self._clip_overlays(offset, offset + n)
-        if self._data is None:
-            self._data = bytearray(self.length)
-        self._data[offset : offset + n] = payload
+        data = self._data
+        if data is None:
+            data = self._data = bytearray(self.length)
+        data[offset:end] = payload
 
     def peek(self, offset: int = 0, length: Optional[int] = None):
         if length is None:
             length = self.length - offset
-        if offset < 0 or offset + length > self.length:
+        end = offset + length
+        if offset < 0 or end > self.length:
             raise ValueError("peek out of bounds")
         if length == 0:
             return b""
-        end = offset + length
-        hits = [o for o in self._overlays if o[0] < end and o[1] > offset]
-        if not hits:
-            if self._data is None:
-                return bytes(length)
-            return bytes(self._data[offset:end])
+        if self._overlays:
+            hits = [o for o in self._overlays if o[0] < end and o[1] > offset]
+            if hits:
+                return self._peek_overlaid(offset, end, hits)
+        if self._data is None:
+            return bytes(length)
+        return bytes(self._data[offset:end])
+
+    def _peek_overlaid(self, offset: int, end: int, hits: list):
+        """``peek`` of ``[offset, end)`` where the ``hits`` overlays cover
+        some of it: one overlay slice, or the pieces joined."""
         s, e, p = hits[0]
         if len(hits) == 1 and s <= offset and e >= end:
-            return p[offset - s : end - s]
-        from repro.payload import Payload, join_parts
+            return p.slice(offset - s, end - s)
         parts = []
         pos = offset
         for s, e, p in hits:
@@ -167,7 +179,7 @@ class MemoryBuffer:
                              else Payload.zeros(s - pos))
             lo = max(pos, s)
             hi = min(end, e)
-            parts.append(p[lo - s : hi - s])
+            parts.append(p.slice(lo - s, hi - s))
             pos = hi
         if pos < end:
             parts.append(bytes(self._data[pos:end]) if self._data is not None

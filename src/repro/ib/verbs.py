@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from repro.errors import TransportError
@@ -70,37 +70,55 @@ class QPState(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(tuple):
     """A (steering tag, address, length) triple.
 
     Used both as a local scatter/gather element (stag = lkey) and as the
     wire encoding of chunk-list entries (stag = rkey the peer will use).
+    An immutable tuple: it unpacks as ``stag, addr, length = seg`` and
+    compares and hashes as the triple does.
     """
 
-    stag: int
-    addr: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 0:
+    def __new__(cls, stag: int, addr: int, length: int):
+        if length < 0:
             raise ValueError("negative segment length")
+        return tuple.__new__(cls, (stag, addr, length))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Segment(stag={self[0]!r}, addr={self[1]!r}, length={self[2]!r})"
+
+    stag = property(itemgetter(0))
+    addr = property(itemgetter(1))
+    length = property(itemgetter(2))
 
 
-@dataclass(slots=True)
 class Cqe:
     """Completion queue entry."""
 
-    wr_id: int
-    opcode: Opcode
-    status: CqeStatus
-    byte_len: int = 0
-    qp_num: int = 0
-    error: Optional[str] = None
+    __slots__ = ("wr_id", "opcode", "status", "byte_len", "qp_num", "error")
+
+    def __init__(self, wr_id: int, opcode: Opcode, status: CqeStatus,
+                 byte_len: int = 0, qp_num: int = 0, error: Optional[str] = None):
+        self.wr_id = wr_id
+        self.opcode = opcode
+        self.status = status
+        self.byte_len = byte_len
+        self.qp_num = qp_num
+        self.error = error
 
     @property
     def ok(self) -> bool:
         return self.status is CqeStatus.SUCCESS
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"Cqe(wr_id={self.wr_id}, opcode={self.opcode}, "
+                f"status={self.status}, byte_len={self.byte_len}, "
+                f"qp_num={self.qp_num:#x}, error={self.error!r})")
 
 
 class _WorkRequest:
@@ -122,6 +140,9 @@ class _WorkRequest:
     )
 
     opcode: Opcode = Opcode.SEND
+    #: drain outstanding RDMA Reads before this WR executes; the WR
+    #: kinds that can set it (Send, RDMA Write) shadow this with a slot.
+    fence = False
 
     def __init__(self, sim: Simulator, signaled: bool = True):
         self.wr_id = next(_wr_ids)
@@ -317,6 +338,17 @@ class QueuePair:
         #: the wire toward the peer's port (``repro.ib.link.Route``),
         #: bound when the HCA activates the QP.
         self.route = None
+        # Per-QP HCA state, also bound by ``HCA.activate``: the ORD
+        # slots that cap outbound reads, the responder's serial read
+        # engine, the lock that keeps RC delivery in order, the
+        # done-events of in-flight reads (a dict as an ordered set, so a
+        # fence drains them in post order) and the inbound reads being
+        # served.
+        self.ord_slots = None
+        self.read_engine = None
+        self.delivery_lock = None
+        self.outstanding_reads: Optional[dict] = None
+        self.inbound_reads = 0
         self.sq: Store = Store(sim, name=f"qp{self.qp_num}.sq")
         self.rq: deque[RecvWR] = deque()
         #: shared receive pool (``repro.ib.srq``); when set, inbound

@@ -162,9 +162,16 @@ class Payload:
 
     # ------------------------------------------------------------ views
     def slice(self, start: int, stop: int) -> "Payload":
-        start = max(0, min(start, self._length))
-        stop = max(start, min(stop, self._length))
-        if start == 0 and stop == self._length:
+        length = self._length
+        if start < 0:
+            start = 0
+        elif start > length:
+            start = length
+        if stop > length:
+            stop = length
+        if stop < start:
+            stop = start
+        if start == 0 and stop == length:
             return self
         want = stop - start
         if want == 0:
@@ -172,19 +179,28 @@ class Payload:
         runs: list[tuple] = []
         pos = 0
         for run in self._runs:
-            rlen = run[3] if run[0] == _TILE else len(run[1])
+            tile = run[0] == _TILE
+            rlen = run[3] if tile else len(run[1])
             if pos + rlen <= start:
                 pos += rlen
                 continue
-            lo = max(0, start - pos)
-            hi = min(rlen, stop - pos)
-            if run[0] == _TILE:
-                runs.append((_TILE, run[1], run[2] + lo, hi - lo))
+            lo = start - pos if start > pos else 0
+            hi = stop - pos if stop - pos < rlen else rlen
+            if tile:
+                pattern = run[1]
+                runs.append((_TILE, pattern, (run[2] + lo) % len(pattern), hi - lo))
             else:
                 runs.append((_BYTES, run[1][lo:hi]))
             pos += rlen
             if pos >= stop:
                 break
+        if len(runs) == 1:
+            # One non-empty run with its tile offset reduced: what the
+            # constructor would build, without its merge pass.
+            view = _new_payload(Payload)
+            view._runs = (runs[0],)
+            view._length = want
+            return view
         return Payload(runs)
 
     def __getitem__(self, item):
@@ -258,6 +274,7 @@ class Payload:
 
 
 _EMPTY = Payload()
+_new_payload = object.__new__
 
 
 def as_payload(data: PayloadLike) -> Payload:

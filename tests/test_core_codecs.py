@@ -1,5 +1,8 @@
 """Tests for RPC/RDMA header and chunk-list codecs."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +52,15 @@ def test_write_chunk_requires_segments():
 
 def test_write_chunk_capacity():
     assert WriteChunk([seg(length=10), seg(length=20)]).capacity == 30
+
+
+def test_write_chunk_is_an_immutable_tuple_of_its_segments():
+    chunk = WriteChunk([seg(1), seg(2)])
+    assert chunk.segments == (seg(1), seg(2)) and chunk == WriteChunk((seg(1), seg(2)))
+    with pytest.raises(AttributeError):
+        chunk.segments = ()
+    for clone in (copy.deepcopy(chunk), pickle.loads(pickle.dumps(chunk))):
+        assert type(clone) is WriteChunk and clone == chunk
 
 
 def test_header_msg_roundtrip():

@@ -1,6 +1,10 @@
 """Unit tests for arenas, memory regions and the TPT."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ib.memory import (
     PAGE_SIZE,
@@ -11,7 +15,9 @@ from repro.ib.memory import (
     TranslationProtectionTable,
     pages_spanned,
 )
+from repro.ib.verbs import Segment
 from repro.osmodel import CPU, CPUConfig
+from repro.payload import Payload
 from repro.sim import DeterministicRNG, Simulator
 
 
@@ -76,6 +82,80 @@ def test_buffer_fill_peek_roundtrip():
     assert buf.peek(10, 5) == b"hello"
     with pytest.raises(ValueError):
         buf.fill(b"x" * 65)
+
+
+_BUFFER_BYTES = 96
+
+
+@st.composite
+def _fills(draw):
+    """One fill: ``(offset, data)`` with ``data`` real bytes or a Payload
+    (a tile, a real-bytes view, or a zero hole) that fits the buffer."""
+    offset = draw(st.integers(0, _BUFFER_BYTES))
+    length = draw(st.integers(0, _BUFFER_BYTES - offset))
+    kind = draw(st.sampled_from(["bytes", "tile", "wrap", "zeros"]))
+    if kind == "bytes":
+        return offset, draw(st.binary(min_size=length, max_size=length))
+    if kind == "tile":
+        pattern = draw(st.binary(min_size=1, max_size=5))
+        return offset, Payload.tile(pattern, length, draw(st.integers(0, 7)))
+    if kind == "wrap":
+        return offset, Payload.wrap(draw(st.binary(min_size=length, max_size=length)))
+    return offset, Payload.zeros(length)
+
+
+def _as_bytes(data) -> bytes:
+    return data.tobytes() if isinstance(data, Payload) else bytes(data)
+
+
+@settings(max_examples=300)
+@given(st.lists(_fills(), max_size=12),
+       st.lists(st.tuples(st.integers(0, _BUFFER_BYTES),
+                          st.integers(0, _BUFFER_BYTES)), max_size=6))
+def test_buffer_fills_and_peeks_match_a_bytearray(fills, windows):
+    """Interleaved bytes and Payload fills read back as a plain bytearray
+    written the same way; overlays stay sorted, disjoint and non-empty."""
+    buf = MemoryArena().alloc(_BUFFER_BYTES)
+    model = bytearray(_BUFFER_BYTES)
+    for offset, data in fills:
+        buf.fill(data, offset)
+        model[offset:offset + len(data)] = _as_bytes(data)
+        ends = [(s, e) for s, e, _ in buf._overlays]
+        assert all(s < e for s, e in ends)
+        assert all(e1 <= s2 for (_, e1), (s2, _) in zip(ends, ends[1:]))
+        for lo, span in windows:
+            span = min(span, _BUFFER_BYTES - lo)
+            assert _as_bytes(buf.peek(lo, span)) == bytes(model[lo:lo + span])
+    assert _as_bytes(buf.peek()) == bytes(model)
+    assert bytes(buf.data) == bytes(model)
+    assert buf._overlays == []
+
+
+def test_segment_rejects_negative_length():
+    with pytest.raises(ValueError):
+        Segment(1, 0x1000, -1)
+    assert Segment(1, 0x1000, 0).length == 0
+
+
+def test_segment_is_immutable():
+    seg = Segment(1, 0x1000, 64)
+    for name in ("stag", "addr", "length", "other"):
+        with pytest.raises(AttributeError):
+            setattr(seg, name, 0)
+    assert (seg.stag, seg.addr, seg.length) == (1, 0x1000, 64)
+
+
+def test_segment_equality_and_hash():
+    seg = Segment(7, 0x2000, 512)
+    assert seg == Segment(7, 0x2000, 512)
+    assert seg != Segment(7, 0x2000, 511)
+    assert hash(seg) == hash(Segment(7, 0x2000, 512)) == hash((7, 0x2000, 512))
+    assert len({seg, Segment(7, 0x2000, 512), Segment(8, 0x2000, 512)}) == 2
+    stag, addr, length = seg
+    assert (stag, addr, length) == (7, 0x2000, 512)
+    assert repr(seg) == "Segment(stag=7, addr=8192, length=512)"
+    for clone in (copy.deepcopy(seg), pickle.loads(pickle.dumps(seg))):
+        assert type(clone) is Segment and clone == seg
 
 
 def test_pages_spanned():
