@@ -39,9 +39,12 @@ rule                      checked where
                           entry is still live = a re-execution the
                           exactly-once machinery should have stopped.
 ``leak``                  Teardown report: strategy acquire/release
-                          imbalance, FMR mappings never unmapped, and
+                          imbalance, FMR mappings never unmapped,
                           Read-Read exposures still awaiting DONE (the
-                          paper's pinned-forever complaint).
+                          paper's pinned-forever complaint), QPs left
+                          on an HCA that no transport holds, and closed
+                          transports whose inline pools are still
+                          registered.
 ========================  =============================================
 
 Timing inertness: every hook only *reads* simulator state — no events,
@@ -397,6 +400,24 @@ class Sanitizer:
                     f"{transport.name}: {len(pending)} exposure(s) still "
                     f"awaiting RDMA_DONE (client-controlled lifetime)"
                 )
+        # Connection lifecycle on every HCA an RDMA transport uses: a QP
+        # no transport holds was never destroyed, and a closed transport
+        # (its QP destroyed) must have deregistered its inline pools.
+        rdma = [t for t in (*cluster.client_transports,
+                            *cluster.server_transports)
+                if getattr(t, "qp", None) is not None]
+        held = {t.qp for t in rdma}
+        hcas = dict.fromkeys(t.qp.hca for t in rdma)
+        for hca in hcas:
+            stale = sum(qp not in held for qp in hca.qps)
+            if stale:
+                leaks.append(f"{hca.name}: {stale} QP(s) held by no "
+                             f"transport were never destroyed")
+        live = {qp for hca in hcas for qp in hca.qps}
+        leaks += [f"{t.name}: closed with inline buffers still registered"
+                  for t in rdma if t.qp not in live and any(
+                      pool is not None and pool.regions
+                      for pool in (t.send_pool, t.recv_pool))]
         return leaks
 
     def check_teardown(self, cluster) -> None:

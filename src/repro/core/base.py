@@ -32,9 +32,7 @@ from repro.errors import TransportError
 from repro.ib.fabric import IBNode
 from repro.ib.memory import AccessFlags
 from repro.ib.verbs import (
-    CqeStatus,
     QPError,
-    QPState,
     QueuePair,
     RdmaReadWR,
     RdmaWriteWR,
@@ -167,7 +165,8 @@ class _InlinePool:
 
 
 class _RdmaEndpoint:
-    """Send-path plumbing shared by client and server endpoints."""
+    """Send-path plumbing shared by client and server endpoints, and the
+    connection lifecycle: one :meth:`_open` and one :meth:`close`."""
 
     def __init__(
         self,
@@ -188,37 +187,65 @@ class _RdmaEndpoint:
         #: consume buffers from the HCA-wide pool instead.
         self.srq = srq
         self._srq_inbox = None
-        self._bind_qp(qp)
-        self.send_pool = _InlinePool(node, config.credits, config.inline_threshold,
-                                     f"{name}.sendpool")
-        self.recv_pool = (None if srq is not None else
-                          _InlinePool(node, config.credits, config.inline_threshold,
-                                      f"{name}.recvpool"))
         self.headers_sent = Counter(f"{name}.headers")
-        self._posted: deque = deque()
         self.bytes_rdma_read = Counter(f"{name}.rdma_read_bytes")
         self.bytes_rdma_written = Counter(f"{name}.rdma_write_bytes")
         #: Event for the peer's setup (the CM handshake completes only
         #: once both sides have pre-posted receives); set by the wiring
         #: layer, waited on before the first send.
         self.peer_ready = None
-        self.failed = False
         self._reclaim_name = f"{name}.reclaim"
+        self._open(qp)
 
-    # -- connection binding ------------------------------------------------
-    def _bind_qp(self, qp: QueuePair) -> None:
-        """Adopt ``qp`` as the current connection and watch it for death."""
+    # -- connection lifecycle -----------------------------------------------
+    def _open(self, qp: QueuePair) -> None:
+        """Adopt ``qp``: watch it for death, build fresh inline pools and
+        start registering them (``ready`` fires when they are posted)."""
         self.qp = qp
         qp.on_error.append(self._qp_error_callback)
+        self.failed = False
+        node, config, name = self.node, self.config, self.name
+        self.send_pool = _InlinePool(node, config.credits, config.inline_threshold,
+                                     f"{name}.sendpool")
+        self.recv_pool = (None if self.srq is not None else
+                          _InlinePool(node, config.credits, config.inline_threshold,
+                                      f"{name}.recvpool"))
+        self._posted: deque = deque()
+        self.ready = self.sim.process(self._setup_pools(), name=f"{name}.setup")
+
+    def close(self, cause: str) -> Generator:
+        """Process: end the connection and give back what it holds: both
+        ends of the QP enter ERROR (a CM disconnect reaches the peer), the
+        HCA destroys this end, the SRQ inbox closes, the design's pinned
+        state is released and the inline pools are deregistered and
+        freed.  Closing twice is harmless."""
+        self.qp.kill(cause)
+        self.node.hca.destroy_qp(self.qp)
+        if self.srq is not None:
+            self.srq.detach(self.qp)  # also one attached after the QP died
+        yield from self._reclaim_on_close()
+        tpt = self.node.hca.tpt
+        for pool in (self.send_pool, self.recv_pool):
+            if pool is None:
+                continue
+            regions, pool.regions = pool.regions, []
+            for region in regions:
+                yield from tpt.deregister(region.mr)
+                self.node.arena.free(region.buffer)
+
+    def _reclaim_on_close(self) -> Generator:
+        """Subclass hook: release design-specific pinned state."""
+        return
+        yield  # pragma: no cover
 
     def _qp_error_callback(self, qp: QueuePair, cause: str) -> None:
-        if qp is not self.qp:
-            return  # a previous incarnation dying late; already replaced
+        # The QP's async error event; only the current QP raises it, as
+        # close() destroys a QP (dropping its callbacks) before _open().
         self.failed = True
-        self._on_connection_error(cause)
-
-    def _on_connection_error(self, cause: str) -> None:
-        """Subclass hook: synchronous reaction to connection death."""
+        if self.srq is not None:
+            # Close the SRQ inbox promptly so in-flight deliveries
+            # recycle into the pool instead of parking on a dead QP.
+            self.srq.detach(qp)
 
     # -- setup ---------------------------------------------------------
     def _setup_pools(self) -> Generator:
@@ -233,19 +260,6 @@ class _RdmaEndpoint:
         yield from self.recv_pool.setup()
         for region in self.recv_pool.regions:
             self.repost_recv(region)
-
-    def _teardown_pools(self) -> Generator:
-        """Deregister and free the private inline pools (teardown)."""
-        if self.srq is not None:
-            self.srq.detach(self.qp)
-        pools = (self.send_pool,) if self.recv_pool is None else (
-            self.send_pool, self.recv_pool)
-        for pool in pools:
-            for region in pool.regions:
-                if region.mr is not None:
-                    yield from self.node.hca.tpt.deregister(region.mr)
-                self.node.arena.free(region.buffer)
-            pool.regions.clear()
 
     # -- inline send -----------------------------------------------------
     def send_header(self, wire: bytes) -> Generator:
@@ -404,14 +418,18 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
         #: :class:`repro.ib.mux.QpMux` can refresh per-lane grants.
         #: None on dedicated connections — zero work on that path.
         self.lane_hook = None
-        self.ready = self.sim.process(self._setup_pools(), name=f"{name}.setup")
-        self._recv_fifo: deque = deque()
-        self.sim.process(self._receiver(), name=f"{name}.rx")
 
-    def _on_connection_error(self, cause: str) -> None:
-        # Prompt failure detection: wake every parked call immediately
-        # (the verbs async event) instead of waiting for flushed CQEs.
-        self._flush_waiters()
+    def _open(self, qp: QueuePair) -> None:
+        super()._open(qp)
+        self.sim.process(self._receiver(), name=f"{self.name}.rx")
+
+    def _qp_error_callback(self, qp: QueuePair, cause: str) -> None:
+        super()._qp_error_callback(qp, cause)
+        # Prompt failure detection: fail every parked call now (the
+        # verbs async event) instead of waiting for flushed CQEs.
+        for xid, waiter in list(self._pending.items()):
+            waiter.fail(TransportError(f"{self.name}: connection failed")).defused()
+            del self._pending[xid]
 
     # -- public API ---------------------------------------------------------
     def call(self, call: RpcCall) -> Generator:
@@ -519,7 +537,8 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
         )
 
     def _recover(self) -> Generator:
-        """Redial the server: fresh QP, fresh pools, same credit ledger.
+        """Redial the server: close the old connection, open the new QP
+        with fresh pools, keep the same credit ledger.
 
         Serialized — the first failed call performs the reconnect while
         the rest park on ``_reconnect_done`` and then retry.
@@ -532,26 +551,21 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             backoff = RECONNECT_BACKOFF_US * (
                 1.0 + BACKOFF_JITTER * self._jitter_rng.uniform(-1.0, 1.0))
             yield self.sim.timeout(backoff)
-            new_qp, peer_ready = yield from self.reconnector(self)
-            yield from self._teardown_pools()
-            self._bind_qp(new_qp)
+            # The reconnector finds the old server end by this QP's peer,
+            # so the client end closes after it, even on a refusal.
+            try:
+                new_qp, peer_ready = yield from self.reconnector(self)
+            except TransportError:
+                yield from self.close("client-initiated redial")
+                raise
+            yield from self.close("client-initiated redial")
+            # Re-run the CM handshake: re-register the inline pools,
+            # pre-post receives, wait for the peer.
+            self._open(new_qp)
             self.peer_ready = peer_ready
-            self.failed = False
-            self.send_pool = _InlinePool(self.node, self.config.credits,
-                                         self.config.inline_threshold,
-                                         f"{self.name}.sendpool")
-            self.recv_pool = _InlinePool(self.node, self.config.credits,
-                                         self.config.inline_threshold,
-                                         f"{self.name}.recvpool")
-            self._posted = deque()
-            # Re-run the CM handshake: re-register buffers through the
-            # active strategy, pre-post receives, wait for the peer.
-            self.ready = self.sim.process(self._setup_pools(),
-                                          name=f"{self.name}.setup")
             yield self.ready
-            if self.peer_ready is not None and not self.peer_ready.processed:
-                yield self.peer_ready
-            self.sim.process(self._receiver(), name=f"{self.name}.rx")
+            if peer_ready is not None and not peer_ready.processed:
+                yield peer_ready
             self._epoch += 1
             self.reconnects.add()
             telemetry = self.sim.telemetry
@@ -646,20 +660,12 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
     def _receiver(self) -> Generator:
         yield self.ready
         qp = self.qp
-        while True:
-            if self.qp is not qp:
-                return  # superseded by a reconnect; the new receiver owns state
-            if self.failed or not self._posted:
-                self.failed = True
-                self._flush_waiters()
-                return
+        # The QP's error event fails the parked calls; this loop only
+        # stops (a redial's new QP has its own receiver).
+        while self.qp is qp and not self.failed and self._posted:
             wr = self.next_recv()
             yield wr.completion
-            if self.qp is not qp:
-                return
-            if not wr.cqe.ok:
-                self.failed = True
-                self._flush_waiters()
+            if self.qp is not qp or not wr.cqe.ok:
                 return
             header = RpcRdmaHeader.decode(wr.received)
             # Repost a fresh inline receive in this buffer's place.
@@ -673,11 +679,6 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             if header.lane is not None and self.lane_hook is not None:
                 self.lane_hook(header)
             waiter.succeed(header)
-
-    def _flush_waiters(self) -> None:
-        for xid, waiter in list(self._pending.items()):
-            waiter.fail(TransportError(f"{self.name}: connection failed")).defused()
-            del self._pending[xid]
 
 
 class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
@@ -693,6 +694,8 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
                  srq=None, policy=None):
         name = name or f"{node.name}.rpcrdmad-{self.design}"
         super().__init__(node, qp, config, strategy, name, srq=srq)
+        #: the node name of the client this transport serves.
+        self.client_id: str = qp.peer.hca.name.split(".")[0]
         self.server: Optional[RpcServer] = None
         self.calls_received = Counter(f"{name}.calls")
         #: server-side credit policy (§7 future work); defaults to the
@@ -708,13 +711,6 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         #: stays None (zero cost) on dedicated connections.
         self.lanes: Optional[LaneLedger] = None
         self._req_name = f"{name}.req"
-        self.ready = self.sim.process(self._setup_pools(), name=f"{name}.setup")
-
-    @property
-    def client_id(self) -> str:
-        """The node name of the client this transport serves."""
-        name = self.qp.peer.hca.name
-        return name.split(".")[0] if "." in name else name
 
     def grant(self) -> int:
         """Credits field for the next reply (policy- or config-driven)."""
@@ -729,27 +725,17 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         self.server = server
         self.sim.process(self._receiver(), name=f"{self.name}.rx")
 
-    def _on_connection_error(self, cause: str) -> None:
-        # Close the SRQ inbox promptly so in-flight deliveries recycle
-        # into the pool instead of parking on a dead connection.
-        if self.srq is not None:
-            self.srq.detach(self.qp)
-
     # -- receive path ---------------------------------------------------------
     def _receiver(self) -> Generator:
         yield self.ready
         if self.srq is not None:
             yield from self._srq_receiver()
             return
-        while True:
-            if self.failed or not self._posted:
-                self.failed = True
-                return
+        while not self.failed and self._posted:
             wr = self.next_recv()
             yield wr.completion
             if not wr.cqe.ok:
-                self.failed = True
-                return
+                return  # flushed: the QP's error event marked us failed
             raw = wr.received
             self.repost_recv(wr.pool_region)
             try:
@@ -776,15 +762,11 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         what lets one small pool serve hundreds of mounts.
         """
         inbox = self._srq_inbox
-        while True:
-            if self.failed:
-                return
+        while not self.failed:
+            # Only successful deliveries reach the inbox (the pool
+            # recycles flushed ones); detach() closes it.
             wr = yield inbox.get()
             if wr is self.srq.CLOSED:
-                return
-            if not wr.cqe.ok:
-                self.srq.recycle(wr)
-                self.failed = True
                 return
             raw = wr.received
             try:
@@ -938,24 +920,9 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
 
         This is the operational defense against misbehaving clients:
         whatever a client managed to pin (§4.1's withheld-DONE attack)
-        comes back the moment the server drops the connection.
+        comes back the moment the server drops the connection, and the
+        client's pending calls flush instead of awaiting lost replies.
         """
         if self.credit_policy is not None:
             self.credit_policy.unregister_connection(self.qp.qp_num)
-        self.qp.enter_error("server-initiated disconnect")
-        # A CM disconnect reaches the peer too: error the client's QP so
-        # its pending calls flush instead of waiting on replies that can
-        # never arrive (a quarantine eviction must not strand the very
-        # client it evicts — or any honest call it had in flight).
-        peer = self.qp.peer
-        if peer is not None and peer.state is not QPState.ERROR:
-            peer.enter_error("server-initiated disconnect (remote)")
-        self.failed = True
-        if self.srq is not None:
-            self.srq.detach(self.qp)
-        yield from self._reclaim_on_disconnect()
-
-    def _reclaim_on_disconnect(self) -> Generator:
-        """Subclass hook: release design-specific pinned state."""
-        return
-        yield  # pragma: no cover
+        yield from self.close("server-initiated disconnect")

@@ -273,7 +273,7 @@ class ReadReadServer(RpcRdmaServerBase):
         for region in regions:
             yield from self.strategy.release(region)
 
-    def _reclaim_on_disconnect(self) -> Generator:
+    def _reclaim_on_close(self) -> Generator:
         """Release every window awaiting a DONE that will never come."""
         while self.pending_done:
             xid, regions = self.pending_done.popitem()

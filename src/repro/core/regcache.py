@@ -143,7 +143,6 @@ class ClientRegistrationCache(RegistrationStrategy):
         self._wrapped: dict[tuple, tuple] = {}
         self.hits = Counter(f"{node.name}.cliregcache.hits")
         self.misses = Counter(f"{node.name}.cliregcache.misses")
-        self._pending_evictions: list = []
 
     def acquire(self, nbytes: int, access: AccessFlags) -> Generator:
         region = yield from self._slab_side.acquire(nbytes, access)

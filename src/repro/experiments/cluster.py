@@ -40,7 +40,6 @@ from repro.fs import BlockFs, Raid0, TmpFs
 from repro.ib.fabric import Fabric, IBNode
 from repro.ib.mux import QpMux, default_mux_qps
 from repro.ib.srq import SharedReceivePool
-from repro.ib.verbs import QPState
 from repro.nfs import NfsClient, NfsServer
 from repro.nfs.redirector import MountRedirector
 from repro.nfs.striping import StripedNfsClient
@@ -381,21 +380,16 @@ class ServerStack:
     def redial(self, client) -> Generator:
         """Transport recovery policy (installed as ``client.reconnector``).
 
-        Tear down the dead connection, then hand back a fresh QP and the
-        new server transport's ready event for the CM handshake.  The
-        old server transport is found by connection identity (the client
-        QP's peer), so a mount redialed twice never targets a stale
-        entry, and it reclaims anything the client pinned (§4.1's
-        operational defense).
+        Disconnect the old server transport, found by connection
+        identity (the client QP's peer) so a mount redialed twice never
+        targets a stale entry, which reclaims anything the client pinned
+        (§4.1's operational defense).  Then hand back a fresh QP and the
+        new server transport's ready event for the CM handshake; the
+        client closes its own end of the old connection.
         """
         self.admit(client.node.name)
-        old_qp = client.qp
-        if old_qp.state is not QPState.ERROR:
-            old_qp.enter_error("client-initiated redial")
-        if old_qp.peer is not None and old_qp.peer.state is not QPState.ERROR:
-            old_qp.peer.enter_error("client-initiated redial (remote)")
         server = next((s for s in self.server_transports
-                       if s.qp is old_qp.peer), None)
+                       if s.qp is client.qp.peer), None)
         if server is not None:
             self.server_transports.remove(server)
             yield from server.disconnect()

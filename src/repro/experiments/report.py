@@ -87,10 +87,11 @@ CHAOS_RECIPE = """\
 ### Chaos recipe
 
 The soak builds a 4-client `rdma-rw` cluster on the RAID backend with
-`reply_timeout_us=30_000` and arms `FaultPlan.chaos(seed, duration_us,
-nclients=4, loss_rate=0.01, qp_kills=3, disk_faults=2)`: a schedule of
-QP kills and transient disk errors landing in the middle 80% of the
-window plus continuous ~1% message loss.  A `FaultPlan` is a frozen
+`reply_timeout_us=150_000` (above its fault-free WRITE tail, so a
+timeout means an injected fault) and arms `FaultPlan.chaos(seed,
+duration_us, nclients=4, loss_rate=0.01, qp_kills=3, disk_faults=2)`:
+a schedule of QP kills and transient disk errors landing in the middle
+80% of the window plus continuous ~1% message loss.  A `FaultPlan` is a frozen
 value object — tuples of `MessageLoss(rate, start_us, end_us, node)`,
 `DelaySpike(rate, mean_delay_us, ...)`, `QpKill(at_us, client_index)`,
 `DiskFault(at_us, count, disk_index)`, `ServerStall(at_us,

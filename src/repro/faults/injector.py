@@ -5,8 +5,8 @@ The injector is the single implementation behind every hook point:
 * ``ib/link.py`` — it *is* a :class:`LinkFaultHook`; installed on the
   server's and every client's port it answers the drop/delay queries
   the wire and the HCA delivery path make.
-* ``ib/verbs.py`` — scheduled :meth:`QueuePair.enter_error` on both
-  ends of a mount's connection (:class:`QpKill`, :class:`ServerCrash`).
+* ``ib/verbs.py`` — scheduled :meth:`QueuePair.kill` of both ends of a
+  mount's connection (:class:`QpKill`, :class:`ServerCrash`).
 * ``fs/disk.py`` — transient-error arming consumed by the disk driver's
   retry loop (:class:`DiskFault`).
 * ``osmodel`` — whole-server stall windows via :meth:`CPU.stall`
@@ -19,11 +19,8 @@ reproducible and unarmed runs are untouched.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.faults.plan import FaultPlan
 from repro.ib.link import DuplexLink, LinkFaultHook
-from repro.ib.verbs import QPState, QueuePair
 from repro.sim import Counter, DeterministicRNG
 
 __all__ = ["FaultInjector"]
@@ -165,15 +162,6 @@ class FaultInjector(LinkFaultHook):
     def _wait_until(self, at_us: float):
         return self.sim.timeout(max(0.0, at_us - self.sim.now))
 
-    def _kill_connection(self, qp: Optional[QueuePair], cause: str) -> bool:
-        if qp is None or qp.state is QPState.ERROR:
-            return False
-        peer = qp.peer
-        qp.enter_error(cause)
-        if peer is not None and peer.state is not QPState.ERROR:
-            peer.enter_error(f"{cause} (remote)")
-        return True
-
     def _qp_kill(self, spec):
         yield self._wait_until(spec.at_us)
         mounts = self.cluster.mounts
@@ -181,7 +169,7 @@ class FaultInjector(LinkFaultHook):
         # A muxed mount rides its lane's shared channel QP.
         transport = getattr(mount.transport, "channel", mount.transport)
         qp = getattr(transport, "qp", None)
-        if self._kill_connection(qp, "injected fault: qp kill"):
+        if qp is not None and qp.kill("injected fault: qp kill"):
             self.qp_kills_fired.add()
             self._instant("fault.qp_kill", mount.node.name)
 
@@ -224,8 +212,9 @@ class FaultInjector(LinkFaultHook):
                           restart_us=spec.restart_us)
         # Every connection dies with the servers...
         for transport in self.cluster.client_transports:
-            self._kill_connection(getattr(transport, "qp", None),
-                                  "injected fault: server crash")
+            qp = getattr(transport, "qp", None)
+            if qp is not None:
+                qp.kill("injected fault: server crash")
         # ...and the nodes are unresponsive until they have rebooted;
         # clients redialing during the window queue behind the restart.
         yield from self._stall_servers(spec.restart_us)

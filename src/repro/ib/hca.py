@@ -166,6 +166,18 @@ class HCA:
         qp.state = QPState.RTS
         self.sim.process(self._dispatcher(qp), name=f"{self.name}.qp{qp.qp_num}")
 
+    def destroy_qp(self, qp: QueuePair) -> None:
+        """``ibv_destroy_qp``: the QP enters ERROR (flushing its WRs), the
+        HCA forgets it, its dispatcher ends, and it raises no more async
+        events and no longer names its peer.  Repeating is a no-op."""
+        if qp not in self.qps:
+            return
+        qp.enter_error("QP destroyed")
+        self.qps.remove(qp)
+        qp.on_error.clear()
+        qp.peer = None
+        qp.sq.put(None)  # wakes a dispatcher parked on the empty queue
+
     # -- consumer helpers ----------------------------------------------------
     def post_send(self, qp: QueuePair, wr) -> Generator:
         """Process: charge the doorbell/post CPU cost, then post."""
@@ -228,13 +240,15 @@ class HCA:
     def _dispatcher(self, qp: QueuePair) -> Generator:
         sim = self.sim
         get = qp.sq.get
-        route = qp.route
+        route, peer = qp.route, qp.peer  # kept past destroy_qp for WRs in flight
         wqe_process_us = self.config.wqe_process_us
         lane = f"qp{qp.qp_num}"
         while qp.state is QPState.RTS:
             wr = yield get()
             if qp.state is not QPState.RTS:
-                wr._complete(qp, qp.send_cq, CqeStatus.WR_FLUSH_ERR, error=qp.error_cause)
+                if wr is not None:  # None is destroy_qp's wake-up
+                    wr._complete(qp, qp.send_cq, CqeStatus.WR_FLUSH_ERR,
+                                 error=qp.error_cause)
                 return
             if wr.fence:
                 yield from self._drain_reads(qp)
@@ -259,7 +273,7 @@ class HCA:
                                    else self._deliver_write)
                         sim.process(deliver(qp, wr, payload), name=self._dlv_name)
                 elif opcode is _RDMA_READ:
-                    yield from self._execute_read(qp, wr)
+                    yield from self._execute_read(qp, peer, wr)
                 else:  # pragma: no cover - defensive
                     wr._complete(qp, qp.send_cq, CqeStatus.LOC_PROT_ERR,
                                  error="bad opcode")
@@ -290,7 +304,7 @@ class HCA:
             return self._gather(segments)
         except ProtectionError as exc:
             wr._complete(qp, qp.send_cq, CqeStatus.LOC_PROT_ERR, error=str(exc))
-            self._fatal(qp, f"local protection error on {kind}: {exc}")
+            qp.enter_error(f"local protection error on {kind}: {exc}")
             return None
 
     def _deliver_send(self, qp: QueuePair, wr: SendWR, payload: bytes) -> Generator:
@@ -326,8 +340,7 @@ class HCA:
                 if retries >= self.config.rnr_retry_limit:
                     wr._complete(qp, qp.send_cq, CqeStatus.RNR_RETRY_EXC,
                                  error="receiver never posted a buffer")
-                    self._fatal(qp, "RNR retry exceeded")
-                    self._fatal(peer_qp, "RNR retry exceeded (remote)")
+                    qp.kill("RNR retry exceeded")
                     return
                 retries += 1
                 yield sim.timeout(self.config.rnr_retry_us)
@@ -340,8 +353,7 @@ class HCA:
                 wr._complete(qp, qp.send_cq, CqeStatus.REM_ACCESS_ERR, error=str(exc))
                 if peer_hca.protection_nak_hook is not None:
                     peer_hca.protection_nak_hook(qp, exc)
-                self._fatal(qp, f"send overflowed receive buffer: {exc}")
-                self._fatal(peer_qp, "receive buffer overflow")
+                qp.kill(f"send overflowed receive buffer: {exc}")
                 return
             recv.received = payload
             recv._complete(peer_qp, peer_qp.recv_cq, CqeStatus.SUCCESS, byte_len=nbytes)
@@ -384,8 +396,7 @@ class HCA:
                 wr._complete(qp, qp.send_cq, CqeStatus.REM_ACCESS_ERR, error=str(exc))
                 if peer_hca.protection_nak_hook is not None:
                     peer_hca.protection_nak_hook(qp, exc)
-                self._fatal(qp, f"remote access error on write: {exc}")
-                self._fatal(peer_qp, f"NAK sent for bad write: {exc}")
+                qp.kill(f"remote access error on write: {exc}")
                 return
             # No remote CQE, no remote CPU, no remote interrupt: one-sided.
             self.writes.add(nbytes)
@@ -395,7 +406,8 @@ class HCA:
         wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=nbytes)
 
     # -- RDMA READ ---------------------------------------------------------------
-    def _execute_read(self, qp: QueuePair, wr: RdmaReadWR) -> Generator:
+    def _execute_read(self, qp: QueuePair, peer_qp: QueuePair,
+                      wr: RdmaReadWR) -> Generator:
         # ORD: stall the SQ until a slot frees (this is the §4.1 cap).
         slot = qp.ord_slots.request()
         yield slot
@@ -403,12 +415,12 @@ class HCA:
         qp.outstanding_reads[done] = None
         # Tiny request packet to the responder; SQ then moves on.
         yield from qp.route.carry(_READ_REQUEST_BYTES)
-        self.sim.process(self._read_response(qp, wr, slot, done),
+        self.sim.process(self._read_response(qp, peer_qp, wr, slot, done),
                          name=self._rdresp_name)
 
-    def _read_response(self, qp: QueuePair, wr: RdmaReadWR, slot, done) -> Generator:
+    def _read_response(self, qp: QueuePair, peer_qp: QueuePair, wr: RdmaReadWR,
+                       slot, done) -> Generator:
         sim = self.sim
-        peer_qp = qp.peer
         peer_hca: HCA = peer_qp.hca
         stag, addr, length = wr.remote
         telemetry = sim.telemetry
@@ -444,8 +456,7 @@ class HCA:
                     wr._complete(qp, qp.send_cq, CqeStatus.REM_ACCESS_ERR, error=str(exc))
                     if peer_hca.protection_nak_hook is not None:
                         peer_hca.protection_nak_hook(qp, exc)
-                    self._fatal(qp, f"remote access error on read: {exc}")
-                    self._fatal(peer_qp, f"NAK sent for bad read: {exc}")
+                    qp.kill(f"remote access error on read: {exc}")
                     return
                 yield sim.timeout(peer_hca.config.read_response_setup_us)
                 back = peer_qp.route
@@ -460,7 +471,7 @@ class HCA:
                 self._scatter(wr.local, payload)
             except ProtectionError as exc:
                 wr._complete(qp, qp.send_cq, CqeStatus.LOC_PROT_ERR, error=str(exc))
-                self._fatal(qp, f"local scatter failed on read response: {exc}")
+                qp.enter_error(f"local scatter failed on read response: {exc}")
                 return
             self.reads.add(len(payload))
             wr._complete(qp, qp.send_cq, CqeStatus.SUCCESS, byte_len=len(payload))
@@ -471,7 +482,3 @@ class HCA:
             qp.outstanding_reads.pop(done, None)
             if not done.triggered:
                 done.succeed()
-
-    # -- failure ---------------------------------------------------------------
-    def _fatal(self, qp: QueuePair, cause: str) -> None:
-        qp.enter_error(cause)

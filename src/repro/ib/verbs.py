@@ -404,6 +404,15 @@ class QueuePair:
         for callback in list(self.on_error):
             callback(self, cause)
 
+    def kill(self, cause: str) -> bool:
+        """Both ends enter ERROR, this one first (a dead link, a CM
+        disconnect).  Returns whether this QP was still live."""
+        live = self.state is not QPState.ERROR
+        self.enter_error(cause)
+        if self.peer is not None:
+            self.peer.enter_error(f"{cause} (remote)")
+        return live
+
     @property
     def recv_queue_depth(self) -> int:
         return len(self.rq)

@@ -112,6 +112,7 @@ class SlabAllocator:
         self.factory = factory
         self.destructor = destructor
         self._caches: dict[int, SlabCache] = {}
+        self._footprint = 0  # bytes of live + cached objects
 
     def cache_for(self, nbytes: int) -> SlabCache:
         size_class = _round_up_pow2(nbytes)
@@ -123,7 +124,10 @@ class SlabAllocator:
         return cache
 
     def alloc(self, nbytes: int) -> SlabObject:
-        obj = self.cache_for(nbytes).alloc()
+        cache = self.cache_for(nbytes)
+        if not cache.cached:  # a miss adds an object to the footprint
+            self._footprint += cache.size_class
+        obj = cache.alloc()
         self._maybe_reclaim()
         return obj
 
@@ -135,18 +139,19 @@ class SlabAllocator:
         self._maybe_reclaim()
 
     def footprint_bytes(self) -> int:
-        return sum(c.total_objects * c.size_class for c in self._caches.values())
+        return self._footprint
 
     def _maybe_reclaim(self) -> None:
         """Evict cold cached objects while over the memory budget."""
-        if self.footprint_bytes() <= self.budget_bytes:
+        if self._footprint <= self.budget_bytes:
             return
         evictees: list[SlabObject] = []
         # Evict from the largest classes first: fewest evictions needed.
         for cache in sorted(self._caches.values(), key=lambda c: -c.size_class):
-            while cache.cached and self.footprint_bytes() > self.budget_bytes:
-                evictees.extend(cache.reclaim(cache.cached - 1))
-            if self.footprint_bytes() <= self.budget_bytes:
+            while cache.cached and self._footprint > self.budget_bytes:
+                evictees.extend(cache.reclaim(cache.cached - 1))  # one object
+                self._footprint -= cache.size_class
+            if self._footprint <= self.budget_bytes:
                 break
         for obj in evictees:
             if obj.registration is not None and hasattr(obj.registration, "invalidate"):

@@ -112,6 +112,7 @@ class KernelThreadPool:
                 self.completed.add()
             except TaskFailure:
                 self.failed.add()
+            task = None  # an idle worker pins nothing (a closed transport)
 
 
 class _Stop:

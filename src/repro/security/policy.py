@@ -15,7 +15,7 @@ thresholds below escalates:
     misbehaving mount can consume server resources.
 ``quarantine`` (score ``MISBEHAVIOR_QUARANTINE``)
     The client's server transports are disconnected (which reclaims
-    everything it pinned, per ``_reclaim_on_disconnect``) and its node
+    everything it pinned, per ``_reclaim_on_close``) and its node
     name is banned: the cluster's redial path refuses new connections.
 
 The policy is pure bookkeeping plus, at quarantine time, spawned

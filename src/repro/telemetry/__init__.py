@@ -128,7 +128,7 @@ class Telemetry:
             reg.attach("hca_rnr_events", _events(hca.rnr_events),
                        "receiver-not-ready stalls", node=n)
             reg.attach("hca_qps", lambda h=hca: float(len(h.qps)),
-                       "queue pairs created on this adapter", node=n)
+                       "live queue pairs on this adapter", node=n)
             reg.attach("hca_qps_error",
                        lambda h=hca: float(sum(
                            1 for qp in h.qps if qp.state is QPState.ERROR)),

@@ -18,6 +18,7 @@ from repro.experiments import Cluster, ClusterConfig
 from repro.experiments.topology import TopologyConfig
 from repro.faults import FaultPlan, QpKill, ServerCrash, ServerStall
 from repro.workloads import IozoneParams, run_iozone
+from tests._cores import CORES, run_json
 
 FAULTS = (
     [pytest.param(QpKill(at_us=at, client_index=1), id=f"qpkill@{at:g}")
@@ -93,3 +94,197 @@ def test_read_read_redial_keeps_one_bounce_pool():
     assert cluster.run(read()) == bytes(range(256)) * 512
     assert mount.transport.reconnects.events == 1
     assert tpt.live_entries == live
+
+
+# ----------------------------------------------------- connection lifecycle
+# A redial or a server-initiated disconnect closes the old connection on
+# both ends: each HCA forgets the QP (and its dispatcher ends), and the
+# server deregisters the transport's inline pools.  The snippet drives
+# the three redial causes round after round — a reply timeout, a QP
+# kill and a server-initiated disconnect (the quarantine path) — under
+# one simulation core, in a fresh subprocess per core.
+LIFECYCLE_COMMON = """
+import json
+from dataclasses import replace
+from repro.analysis import SOLARIS_SDR
+from repro.core.config import RpcRdmaConfig
+from repro.experiments import Cluster, ClusterConfig
+from repro.experiments.topology import TopologyConfig
+from repro.faults import FaultPlan
+from repro.sim.engine import ACTIVE_CORE
+
+assert ACTIVE_CORE == {core!r}, ACTIVE_CORE
+SHAPES = {{
+    "one-server": lambda **kw: ClusterConfig(**kw),
+    "sharded": lambda **kw: TopologyConfig(servers=2, client_hosts=2, **kw),
+    "sharded-mux-srq": lambda **kw: TopologyConfig(
+        servers=2, client_hosts=2, mux=True, srq=True, **kw),
+}}
+TIMED = replace(SOLARIS_SDR,
+                rpcrdma=replace(RpcRdmaConfig(), reply_timeout_us=30_000.0))
+DATA = bytes(range(256)) * 32
+
+
+def build(shape, **kw):
+    cluster = Cluster(SHAPES[shape](transport="rdma-rw", nclients=4,
+                                    profile=TIMED, fault_plan=FaultPlan(seed=3),
+                                    **kw))
+    mounts = cluster.mounts
+
+    def create():
+        fhs = []
+        for i, m in enumerate(mounts):
+            fh, _ = yield from m.nfs.create(m.nfs.root, f"life{{i}}")
+            yield from m.nfs.write(fh, 0, DATA)
+            fhs.append(fh)
+        return fhs
+
+    return cluster, cluster.run(create())
+
+
+def conn(mount):
+    # A muxed mount rides its lane's shared channel.
+    return getattr(mount.transport, "channel", mount.transport)
+
+
+def fault(cluster, kind, i):
+    mount = cluster.mounts[i]
+    if kind == "reply-timeout":
+        cluster.faults.drop_next(mount.node.name, 1)
+    elif kind == "qp-kill":
+        conn(mount).qp.kill("test: qp kill")
+    else:
+        peer = conn(mount).qp.peer
+        server = next(s for s in cluster.server_transports if s.qp is peer)
+        cluster.run(server.disconnect())
+
+
+def read(cluster, fhs, i):
+    def proc():
+        data, _, _ = yield from cluster.mounts[i].nfs.read(fhs[i], 0, len(DATA))
+        assert data == DATA
+
+    cluster.run(proc())
+    cluster.sim.run(until=cluster.sim.now + 1_000_000.0)
+
+
+FAULTS = [("reply-timeout", 0), ("qp-kill", 1), ("disconnect", 2)]
+"""
+
+LIFECYCLE_SNIPPET = LIFECYCLE_COMMON + """
+import gc
+
+
+def parked(qps):
+    # HCA dispatchers (generators) not yet finished on one of ``qps``.
+    return sum(1 for o in gc.get_objects()
+               if getattr(o, "__name__", None) == "_dispatcher"
+               and getattr(o, "gi_frame", None) is not None
+               and any(o.gi_frame.f_locals.get("qp") is qp for qp in qps))
+
+
+cluster, fhs = build({shape!r}, sanitizer=True)
+cluster.sim.run(until=cluster.sim.now + 1_000_000.0)
+nodes = [*cluster.server_nodes, *cluster.client_nodes]
+before = [[s.node.hca.tpt.live_entries, s.node.arena.allocated_bytes]
+          for s in cluster.all_stacks]
+steps = []
+for rnd in range(2):
+    for kind, i in FAULTS:
+        old = conn(cluster.mounts[i])
+        reconnects = old.reconnects.events
+        ends = [old.qp, old.qp.peer]
+        fault(cluster, kind, i)
+        read(cluster, fhs, i)
+        rdma = [t for t in (*cluster.client_transports, *cluster.server_transports)
+                if getattr(t, "qp", None) is not None]
+        steps.append({{
+            "step": f"{{kind}}@{{i}}#{{rnd}}",
+            "redialed": old.reconnects.events - reconnects,
+            "destroyed": sum(1 for qp in ends if qp not in qp.hca.qps),
+            "parked": parked(ends),
+            "hca_qps": [len(n.hca.qps) for n in nodes],
+            "connected": [sum(1 for t in rdma if t.qp.hca is n.hca
+                              and t.qp.state.name == "RTS") for n in nodes],
+            "server": [[s.node.hca.tpt.live_entries,
+                        s.node.arena.allocated_bytes] for s in cluster.all_stacks],
+            "leaks": cluster.sim.sanitizer.leak_report(cluster),
+        }})
+print(json.dumps({{"before": before, "steps": steps,
+                  "violations": len(cluster.sim.sanitizer.violations)}}))
+"""
+
+
+@pytest.mark.parametrize("core", CORES)
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_redials_give_back_what_the_old_connection_held(shape, core):
+    """Every redial cause leaves each HCA holding exactly the QPs of its
+    connected transports, the server's TPT and arena at their pre-fault
+    level, and no destroyed QP's dispatcher parked on its send queue."""
+    report = run_json(core, LIFECYCLE_SNIPPET.format(core=core, shape=shape))
+    assert report["violations"] == 0
+    assert len(report["steps"]) == 6
+    for step in report["steps"]:
+        where = step["step"]
+        assert step["redialed"] == 1, where
+        assert step["destroyed"] == 2, where
+        assert step["parked"] == 0, where
+        assert step["hca_qps"] == step["connected"], where
+        assert step["server"] == report["before"], where
+        assert step["leaks"] == [], where
+
+
+HEAP_SNIPPET = LIFECYCLE_COMMON + """
+import gc
+from collections import Counter
+
+
+def tracked_types(drcs, earlier=None):
+    counts = Counter(type(o).__qualname__ for o in gc.get_objects()
+                     if o is not earlier)
+    for drc in drcs:
+        counts.subtract(type(v).__qualname__ for v in drc._entries.values()
+                        if gc.is_tracked(v))
+    return counts
+
+
+gc.disable()
+out = {{}}
+for shape in ("one-server", "sharded-mux-srq"):
+    cluster, fhs = build(shape)
+    drcs = [s.drc for s in cluster.all_stacks]
+    garbage, before = [], None
+    for rnd in range(3):
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for kind, i in FAULTS:
+            fault(cluster, kind, i)
+            read(cluster, fhs, i)
+        gc.collect()
+        garbage.append(str(Counter(type(o).__qualname__
+                                   for o in gc.garbage).most_common(5)))
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.collect()
+        if rnd == 1:
+            before = tracked_types(drcs)
+    out[shape] = {{
+        "garbage": garbage,
+        "growth": dict(tracked_types(drcs, before) - before),
+        "redials": sum(t.reconnects.events for t in cluster.client_transports),
+    }}
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_repeated_redials_leave_no_cycles_and_no_growth(core):
+    """The tests/test_heap_flat.py method across rounds of redials: the
+    old connection's objects go by reference counting alone, and no
+    tracked type grows from round 2 to round 3."""
+    report = run_json(core, HEAP_SNIPPET.format(core=core))
+    for shape, got in report.items():
+        assert got["redials"] == 9, shape
+        for i, garbage in enumerate(got["garbage"], 1):
+            assert garbage == "[]", f"{shape} round {i} left cyclic garbage"
+        assert got["growth"] == {}, f"{shape}: tracked objects grew"
