@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.experiments.figures import (
-    FIG10_CACHE_BIG,
-    FIG10_CACHE_SMALL,
-    run_fig10,
-)
+from repro.experiments.figures import FIG10_CACHE_BIG, FIG10_CACHE_SMALL
+from repro.experiments.registry import run
 
 
 def _series(result, transport):
@@ -16,7 +13,7 @@ def _series(result, transport):
 def test_fig10a_small_server_cache(benchmark, bench_scale, record_result):
     """Fig 10(a): server cache = 4x one client file (the paper's 4 GB)."""
     result = benchmark.pedantic(
-        run_fig10, args=(bench_scale,), kwargs={"cache_bytes": FIG10_CACHE_SMALL},
+        run, args=("fig10", bench_scale), kwargs={"cache_bytes": FIG10_CACHE_SMALL},
         rounds=1, iterations=1,
     )
     record_result(result)
@@ -37,7 +34,7 @@ def test_fig10a_small_server_cache(benchmark, bench_scale, record_result):
 def test_fig10b_large_server_cache(benchmark, bench_scale, record_result):
     """Fig 10(b): server cache = 8x one client file (the paper's 8 GB)."""
     result = benchmark.pedantic(
-        run_fig10, args=(bench_scale,), kwargs={"cache_bytes": FIG10_CACHE_BIG},
+        run, args=("fig10", bench_scale), kwargs={"cache_bytes": FIG10_CACHE_BIG},
         rounds=1, iterations=1,
     )
     record_result(result)

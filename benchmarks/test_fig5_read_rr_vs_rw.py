@@ -1,6 +1,6 @@
 """Fig 5: IOzone Read bandwidth on Solaris — Read-Read vs Read-Write."""
 
-from repro.experiments.figures import run_fig5
+from repro.experiments.registry import run
 
 
 def _series_max(result, prefix):
@@ -13,7 +13,7 @@ def _at(result, series, threads):
 
 
 def test_fig5_read_bandwidth_rr_vs_rw(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig5, args=(bench_scale,),
+    result = benchmark.pedantic(run, args=("fig5", bench_scale),
                                 rounds=1, iterations=1)
     record_result(result)
 

@@ -1,6 +1,6 @@
 """Fig 6: IOzone Write bandwidth on Solaris + client CPU utilization."""
 
-from repro.experiments.figures import run_fig6
+from repro.experiments.registry import run
 
 
 def _series(result, name):
@@ -8,7 +8,7 @@ def _series(result, name):
 
 
 def test_fig6_write_bandwidth_and_client_cpu(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig6, args=(bench_scale,),
+    result = benchmark.pedantic(run, args=("fig6", bench_scale),
                                 rounds=1, iterations=1)
     record_result(result)
 

@@ -1,6 +1,6 @@
 """Fig 7: registration strategies on OpenSolaris (read + write bandwidth)."""
 
-from repro.experiments.figures import run_fig7
+from repro.experiments.registry import run
 
 
 def _sat(result, series, column):
@@ -8,7 +8,7 @@ def _sat(result, series, column):
 
 
 def test_fig7_registration_strategies_solaris(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig7, args=(bench_scale,),
+    result = benchmark.pedantic(run, args=("fig7", bench_scale),
                                 rounds=1, iterations=1)
     record_result(result)
 

@@ -1,6 +1,6 @@
 """Fig 8: FileBench OLTP throughput and CPU/op by registration strategy."""
 
-from repro.experiments.figures import run_fig8
+from repro.experiments.registry import run
 
 
 def _best(result, strategy):
@@ -8,7 +8,7 @@ def _best(result, strategy):
 
 
 def test_fig8_oltp_registration_strategies(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig8, args=(bench_scale,),
+    result = benchmark.pedantic(run, args=("fig8", bench_scale),
                                 rounds=1, iterations=1)
     record_result(result)
 

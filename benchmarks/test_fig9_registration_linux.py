@@ -1,6 +1,6 @@
 """Fig 9: registration strategies on Linux (read + write bandwidth)."""
 
-from repro.experiments.figures import run_fig9
+from repro.experiments.registry import run
 
 
 def _sat(result, series, column):
@@ -13,7 +13,7 @@ def _at_max_threads(result, series, column):
 
 
 def test_fig9_registration_strategies_linux(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_fig9, args=(bench_scale,),
+    result = benchmark.pedantic(run, args=("fig9", bench_scale),
                                 rounds=1, iterations=1)
     record_result(result)
 

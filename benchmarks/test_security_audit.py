@@ -1,10 +1,10 @@
 """§4.1 security comparison: server attack surface under load."""
 
-from repro.experiments.figures import run_security_audit
+from repro.experiments.registry import run
 
 
 def test_security_exposure_rr_vs_rw(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_security_audit, args=(bench_scale,),
+    result = benchmark.pedantic(run, args=("security", bench_scale),
                                 rounds=1, iterations=1)
     record_result(result)
     by_design = {row[0]: row for row in result.rows}

@@ -1,10 +1,10 @@
 """Table 1: communication-primitive properties, probed from the verbs layer."""
 
-from repro.experiments.figures import run_table1
+from repro.experiments.registry import run
 
 
 def test_table1_primitive_properties(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(run_table1, args=(bench_scale,),
+    result = benchmark.pedantic(run, args=("table1", bench_scale),
                                 rounds=1, iterations=1)
     record_result(result)
     by_primitive = {row[0]: row[1:] for row in result.rows}

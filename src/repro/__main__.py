@@ -24,10 +24,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis import LINUX_DDR_RAID, LINUX_SDR, SOLARIS_SDR
-from repro.experiments import Cluster, ClusterConfig
+from repro.analysis import PROFILES
+from repro.experiments import Cluster
 from repro.experiments.cluster import STRATEGIES, TRANSPORTS
-from repro.experiments.registry import EXPERIMENTS, run as run_experiment
+from repro.experiments.figures import EXPERIMENTS, FIGURES
+from repro.experiments.registry import run as run_experiment, telemetry_points
+from repro.experiments.topology import config_from_spec
 from repro.workloads import (
     IozoneParams,
     OltpParams,
@@ -36,8 +38,6 @@ from repro.workloads import (
     run_oltp,
     run_postmark,
 )
-
-PROFILES = {p.name: p for p in (SOLARIS_SDR, LINUX_SDR, LINUX_DDR_RAID)}
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
@@ -50,21 +50,20 @@ def _add_cluster_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cluster(args) -> Cluster:
-    return Cluster(ClusterConfig(
-        transport=args.transport,
-        strategy=args.strategy,
-        profile=PROFILES[args.profile],
-        backend=args.backend,
-        nclients=args.clients,
-        seed=args.seed,
-    ))
+    return Cluster(config_from_spec({
+        "transport": args.transport,
+        "strategy": args.strategy,
+        "profile": args.profile,
+        "backend": args.backend,
+        "nclients": args.clients,
+        "seed": args.seed,
+    }))
 
 
 def cmd_list(args) -> int:
     print("experiments (python -m repro run <name>):")
-    for name, runner in EXPERIMENTS.items():
-        doc = (runner.__doc__ or "").strip().splitlines()[0]
-        print(f"  {name:<10} {doc}")
+    for name, entry in EXPERIMENTS.items():
+        print(f"  {name:<10} {entry.doc}")
     print("\nworkload drivers: iozone, oltp, postmark (see --help on each)")
     return 0
 
@@ -77,11 +76,6 @@ def cmd_run(args) -> int:
         print(chart)
     return 0
 
-
-#: The figures benchmarked by ``python -m repro bench`` (satellite of
-#: DESIGN.md §8): each produces BENCH_<name>.json next to --output-dir.
-BENCH_FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-                 "fig12", "fig13")
 
 #: BENCH_*.json schema: schema_version, events, events_per_sec, core;
 #: tools/bench_gate.py reads only this version.
@@ -108,7 +102,10 @@ def _bench_profile(name: str, scale: str, jobs: int, top: int = 25) -> object:
 
 
 def cmd_bench(args) -> int:
-    """Benchmark the simulator itself: wall time and events/sec per figure."""
+    """Benchmark the simulator itself: wall time and events/sec per figure.
+
+    Each figure of the table writes BENCH_<name>.json to --output-dir.
+    """
     import json
     import os
     import time
@@ -116,7 +113,7 @@ def cmd_bench(args) -> int:
     from repro.sim.engine import ACTIVE_CORE
 
     os.makedirs(args.output_dir, exist_ok=True)
-    for name in BENCH_FIGURES:
+    for name in FIGURES:
         t0 = time.perf_counter()  # lint-sim: allow[wallclock] (host bench timing)
         if args.profile:
             result = _bench_profile(name, args.scale, args.jobs, top=args.profile_top)
@@ -237,20 +234,13 @@ def cmd_oltp(args) -> int:
 
 
 def _telemetry_point(args):
-    """Build one figure point's cluster with telemetry on, then run it."""
-    from repro.experiments.figures import figure_grid
-    from repro.experiments.sweep import _build_cluster, run_point
-
+    """Run the one figure point ``--point`` names with telemetry on."""
     scale = "quick" if args.quick else args.scale
-    grid = figure_grid(args.figure, scale)
-    if not 0 <= args.point < len(grid):
-        raise SystemExit(
-            f"--point must be in [0, {len(grid)}) for {args.figure}/{scale}"
-        )
-    label, point = grid[args.point]
-    cluster = _build_cluster({**point.cluster, "telemetry": True})
-    run_point(point, cluster=cluster)
-    return label, cluster
+    try:
+        points = telemetry_points(args.figure, scale, args.point)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return next(points)
 
 
 def cmd_stats(args) -> int:
@@ -338,9 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "check",
         help="correctness suite: lint + sanitizer + schedule perturbation")
-    from repro.check.runner import CHECK_FIGURES
-
-    p.add_argument("--figure", action="append", choices=CHECK_FIGURES,
+    p.add_argument("--figure", action="append", choices=tuple(FIGURES),
                    help="restrict to one figure grid (repeatable; "
                         "default: all)")
     p.add_argument("--perturb-seed", action="append", type=int, default=None,
@@ -387,10 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bench)
 
     def _add_point_args(p):
-        p.add_argument("--figure",
-                       choices=("fig5", "fig6", "fig7", "fig8", "fig9",
-                                "fig10", "fig11", "fig12", "fig13"),
-                       default="fig5")
+        p.add_argument("--figure", choices=tuple(FIGURES),
+                       default=next(iter(FIGURES)))
         p.add_argument("--scale", choices=("quick", "full"), default="quick")
         p.add_argument("--quick", action="store_true",
                        help="force the quick grid (alias for --scale quick)")
@@ -400,10 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "health",
         help="health checks + SLO gate; exit 0 OK / 1 WARN / 2 CRITICAL")
-    from repro.health.runner import FIGURES as HEALTH_FIGURES
-
-    p.add_argument("--experiment", choices=(*HEALTH_FIGURES, "chaos"),
-                   default="fig5")
+    p.add_argument("--experiment", choices=(*FIGURES, "chaos"),
+                   default=next(iter(FIGURES)))
     p.add_argument("--scale", choices=("quick", "full"), default="quick")
     p.add_argument("--point", type=int, default=None,
                    help="grade one grid index instead of the whole figure")

@@ -3,6 +3,7 @@
 from repro.analysis.calibration import (
     LINUX_DDR_RAID,
     LINUX_SDR,
+    PROFILES,
     SOLARIS_SDR,
     TestbedProfile,
 )
@@ -15,6 +16,7 @@ __all__ = [
     "LatencySummary",
     "LINUX_DDR_RAID",
     "LINUX_SDR",
+    "PROFILES",
     "SOLARIS_SDR",
     "TestbedProfile",
     "summarize_mb_s",

@@ -31,7 +31,8 @@ from repro.ib.memory import RegistrationCosts
 from repro.osmodel.cpu import CPUConfig
 from repro.tcpip.nic import GIGE_PROFILE, IPOIB_PROFILE, NicProfile
 
-__all__ = ["LINUX_DDR_RAID", "LINUX_SDR", "SOLARIS_SDR", "TestbedProfile"]
+__all__ = ["LINUX_DDR_RAID", "LINUX_SDR", "PROFILES", "SOLARIS_SDR",
+           "TestbedProfile"]
 
 
 @dataclass(frozen=True)
@@ -193,3 +194,7 @@ LINUX_DDR_RAID = TestbedProfile(
     server_threads=32,
     phys_mean_run_bytes=64 * 1024,
 )
+
+#: Every calibrated profile by name: how a plain-data cluster spec (and
+#: the CLI's ``--profile``) names one.
+PROFILES = {p.name: p for p in (SOLARIS_SDR, LINUX_SDR, LINUX_DDR_RAID)}

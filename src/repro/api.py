@@ -38,7 +38,7 @@ from typing import Optional
 from repro.errors import NfsStatusError, PoolExhausted, ReproError, TransportError
 from repro.experiments.cluster import Cluster, ClusterConfig, default_srq_entries
 from repro.experiments.registry import EXPERIMENTS, run as run_experiment
-from repro.experiments.topology import TOPOLOGY_KEYS, TopologyConfig
+from repro.experiments.topology import TopologyConfig, config_from_spec
 from repro.ib.mux import default_mux_qps
 from repro.workloads import (
     IozoneParams,
@@ -147,10 +147,8 @@ class Deployment:
     def __init__(self, config=None, **kwargs) -> None:
         if config is not None and kwargs:
             raise ValueError("pass a config object or field kwargs, not both")
-        if config is None and any(k in kwargs for k in TOPOLOGY_KEYS):
-            config = TopologyConfig(**kwargs)
-        elif config is None:
-            config = ClusterConfig(**kwargs)
+        if config is None:
+            config = config_from_spec(kwargs)
         if not isinstance(config, (ClusterConfig, TopologyConfig)):
             raise TypeError(
                 f"expected ClusterConfig or TopologyConfig, got "

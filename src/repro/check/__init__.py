@@ -14,11 +14,11 @@ Three layers, all surfaced through ``python -m repro check``:
   depends on incidental event ordering.  :func:`nondeterminism_guard`
   additionally traps wall-clock reads and global-RNG draws at runtime.
 * :func:`analyze` (:mod:`repro.check.static`) — the interprocedural
-  contract analyzer: the intraprocedural purity rules from
-  :mod:`repro.check.purity` plus zero-cost-off guard dominance,
-  cross-function purity escapes, process/generator discipline,
-  wire-format symmetry and exception-boundary checks.  Surfaced as
-  ``python -m repro check --static``.
+  contract analyzer: the intraprocedural purity rules
+  (:mod:`repro.check.static.rules.purity`) plus zero-cost-off guard
+  dominance, cross-function purity escapes, process/generator
+  discipline, wire-format symmetry and exception-boundary checks.
+  Surfaced as ``python -m repro check --static``.
 
 The heavyweight figure-grid driver lives in :mod:`repro.check.runner`
 and is imported lazily by the CLI (it pulls in the experiment stack).
@@ -28,9 +28,6 @@ from __future__ import annotations
 
 from repro.check.races import PerturbedSimulator, nondeterminism_guard
 from repro.check.sanitizer import Sanitizer, Violation
-# Loading the rules package with this package makes the purity <-> rules
-# import cycle always start from the rules side: the rule packs import
-# repro.check.purity, which imports Finding back from the rules package.
 from repro.check.static.rules import Finding
 
 __all__ = [

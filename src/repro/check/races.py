@@ -57,7 +57,8 @@ from the process-global ``random`` generator raise
 :class:`~repro.errors.NondeterminismViolation`.  Seeded
 ``random.Random`` instances — the only RNG the sim layer is allowed to
 use — are untouched.  (``datetime.now`` is C-level and can't be patched;
-the static lint in :mod:`repro.check.purity` covers it instead.)
+the static lint in :mod:`repro.check.static.rules.purity` covers it
+instead.)
 """
 
 from __future__ import annotations

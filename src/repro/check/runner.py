@@ -30,15 +30,7 @@ from typing import Optional, Sequence
 from repro.check.static import analyze
 from repro.check.static.rules import Finding
 
-__all__ = ["CHECK_FIGURES", "CheckReport", "FigureCheck", "run_check"]
-
-#: every figure with a point grid (Table 1 and the security audit have
-#: no sweep; the security audit is itself a correctness check).  fig12
-#: is the adversary-campaign grid: checking it proves attack traffic —
-#: NAK storms, quarantine evictions, lease reclaims — is as schedule-
-#: deterministic as the benign figures.
-CHECK_FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-                 "fig12", "fig13")
+__all__ = ["CheckReport", "FigureCheck", "run_check"]
 
 
 @dataclass
@@ -145,16 +137,22 @@ def run_check(figures: Optional[Sequence[str]] = None,
               progress=None) -> CheckReport:
     """Run the full correctness suite; see the module docstring.
 
-    ``figures=None`` covers every grid in :data:`CHECK_FIGURES`;
-    ``progress`` is an optional ``print``-like callable for live status.
+    ``figures=None`` covers every grid in
+    :data:`~repro.experiments.figures.FIGURES` (the adversary-campaign
+    grid included: attack traffic — NAK storms, quarantine evictions,
+    lease reclaims — must be as schedule-deterministic as the benign
+    figures); ``progress`` is an optional ``print``-like callable for
+    live status.
     """
+    from repro.experiments.figures import FIGURES
+
     report = CheckReport()
     if lint:
         if progress:
             progress("static: src/repro ...")
         report.lint_findings = analyze(root=_repro_src_root()).findings
         report.lint_ran = True
-    for figure in (figures or CHECK_FIGURES):
+    for figure in (figures or FIGURES):
         if progress:
             progress(f"{figure}: baseline + sanitized + "
                      f"{len(tuple(perturb_seeds))} perturbed sweep(s) ...")

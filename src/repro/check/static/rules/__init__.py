@@ -55,12 +55,12 @@ def _packs() -> tuple[RulePack, ...]:
         boundary,
         interproc,
         procgen,
-        purity_pack,
+        purity,
         wire,
         zerocost,
     )
 
-    return (purity_pack.PACK, zerocost.PACK, interproc.PACK,
+    return (purity.PACK, zerocost.PACK, interproc.PACK,
             procgen.PACK, wire.PACK, boundary.PACK)
 
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 import ast
 from typing import Optional
 
-from repro.check.purity import raw_findings
 from repro.check.static.frontend import FunctionInfo, Program, dotted
 from repro.check.static.rules import Finding, RulePack
+from repro.check.static.rules.purity import raw_findings
 
 RULE = "purity-escape"
 

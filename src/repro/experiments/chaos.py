@@ -24,7 +24,7 @@ from typing import Optional
 from repro.analysis import SOLARIS_SDR
 from repro.core.config import RpcRdmaConfig
 from repro.experiments.cluster import Cluster, ClusterConfig
-from repro.experiments.figures import ExperimentResult
+from repro.experiments.figures import EXPERIMENTS, ExperimentResult
 from repro.faults import FaultPlan
 from repro.nfs.protocol import Nfs3Proc
 from repro.sim import DeterministicRNG
@@ -33,7 +33,6 @@ __all__ = [
     "ChaosSoakOutcome",
     "recovery_summary",
     "run_chaos_soak",
-    "run_chaos_soak_table",
 ]
 
 NFS_PROG, NFS_VERS = 100003, 3
@@ -82,10 +81,7 @@ def recovery_summary(cluster: Cluster) -> ExperimentResult:
         experiment="Recovery summary",
         headers=["where", "counter", "events"],
         rows=rows,
-        paper_reference=(
-            "robustness extension: exactly-once resend semantics and "
-            "self-healing mounts (not measured in the paper)"
-        ),
+        paper_reference=EXPERIMENTS["chaos"].paper_reference,
     )
 
 
@@ -255,20 +251,3 @@ def run_chaos_soak(
         cluster=cluster,
     )
 
-
-def run_chaos_soak_table(scale: str = "quick", jobs: int = 1) -> ExperimentResult:
-    """Chaos soak: recovery counters from a faulted multi-client run.
-
-    ``jobs`` is accepted for runner-signature uniformity but unused: the
-    soak is a single fault-ordered simulation, not a point grid.
-    """
-    out = run_chaos_soak(scale)
-    result = out.summary
-    result.experiment = "Chaos soak: recovery summary"
-    status = "completed" if out.completed else "DID NOT COMPLETE"
-    result.paper_reference += (
-        f"; soak {status}: {out.verified_files} files verified, "
-        f"{out.lost_writes} lost writes, "
-        f"{out.duplicate_executions} duplicate executions"
-    )
-    return result

@@ -331,7 +331,7 @@ class ServerStack:
                 config.exposure_quota_bytes is not None:
             from repro.security.policy import SecurityPolicy
 
-            policy = SecurityPolicy(self.sim,
+            policy = SecurityPolicy(self.sim, self.server_transports,
                                     quarantine_enabled=config.quarantine)
             self.node.hca.protection_nak_hook = policy.record_nak
             self.rpc_server.security_policy = self.security_policy = policy
@@ -346,8 +346,6 @@ class ServerStack:
                      policy=self.security_policy)
         server.attach(self.rpc_server)
         self.server_transports.append(server)
-        if self.security_policy is not None:
-            self.security_policy.register_transport(server.client_id, server)
         return server
 
     def accept(self, host: IBNode) -> TcpRpcClient:

@@ -13,13 +13,10 @@ from __future__ import annotations
 import sys
 import time
 
-from repro.experiments.chaos import recovery_summary
-from repro.experiments.registry import EXPERIMENTS, run as run_experiment
+from repro.experiments.figures import EXPERIMENTS
+from repro.experiments.registry import run as run_experiment
 
-__all__ = ["ALL_EXPERIMENTS", "generate", "main", "recovery_summary"]
-
-#: every registered experiment, in registry (paper) order.
-ALL_EXPERIMENTS = list(EXPERIMENTS)
+__all__ = ["generate", "main"]
 
 PREAMBLE = """\
 # EXPERIMENTS — paper vs. measured
@@ -83,72 +80,6 @@ simulated microseconds (displayed as ms).
 """
 
 
-CHAOS_RECIPE = """\
-### Chaos recipe
-
-The soak builds a 4-client `rdma-rw` cluster on the RAID backend with
-`reply_timeout_us=150_000` (above its fault-free WRITE tail, so a
-timeout means an injected fault) and arms `FaultPlan.chaos(seed,
-duration_us, nclients=4, loss_rate=0.01, qp_kills=3, disk_faults=2)`:
-a schedule of QP kills and transient disk errors landing in the middle
-80% of the window plus continuous ~1% message loss.  A `FaultPlan` is a frozen
-value object — tuples of `MessageLoss(rate, start_us, end_us, node)`,
-`DelaySpike(rate, mean_delay_us, ...)`, `QpKill(at_us, client_index)`,
-`DiskFault(at_us, count, disk_index)`, `ServerStall(at_us,
-duration_us)` and `ServerCrash(at_us, restart_us)` — so a schedule is
-printable, diffable and hashable.
-
-Invariants asserted (benchmarks/test_chaos_soak.py):
-
-* the Postmark-style workload completes with **zero** manual repair —
-  every recovery is the transport's own redial-and-resend machinery;
-* every non-idempotent procedure (CREATE/REMOVE/RENAME) executed
-  exactly once per (xid, proc) despite resends across reconnects;
-* every acknowledged stable WRITE read back intact;
-* the schedule actually bit: >=3 QP kills fired, messages dropped,
-  >=2 disk errors hit.
-
-Reproduction: every stochastic draw derives from two integers — the
-cluster seed and the plan seed (both default 2007).  Re-running
-`repro.experiments.chaos.run_chaos_soak(scale, seed)` replays the
-identical run, fault for fault.
-"""
-
-FIG11_RECIPE = """\
-### Fig 11 recipe (extension: many-client scaling)
-
-Not a paper figure: it projects the Fig 10 story past the 8-node
-testbed to ask what the *server* needs to hold per client.  Three
-series per client count — the Read-Write design with the shared
-receive pool (`ClusterConfig(srq=True)`), the same design with the
-seed's per-connection receive rings, and NFS/TCP on IPoIB — each on
-the tmpfs backend (64 KB records, 1 thread/mount) behind the same
-bounded dispatcher (8 workers, 64-deep run queue), so receive-buffer
-pooling is the only variable between the RDMA series.  Regenerate one
-point with telemetry: `python -m repro stats --figure fig11 --quick
---point 3` (the SRQ section shows pool occupancy and the low-water
-mark).
-
-Registered receive-buffer memory (1 KB inline buffers, credits = 32):
-
-```
-clients   per-connection rings       shared pool (SRQ)
-          buffers    KB/client       buffers    KB/client
-      1        32          32             64         64
-      4       128          32             64         16
-     16       512          32             64          4
-     64      2048          32            128          2
-    256      8192          32            256          1
-```
-
-Per-connection rings pin `credits x inline_threshold` per mount —
-linear, 32 KB/client forever.  The pool sizes as
-`max(64, 16*sqrt(n), n)` entries *total*; client credit grants are
-clamped to `entries // (demand * nclients)` so the sum of grants never
-exceeds the pool and no receive can arrive to an empty SRQ (RNR-free
-by construction, asserted in tests/test_srq.py).
-"""
-
 BENCH_RECIPE = """\
 ## Benchmarking the simulator itself
 
@@ -171,7 +102,7 @@ check.
 
 def generate(scale: str = "quick", jobs: int = 1) -> str:
     sections = [PREAMBLE.format(scale=scale)]
-    for name in ALL_EXPERIMENTS:
+    for name, entry in EXPERIMENTS.items():
         t0 = time.time()  # lint-sim: allow[wallclock] (host report timing)
         result = run_experiment(name, scale, jobs=jobs)
         elapsed = time.time() - t0  # lint-sim: allow[wallclock] (host report timing)
@@ -183,10 +114,8 @@ def generate(scale: str = "quick", jobs: int = 1) -> str:
             "```\n\n"
             f"*(regenerated in {elapsed:.1f}s wall, scale={scale})*\n"
         )
-        if name == "fig11":
-            sections.append(FIG11_RECIPE)
-        if name == "chaos":
-            sections.append(CHAOS_RECIPE)
+        if entry.recipe:
+            sections.append(entry.recipe)
     sections.append(BENCH_RECIPE)
     return "\n".join(sections)
 

@@ -26,16 +26,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis import LINUX_DDR_RAID, LINUX_SDR, SOLARIS_SDR
+from repro.experiments.cluster import Cluster
+from repro.experiments.topology import config_from_spec
 
-__all__ = ["PROFILES", "Point", "default_jobs", "run_point", "sweep"]
-
-#: Calibrated host profiles by spec name (keeps :class:`Point` picklable).
-PROFILES = {
-    "solaris-sdr": SOLARIS_SDR,
-    "linux-sdr": LINUX_SDR,
-    "linux-ddr-raid": LINUX_DDR_RAID,
-}
+__all__ = ["Point", "default_jobs", "run_point", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -43,25 +37,8 @@ class Point:
     """One independent simulation: cluster kwargs + workload kwargs."""
 
     kind: str                         # "iozone" | "oltp" | "security" | "attack"
-    cluster: dict = field(default_factory=dict)  # ClusterConfig kwargs;
-    #                                             "profile" is a PROFILES name
+    cluster: dict = field(default_factory=dict)  # a config_from_spec spec
     params: dict = field(default_factory=dict)   # workload parameter kwargs
-
-
-def _build_cluster(spec: dict):
-    from repro.experiments.cluster import Cluster, ClusterConfig
-    from repro.experiments.topology import TOPOLOGY_KEYS, TopologyConfig
-
-    kwargs = dict(spec)
-    profile = kwargs.pop("profile", None)
-    if isinstance(profile, str):
-        profile = PROFILES[profile]
-    if profile is not None:
-        kwargs["profile"] = profile
-    topo_kwargs = {k: kwargs.pop(k) for k in TOPOLOGY_KEYS if k in kwargs}
-    config = ClusterConfig(**kwargs)
-    return Cluster(TopologyConfig(cluster=config, **topo_kwargs)
-                   if topo_kwargs else config)
 
 
 def run_point(point: Point, cluster=None) -> dict:
@@ -74,7 +51,7 @@ def run_point(point: Point, cluster=None) -> dict:
     after the run; by default each point builds its own.
     """
     if cluster is None:
-        cluster = _build_cluster(point.cluster)
+        cluster = Cluster(config_from_spec(point.cluster))
     if point.kind == "iozone":
         from repro.workloads import IozoneParams, run_iozone
 

@@ -6,19 +6,21 @@ data servers (:class:`~repro.nfs.striping.StripedNfsClient`), H client
 hosts (mount ``m`` lives on host ``m % H``) and optional QP multiplexing
 (:class:`~repro.ib.mux.QpMux`) to a ``ClusterConfig``'s single-node
 knobs.  :class:`~repro.experiments.cluster.Cluster` builds it on the same
-path as a one-server ``ClusterConfig``.
+path as a one-server ``ClusterConfig``, and :func:`config_from_spec`
+turns a plain-data spec into whichever of the two it describes.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis.calibration import PROFILES
 from repro.experiments.cluster import ClusterConfig
 
-__all__ = ["TopologyConfig", "TOPOLOGY_KEYS"]
+__all__ = ["TopologyConfig", "TOPOLOGY_KEYS", "config_from_spec"]
 
-#: Point-spec keys that make :func:`repro.experiments.sweep._build_cluster`
-#: build from a :class:`TopologyConfig` instead of a ``ClusterConfig``.
+#: Spec keys that make :func:`config_from_spec` build a
+#: :class:`TopologyConfig` instead of a ``ClusterConfig``.
 TOPOLOGY_KEYS = ("servers", "data_servers", "mux", "client_hosts", "credits")
 
 
@@ -64,3 +66,19 @@ class TopologyConfig:
         if not self.cluster.is_rdma:
             raise ValueError("multi-node topologies require an RDMA "
                              "transport (use ClusterConfig for TCP)")
+
+
+def config_from_spec(spec: dict):
+    """The deployment a dict of config fields describes.
+
+    ``profile`` may be a :data:`~repro.analysis.calibration.PROFILES`
+    name (so a spec stays plain, picklable data) or a profile object.
+    Any :data:`TOPOLOGY_KEYS` field makes it a :class:`TopologyConfig`
+    around the rest; otherwise it is a ``ClusterConfig``.
+    """
+    kwargs = dict(spec)
+    if isinstance(kwargs.get("profile"), str):
+        kwargs["profile"] = PROFILES[kwargs["profile"]]
+    topology = {k: kwargs.pop(k) for k in TOPOLOGY_KEYS if k in kwargs}
+    config = ClusterConfig(**kwargs)
+    return TopologyConfig(cluster=config, **topology) if topology else config

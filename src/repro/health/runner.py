@@ -40,11 +40,6 @@ __all__ = [
     "run_health",
 ]
 
-#: Figure experiments the health command can attach to.
-FIGURES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-           "fig13")
-
-
 @dataclass
 class PointHealth:
     """One graded run: its label, verdicts, and the registry dump."""
@@ -121,20 +116,10 @@ def _figure_points(experiment: str, scale: str, slo: SloPolicy,
                    point_index: Optional[int],
                    progress: Optional[Callable[[str], None]] = None,
                    ) -> list[PointHealth]:
-    from repro.experiments.figures import figure_grid
-    from repro.experiments.sweep import _build_cluster, run_point
+    from repro.experiments.registry import telemetry_points
 
-    grid = figure_grid(experiment, scale)
-    if point_index is not None:
-        if not 0 <= point_index < len(grid):
-            raise ValueError(
-                f"--point must be in [0, {len(grid)}) for "
-                f"{experiment}/{scale}")
-        grid = [grid[point_index]]
     points = []
-    for label, point in grid:
-        cluster = _build_cluster({**point.cluster, "telemetry": True})
-        run_point(point, cluster=cluster)
+    for label, cluster in telemetry_points(experiment, scale, point_index):
         ph = health_of_cluster(cluster, slo, label=label)
         points.append(ph)
         if progress:
@@ -184,10 +169,12 @@ def run_health(
 ) -> HealthReport:
     """Run ``experiment`` with telemetry on and grade every point.
 
-    ``experiment`` is a figure name (``fig5``..``fig12``) or ``chaos``.
-    ``point`` restricts a figure to one grid index.  ``crashes`` only
-    applies to the chaos soak.
+    ``experiment`` is a :data:`~repro.experiments.figures.FIGURES` name
+    or ``chaos``.  ``point`` restricts a figure to one grid index.
+    ``crashes`` only applies to the chaos soak.
     """
+    from repro.experiments.figures import FIGURES
+
     slo = load_policy(slo_path, experiment)
     if experiment == "chaos":
         points = _chaos_point(scale, slo, seed, crashes, progress)

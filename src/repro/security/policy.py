@@ -53,9 +53,12 @@ def client_of_qp(qp) -> str:
 class SecurityPolicy:
     """Per-client misbehavior ledger with escalating responses."""
 
-    def __init__(self, sim: Simulator, quarantine_enabled: bool = True,
-                 name: str = "secpolicy"):
+    def __init__(self, sim: Simulator, transports: list,
+                 quarantine_enabled: bool = True, name: str = "secpolicy"):
         self.sim = sim
+        #: the server's live transports (its stack's list, which a
+        #: redial prunes); eviction and exposure read them by client.
+        self.transports = transports
         #: escalate on score; off, the policy only keeps the ledger.
         self.quarantine_enabled = quarantine_enabled
         self.name = name
@@ -66,8 +69,6 @@ class SecurityPolicy:
         self.throttled: set[str] = set()
         self.quarantined: set[str] = set()
         self.banned: set[str] = set()
-        #: client -> that client's server-side transports (for eviction).
-        self._transports: dict[str, list] = {}
         self.naks = Counter(f"{name}.naks")
         self.malformed_wrs = Counter(f"{name}.malformed")
         self.lease_reclaims = Counter(f"{name}.lease_reclaims")
@@ -77,11 +78,6 @@ class SecurityPolicy:
         self.throttles = Counter(f"{name}.throttles")
         self.quarantines = Counter(f"{name}.quarantines")
         self.redials_refused = Counter(f"{name}.redials_refused")
-
-    # -- wiring ------------------------------------------------------------
-    def register_transport(self, client: str, transport) -> None:
-        """Associate a server transport with the client it serves."""
-        self._transports.setdefault(client, []).append(transport)
 
     # -- signal intake ------------------------------------------------------
     def record_nak(self, offender_qp, exc) -> None:
@@ -138,8 +134,8 @@ class SecurityPolicy:
         self.quarantines.add()
         if not self.quarantine_enabled:
             return
-        for transport in self._transports.get(client, []):
-            if not transport.failed:
+        for transport in self.transports:
+            if transport.client_id == client and not transport.failed:
                 self.sim.process(transport.disconnect(),
                                  name=f"{self.name}.evict")
 
@@ -156,12 +152,9 @@ class SecurityPolicy:
     def exposure_bytes_by_client(self) -> dict[str, int]:
         """Currently exposed (pending-DONE) bytes per client."""
         out: dict[str, int] = {}
-        for client, transports in self._transports.items():
-            total = 0
-            for t in transports:
-                pending = getattr(t, "pending_done", None)
-                if pending:
-                    total += sum(r.length for rs in pending.values()
-                                 for r in rs)
-            out[client] = total
+        for t in self.transports:
+            pending = getattr(t, "pending_done", None)
+            out[t.client_id] = out.get(t.client_id, 0) + (
+                sum(r.length for rs in pending.values() for r in rs)
+                if pending else 0)
         return out

@@ -20,10 +20,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # of the grid is covered by the golden tests plus `repro check`.
 GRID_SNIPPET = """
 from repro.sim.engine import ACTIVE_CORE
-from repro.experiments import figures
+from repro.experiments.registry import run
 assert ACTIVE_CORE == {core!r}, f"wanted {core} core, got {{ACTIVE_CORE}}"
-print(figures.run_fig5(scale="quick"))
-print(figures.run_fig11(scale="quick"))
+print(run("fig5", scale="quick"))
+print(run("fig11", scale="quick"))
 """
 
 

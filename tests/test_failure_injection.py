@@ -237,11 +237,11 @@ def test_rnr_storm_recovers_without_data_loss():
 
 def test_experiment_runners_smoke():
     """The fast experiment runners produce well-formed rows."""
-    from repro.experiments.figures import run_security_audit, run_table1
+    from repro.experiments.registry import run
 
-    t1 = run_table1()
+    t1 = run("table1")
     assert len(t1.rows) == 2
     assert t1.headers[0] == "primitive"
-    audit = run_security_audit()
+    audit = run("security")
     designs = [row[0] for row in audit.rows]
     assert designs == ["rdma-rr", "rdma-rw"]

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments.figures import figure_grid, run_fig11
+from repro.experiments.figures import figure_grid
 from repro.experiments.registry import EXPERIMENTS, run
 
 
 @pytest.fixture(scope="module")
 def fig11_quick():
-    return run_fig11("quick", jobs=1)
+    return run("fig11", "quick", jobs=1)
 
 
 def rows_by_series(result):
@@ -25,12 +25,12 @@ def test_grid_reaches_64_clients(fig11_quick):
 
 
 def test_quick_grid_deterministic(fig11_quick):
-    again = run_fig11("quick", jobs=1)
+    again = run("fig11", "quick", jobs=1)
     assert again.rows == fig11_quick.rows
 
 
 def test_parallel_sweep_bit_identical(fig11_quick):
-    parallel = run_fig11("quick", jobs=4)
+    parallel = run("fig11", "quick", jobs=4)
     assert parallel.rows == fig11_quick.rows
     assert parallel.events == fig11_quick.events
 

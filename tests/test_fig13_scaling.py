@@ -8,8 +8,7 @@ import math
 
 import pytest
 
-from repro.experiments.figures import run_fig13
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, run
 
 HOSTS = 4  # fig13's client_hosts
 
@@ -19,7 +18,7 @@ MBS, P99, QPS, KB = 2, 3, 4, 5
 
 @pytest.fixture(scope="module")
 def fig13_quick():
-    return run_fig13("quick", jobs=4)
+    return run("fig13", "quick", jobs=4)
 
 
 def by_series(result):

@@ -158,10 +158,10 @@ def run_point(spec) -> dict:
 
 
 def _figure_tables() -> dict:
-    from repro.experiments import figures
+    from repro.experiments.registry import run
     out = {}
     for fig in FIGURES:
-        result = getattr(figures, f"run_{fig}")("quick")
+        result = run(fig, "quick")
         out[fig] = {"headers": result.headers, "rows": result.rows}
     return out
 

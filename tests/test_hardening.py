@@ -6,12 +6,16 @@ the assertions are about the *defense* — bounded pinning, admission
 control, escalation to quarantine, and the analytic stag-guess bound.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.readread import ReadReadServer
 from repro.experiments import Cluster, ClusterConfig
+from repro.faults import FaultPlan, QpKill
 from repro.nfs import NfsClient
 from repro.security import (
     CampaignParams,
@@ -161,6 +165,48 @@ def test_exposure_audit_sums_per_connection_rings():
 
 
 # ---------------------------------------------------------------- quarantine
+def test_policy_holds_only_live_transports_across_redials():
+    """Five QP-kill redials of a hardened mount: the policy reads its
+    stack's live transports, so the five superseded server transports
+    are freed, and exposure and eviction act on the one live transport."""
+    kills = 5
+    c = Cluster(ClusterConfig(
+        transport="rdma-rr", lease_timeout_us=5_000.0, quarantine=True,
+        fault_plan=FaultPlan(seed=1, qp_kills=tuple(
+            QpKill(at_us=20_000.0 * (i + 1)) for i in range(kills))),
+    ))
+    stack = c.server_stacks[0]
+    made = [weakref.ref(stack.server_transports[0])]
+    make = stack.make_transport
+
+    def tracked(qp_s):
+        server = make(qp_s)
+        made.append(weakref.ref(server))
+        return server
+
+    stack.make_transport = tracked
+    nfs = c.mounts[0].nfs
+
+    def workload():
+        for i in range(400):
+            fh, _ = yield from nfs.create(nfs.root, f"f{i}")
+            yield from nfs.write(fh, 0, bytes(16 * 1024))
+
+    c.run(workload())
+    assert c.mounts[0].transport.reconnects.events == kills
+    gc.collect()
+    alive = [ref() for ref in made if ref() is not None]
+    assert len(made) == kills + 1
+    assert alive == stack.server_transports == [made[-1]()]
+    live = alive[0]
+    policy = c.security_policy
+    assert policy.exposure_bytes_by_client() == {"client0": 0}
+    policy.quarantine("client0")
+    c.sim.run(until=c.sim.now + 1_000.0)
+    assert live.failed
+    assert policy.is_banned("client0")
+
+
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_quarantine_evicts_flooder_not_victims(seed):

@@ -1,7 +1,7 @@
 """The ``purity`` rule pack: one known-bad snippet per rule, plus the
 suppression syntax and the idioms that must stay exempt."""
 
-from repro.check.purity import RULES
+from repro.check.static.rules.purity import RULES
 from repro.check.static import analyze_source
 
 
