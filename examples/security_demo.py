@@ -70,8 +70,7 @@ def attack_read_write() -> None:
     mount = cluster.mounts[0]
 
     def qp_factory():
-        qc, _ = cluster.fabric.connect(mount.node, cluster.server_node)
-        return qc
+        return cluster.server_stacks[0].open_qp(mount.node)
 
     adversary = StagGuessingAdversary(mount.node, qp_factory, seed=1)
     cluster.run(adversary.run(guesses=100))

@@ -218,9 +218,13 @@ class _RdmaEndpoint:
         ends of the QP enter ERROR (a CM disconnect reaches the peer), the
         HCA destroys this end, the SRQ inbox closes, the design's pinned
         state is released and the inline pools are deregistered and
-        freed.  Closing twice is harmless."""
+        freed.  A connection closed while ``ready`` still runs waits for
+        its setup first, so no pool is registered or inbox attached after
+        the close.  Closing twice is harmless."""
         self.qp.kill(cause)
         self.node.hca.destroy_qp(self.qp)
+        if not self.ready.processed:
+            yield self.ready
         if self.srq is not None:
             self.srq.detach(self.qp)  # also one attached after the QP died
         yield from self._reclaim_on_close()

@@ -151,6 +151,8 @@ class ReadReadServer(RpcRdmaServerBase):
             self.recv_pool.count = config.credits * 2
         #: xid -> regions awaiting the client's RDMA_DONE.
         self.pending_done: dict[int, list[RegisteredRegion]] = {}
+        #: bytes across ``pending_done`` (kept running, never re-summed).
+        self.exposed_bytes = 0
         self.dones_received = Counter(f"{self.name}.dones")
         self.exposed_bytes_peak = 0
         self.lease_reclaims = Counter(f"{self.name}.lease_reclaims")
@@ -202,10 +204,9 @@ class ReadReadServer(RpcRdmaServerBase):
             # overwrite — a DRC replay re-exposes under the same xid and
             # the single DONE must release both generations.
             self.pending_done.setdefault(reply.xid, []).extend(exposed)
-            self.exposed_bytes_peak = max(
-                self.exposed_bytes_peak,
-                sum(r.length for rs in self.pending_done.values() for r in rs),
-            )
+            self.exposed_bytes += sum(r.length for r in exposed)
+            self.exposed_bytes_peak = max(self.exposed_bytes_peak,
+                                          self.exposed_bytes)
             san = self.sim.sanitizer
             if san is not None:
                 san.advertise(self.node.hca.tpt.name, reply.xid,
@@ -217,7 +218,32 @@ class ReadReadServer(RpcRdmaServerBase):
                                  name=f"{self.name}.lease")
         yield from self.send_header(wire)
 
-    # -- mitigation machinery ----------------------------------------------
+    # -- retiring exposures -------------------------------------------------
+    def _retire(self, xid: int, reclaimed: Optional[Counter] = None,
+                score=None) -> Generator:
+        """Process: end exposure ``xid`` if it is still pending.
+
+        Every way an exposure ends comes here: DONE, lease expiry, quota
+        eviction and close.  Bookkeeping runs before the first release
+        yield — the running total, the ``reclaimed`` counter, the
+        sanitizer's un-advertise, then ``score(client, nbytes)`` (which
+        may spawn a quarantine) — and the windows are released last.
+        """
+        regions = self.pending_done.pop(xid, None)
+        if regions is None:
+            return  # DONE (or quota/lease/close reclaim) got there first
+        nbytes = sum(r.length for r in regions)
+        self.exposed_bytes -= nbytes
+        if reclaimed is not None:
+            reclaimed.add(nbytes)
+        san = self.sim.sanitizer
+        if san is not None:
+            san.retire(self.node.hca.tpt.name, xid)
+        if score is not None:
+            score(self.client_id, nbytes)
+        for region in regions:
+            yield from self.strategy.release(region)
+
     def _enforce_quota(self, current_xid: int) -> Generator:
         """Admission control: this connection's exposed bytes must fit
         ``exposure_quota_bytes``.  While over, the *oldest* pending
@@ -226,62 +252,33 @@ class ReadReadServer(RpcRdmaServerBase):
         clients are untouched because their DONEs keep them under quota.
         """
         quota = self.config.exposure_quota_bytes
-        while len(self.pending_done) > 1:
-            total = sum(r.length for rs in self.pending_done.values()
-                        for r in rs)
-            if total <= quota:
-                return
+        while len(self.pending_done) > 1 and self.exposed_bytes > quota:
             oldest = next(x for x in self.pending_done if x != current_xid)
-            regions = self.pending_done.pop(oldest)
-            nbytes = sum(r.length for r in regions)
-            self.quota_evictions.add(nbytes)
-            san = self.sim.sanitizer
-            if san is not None:
-                san.retire(self.node.hca.tpt.name, oldest)
-            if self.policy is not None:
-                self.policy.record_quota_eviction(self.client_id, nbytes)
-            for region in regions:
-                yield from self.strategy.release(region)
+            yield from self._retire(
+                oldest, self.quota_evictions,
+                self.policy and self.policy.record_quota_eviction)
 
     def _lease_timer(self, xid: int) -> Generator:
         """Deadline-based reclamation: if the DONE has not arrived when
         the lease expires, deregister the windows (a sanitizer-visible
         epoch bump) and score the client."""
         yield self.sim.timeout(self.config.lease_timeout_us)
-        regions = self.pending_done.pop(xid, None)
-        if regions is None:
-            return  # DONE (or quota/disconnect reclaim) beat the deadline
-        nbytes = sum(r.length for r in regions)
-        self.lease_reclaims.add(nbytes)
-        san = self.sim.sanitizer
-        if san is not None:
-            san.retire(self.node.hca.tpt.name, xid)
-        if self.policy is not None:
-            self.policy.record_lease_reclaim(self.client_id, nbytes)
-        for region in regions:
-            yield from self.strategy.release(region)
+        yield from self._retire(
+            xid, self.lease_reclaims,
+            self.policy and self.policy.record_lease_reclaim)
 
     def _handle_done(self, header: RpcRdmaHeader) -> Generator:
         yield from self.node.cpu.consume(DONE_HANDLER_CPU_US)
         self.dones_received.add()
-        regions = self.pending_done.pop(header.xid, None)
-        if regions is None:
-            return  # duplicate/stray DONE: ignore, as a robust server must
-        san = self.sim.sanitizer
-        if san is not None:
-            san.retire(self.node.hca.tpt.name, header.xid)
-        for region in regions:
-            yield from self.strategy.release(region)
+        # A duplicate/stray DONE finds nothing: ignore, as a robust
+        # server must.
+        yield from self._retire(header.xid)
 
     def _reclaim_on_close(self) -> Generator:
-        """Release every window awaiting a DONE that will never come."""
+        """Release every window awaiting a DONE that will never come,
+        newest first."""
         while self.pending_done:
-            xid, regions = self.pending_done.popitem()
-            san = self.sim.sanitizer
-            if san is not None:
-                san.retire(self.node.hca.tpt.name, xid)
-            for region in regions:
-                yield from self.strategy.release(region)
+            yield from self._retire(next(reversed(self.pending_done)))
 
     # -- audit hooks ---------------------------------------------------------
     def exposed_regions(self) -> list[RegisteredRegion]:

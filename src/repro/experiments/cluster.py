@@ -11,8 +11,8 @@ client host and one connection per mount.  ``Cluster(TopologyConfig)``
 is the scale-out form behind fig13 (DESIGN.md §15): K server shards, M
 pNFS-style data servers, H client hosts and optional QP multiplexing.
 Both shapes run the same code: :class:`ServerStack` is the only place a
-serving stack is wired, and the cluster only places mounts, dials them
-and attaches faults and telemetry.
+serving stack is wired or a connection to it made, and the cluster only
+places mounts and attaches faults and telemetry.
 """
 
 from __future__ import annotations
@@ -239,9 +239,11 @@ class ServerStack:
     program, server registration strategy, shared receive pool, credit
     clamp, hardening overrides and misbehavior policy are wired.  Flow
     control waits for :meth:`size_flow_control`, because it is sized
-    from the cluster's full lane plan.  Every connection to the node
-    attaches through :meth:`make_transport` (RDMA) or :meth:`accept`
-    (TCP); a dead RDMA connection is replaced through :meth:`redial`.
+    from the cluster's full lane plan.  Every connection to the node is
+    dialed through :meth:`connect` (a wired client transport) or
+    :meth:`open_qp` (a bare client QP), a dead RDMA connection is
+    replaced through :meth:`redial`, and :meth:`drop` takes a server end
+    off the stack.
     """
 
     def __init__(self, cluster: "Cluster", name: str):
@@ -337,8 +339,54 @@ class ServerStack:
             self.rpc_server.security_policy = self.security_policy = policy
 
     # -- connections --------------------------------------------------------
-    def make_transport(self, qp_s):
-        """Build + attach one RDMA server transport for ``qp_s``."""
+    def connect(self, host: IBNode, name: str = "", client_cls=None):
+        """Dial ``host`` to this stack; returns the wired client transport.
+
+        RDMA: the client end is built before the server end (both start
+        processes at t=0), waits for the server end's ``ready`` (the CM
+        handshake) and heals a dead QP through :meth:`redial`;
+        ``client_cls`` replaces the design's client (a protocol-speaking
+        adversary).  TCP: one connection on the stack's shared port.
+        """
+        config = self.config
+        if config.is_rdma:
+            qp_c, qp_s = self.fabric.connect(host, self.node)
+            if client_cls is None:
+                client_cls = (ReadWriteClient if config.transport == "rdma-rw"
+                              else ReadReadClient)
+            client = client_cls(host, qp_c, self.rpcrdma,
+                                make_strategy(config, host, server=False),
+                                name=name)
+            client.peer_ready = self._serve(qp_s).ready
+            client.reconnector = self.redial
+        else:
+            client_ep = TcpEndpoint(self.sim, host.cpu, host.irq, self.nic,
+                                    name=f"{host.name}.tcp")
+            ep_name = f"{self.name}.tcp.{host.name}"
+            if self._tcp_port is None:
+                self._tcp_port = self.nic.port(self.sim,
+                                               f"{ep_name}.{self.nic.name}")
+            server_ep = TcpEndpoint(self.sim, self.node.cpu, self.node.irq,
+                                    self.nic, name=ep_name, port=self._tcp_port)
+            conn = TcpConnection(client_ep, server_ep)
+            client = TcpRpcClient(client_ep, conn)
+            server = TcpRpcServerTransport(server_ep, conn)
+            server.attach(self.rpc_server)
+            self.server_transports.append(server)
+        return client
+
+    def open_qp(self, host: IBNode):
+        """Admit ``host``, then dial a bare QP to this stack.
+
+        Returns the client QP and the new server end's ``ready`` event:
+        a sender that must land its messages waits for it.
+        """
+        self.admit(host.name)
+        qp_c, qp_s = self.fabric.connect(host, self.node)
+        return qp_c, self._serve(qp_s).ready
+
+    def _serve(self, qp_s):
+        """Build and attach the RDMA server end of ``qp_s``."""
         cls = (ReadWriteServer if self.config.transport == "rdma-rw"
                else ReadReadServer)
         server = cls(self.node, qp_s, self.rpcrdma, self.strategy,
@@ -348,21 +396,10 @@ class ServerStack:
         self.server_transports.append(server)
         return server
 
-    def accept(self, host: IBNode) -> TcpRpcClient:
-        """TCP connect from ``host``; returns the client transport."""
-        client_ep = TcpEndpoint(self.sim, host.cpu, host.irq, self.nic,
-                                name=f"{host.name}.tcp")
-        name = f"{self.name}.tcp.{host.name}"
-        if self._tcp_port is None:
-            self._tcp_port = self.nic.port(self.sim, f"{name}.{self.nic.name}")
-        server_ep = TcpEndpoint(self.sim, self.node.cpu, self.node.irq,
-                                self.nic, name=name, port=self._tcp_port)
-        conn = TcpConnection(client_ep, server_ep)
-        client = TcpRpcClient(client_ep, conn)
-        server = TcpRpcServerTransport(server_ep, conn)
-        server.attach(self.rpc_server)
-        self.server_transports.append(server)
-        return client
+    def drop(self, server) -> Generator:
+        """Process: take ``server`` off this stack and disconnect it."""
+        self.server_transports.remove(server)
+        yield from server.disconnect()
 
     def admit(self, client: str) -> None:
         """Refuse a (re)dial from a quarantined client.
@@ -378,21 +415,20 @@ class ServerStack:
     def redial(self, client) -> Generator:
         """Transport recovery policy (installed as ``client.reconnector``).
 
-        Disconnect the old server transport, found by connection
-        identity (the client QP's peer) so a mount redialed twice never
-        targets a stale entry, which reclaims anything the client pinned
-        (§4.1's operational defense).  Then hand back a fresh QP and the
-        new server transport's ready event for the CM handshake; the
-        client closes its own end of the old connection.
+        Admit the client first, so a refused redial leaves the old
+        server end in place.  Then drop the old server end, found by
+        connection identity (the client QP's peer) so a mount redialed
+        twice never targets a stale entry, which reclaims anything the
+        client pinned (§4.1's operational defense), and hand back a
+        fresh QP and the new server end's ready event for the CM
+        handshake; the client closes its own end of the old connection.
         """
         self.admit(client.node.name)
         server = next((s for s in self.server_transports
                        if s.qp is client.qp.peer), None)
         if server is not None:
-            self.server_transports.remove(server)
-            yield from server.disconnect()
-        qp_c, qp_s = self.fabric.connect(client.node, self.node)
-        return qp_c, self.make_transport(qp_s).ready
+            yield from self.drop(server)
+        return self.open_qp(client.node)
 
     def recv_buffer_bytes(self) -> int:
         """Registered receive-buffer memory on this node.
@@ -447,11 +483,8 @@ class Cluster:
                               for i in range(servers)]
         self.data_stacks = [ServerStack(self, f"ds{j}")
                             for j in range(data_servers)]
-        profile = config.profile
-        self.client_nodes = [
-            self._add_node(f"client{h}", profile.client_cpu, profile.client_hca)
-            for h in range(hosts)
-        ]
+        self.client_nodes = [self.add_client_node(f"client{h}")
+                             for h in range(hosts)]
 
         # Placement first — flow-control sizing and mux pool sizing both
         # need the full lane plan before any connection is dialed.
@@ -533,24 +566,15 @@ class Cluster:
             allow_physical=self.config.strategy == "all-physical",
         )
 
-    def _dial(self, host: IBNode, stack: ServerStack, name: str = ""):
-        """One client connection from ``host`` to ``stack``."""
-        config = self.config
-        if config.is_rdma:
-            qp_c, qp_s = self.fabric.connect(host, stack.node)
-            client_cls = (ReadWriteClient if config.transport == "rdma-rw"
-                          else ReadReadClient)
-            client = client_cls(host, qp_c, stack.rpcrdma,
-                                make_strategy(config, host, server=False),
-                                name=name)
-            server = stack.make_transport(qp_s)
-            # CM handshake: the client may not send until the server
-            # side has pre-posted its receives.
-            client.peer_ready = server.ready
-            # A dead QP heals itself instead of killing the mount.
-            client.reconnector = stack.redial
-        else:
-            client = stack.accept(host)
+    def add_client_node(self, name: str) -> IBNode:
+        """A client host on the fabric (mount hosts and adversaries)."""
+        profile = self.config.profile
+        return self._add_node(name, profile.client_cpu, profile.client_hca)
+
+    def _connect(self, host: IBNode, stack: ServerStack, name: str):
+        """A mount's or mux channel's :meth:`ServerStack.connect`, kept in
+        :attr:`client_transports`."""
+        client = stack.connect(host, name)
         self.client_transports.append(client)
         return client
 
@@ -558,15 +582,15 @@ class Cluster:
                  lanes: int) -> None:
         name = f"{host.name}.{stack.name}.mux"
         self.muxes[(h, stack.name)] = QpMux(
-            name, lanes, lambda i: self._dial(host, stack, f"{name}.ch{i}"))
+            name, lanes, lambda i: self._connect(host, stack, f"{name}.ch{i}"))
 
     def _transport_for(self, m: int, h: int, stack: ServerStack,
                        prefix: str):
         """Mount ``m``'s transport to ``stack``: lane or dedicated QP."""
         if self.muxes:
             return self.muxes[(h, stack.name)].add_lane(m)
-        return self._dial(self.client_nodes[h], stack,
-                          self.names.transport(prefix, stack.name))
+        return self._connect(self.client_nodes[h], stack,
+                             self.names.transport(prefix, stack.name))
 
     def _build_mount(self, m: int, h: int, s: int) -> Mount:
         host = self.client_nodes[h]

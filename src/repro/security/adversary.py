@@ -59,7 +59,9 @@ class StagGuessingAdversary:
 
     Each guess that draws a NAK kills the QP (as real RC semantics
     demand), so the adversary reconnects — modeled by the caller handing
-    over a fresh QP factory.  Success statistics are recorded either way.
+    over a QP factory (``qp_factory() -> (qp, ready)``, the shape of
+    ``ServerStack.open_qp``; RDMA Reads need no posted receive, so
+    ``ready`` goes unused).  Success statistics are recorded either way.
     """
 
     def __init__(self, node: IBNode, qp_factory, seed: int = 1337,
@@ -83,7 +85,7 @@ class StagGuessingAdversary:
                 scratch, AccessFlags.LOCAL_WRITE))
 
         lmr = yield from reg()
-        qp = self.qp_factory()
+        qp, _ = self.qp_factory()
         for _ in range(guesses):
             if target_stags and self.rng.uniform() < 0.5:
                 stag = self.rng.choice(list(target_stags))
@@ -100,7 +102,7 @@ class StagGuessingAdversary:
             try:
                 yield from self.node.hca.post_send(qp, wr)
             except QPError:
-                qp = self.qp_factory()  # reconnect after a NAK killed it
+                qp, _ = self.qp_factory()  # reconnect after a NAK killed it
                 yield from self.node.hca.post_send(qp, wr)
             yield wr.completion
             if wr.cqe.ok:
@@ -109,7 +111,7 @@ class StagGuessingAdversary:
             else:
                 self.naks.add()
                 if qp.state.name == "ERROR":
-                    qp = self.qp_factory()
+                    qp, _ = self.qp_factory()
 
     @property
     def hit_rate(self) -> float:
@@ -197,8 +199,9 @@ class StaleChunkReplayAdversary(ReadReadClient):
         """Process: replay recorded windows over a fresh attack QP.
 
         Runs on its own QP so the NAK-per-replay churn does not kill the
-        legitimate-looking mount connection.  Stops early if the factory
-        refuses to redial (quarantine).
+        legitimate-looking mount connection.  ``qp_factory() -> (qp,
+        ready)`` as for :class:`StagGuessingAdversary`; stops early if the
+        factory refuses to redial (quarantine).
         """
         targets = self.recorded if limit is None else self.recorded[:limit]
         if not targets:
@@ -206,7 +209,7 @@ class StaleChunkReplayAdversary(ReadReadClient):
         scratch = self.node.arena.alloc(max(s.length for s in targets))
         lmr = yield from self.node.hca.tpt.register(scratch, AccessFlags.LOCAL_WRITE)
         try:
-            qp = qp_factory()
+            qp, _ = qp_factory()
         except TransportError:
             return
         for seg in targets:
@@ -221,7 +224,7 @@ class StaleChunkReplayAdversary(ReadReadClient):
                 yield from self.node.hca.post_send(qp, wr)
             except QPError:
                 try:
-                    qp = qp_factory()
+                    qp, _ = qp_factory()
                 except TransportError:
                     return
                 yield from self.node.hca.post_send(qp, wr)
@@ -232,7 +235,7 @@ class StaleChunkReplayAdversary(ReadReadClient):
                 self.replay_naks.add()
                 if qp.state.name == "ERROR":
                     try:
-                        qp = qp_factory()
+                        qp, _ = qp_factory()
                     except TransportError:
                         return
 
@@ -270,22 +273,18 @@ class FloodAdversary:
     def _redial(self) -> Generator:
         """Process: dial a fresh QP; returns None once redials are refused.
 
-        The factory may return a bare QP or ``(qp, ready_event)``; with
-        the latter the flooder waits for the server side to post its
-        receives — garbage must *land* to burn server cycles, an RNR
-        drop costs the victim nothing.
+        The factory returns ``(qp, ready)``, and the flooder waits for
+        the server side to post its receives — garbage must *land* to
+        burn server cycles, an RNR drop costs the victim nothing.
         """
         try:
-            dialed = self.qp_factory()
+            qp, ready = self.qp_factory()
         except TransportError:
             self.redials_refused.add()
             return None
         self.redials.add()
-        if isinstance(dialed, tuple):
-            qp, ready = dialed
-            yield ready
-            return qp
-        return dialed
+        yield ready
+        return qp
 
     def run(self, bursts: int) -> Generator:
         """Process: ``bursts`` rounds of garbage + one wild read each."""

@@ -143,11 +143,7 @@ def audit_server_exposure(server_node, server_transports) -> dict:
     for transport in server_transports:
         if hasattr(transport, "pending_done"):
             pending += len(transport.pending_done)
-            pending_bytes += sum(
-                r.length
-                for regions in transport.pending_done.values()
-                for r in regions
-            )
+            pending_bytes += transport.exposed_bytes
         srq = getattr(transport, "srq", None)
         if srq is not None:
             if id(srq) not in shared_pools:

@@ -31,13 +31,14 @@ paper's security argument, measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generator, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Generator
 
 from repro.analysis.latency import LatencyRecorder
 from repro.core import ReadWriteClient
 from repro.errors import TransportError
-from repro.experiments.cluster import make_strategy
+from repro.experiments.cluster import Mount
 from repro.nfs import NfsClient
 from repro.payload import Payload
 from repro.security.adversary import (
@@ -118,64 +119,6 @@ class CampaignResult:
         return dict(self.__dict__)
 
 
-@dataclass
-class _MalMount:
-    """One malicious client's wiring."""
-
-    node: object
-    transport: object
-    nfs: Optional[NfsClient] = None
-    server_transports: list = field(default_factory=list)
-
-
-def _add_mal_node(cluster, name: str):
-    profile = cluster.config.profile
-    return cluster.fabric.add_node(
-        name,
-        cpu_config=profile.client_cpu,
-        hca_config=profile.client_hca,
-        link_config=profile.link,
-        interrupt_cost_us=profile.interrupt_cost_us,
-    )
-
-
-def _qp_factory(cluster, node, servers: list, with_ready: bool = False):
-    """Redial closure for raw adversaries: honors quarantine bans and
-    tracks every server transport it creates so the campaign can drain
-    them at teardown.  ``with_ready`` returns ``(qp, ready_event)`` for
-    adversaries whose sends must land (the flooder) rather than fire
-    into an RNR wall."""
-
-    stack = cluster.server_stacks[0]
-
-    def factory():
-        stack.admit(node.name)
-        qp_c, qp_s = cluster.fabric.connect(node, stack.node)
-        server = stack.make_transport(qp_s)
-        servers.append(server)
-        if with_ready:
-            return qp_c, server.ready
-        return qp_c
-
-    return factory
-
-
-def _mal_client_mount(cluster, node, client_cls, servers: list) -> _MalMount:
-    """A full NFS mount for a protocol-speaking adversary."""
-    stack = cluster.server_stacks[0]
-    qp_c, qp_s = cluster.fabric.connect(node, stack.node)
-    strategy = make_strategy(cluster.config, node, server=False)
-    client = client_cls(node, qp_c, stack.rpcrdma, strategy)
-    server = stack.make_transport(qp_s)
-    servers.append(server)
-    client.peer_ready = server.ready
-    client.reconnector = stack.redial
-    nfs = NfsClient(client, stack.nfs_server.root_handle(),
-                    name=f"{node.name}.nfs")
-    return _MalMount(node=node, transport=client, nfs=nfs,
-                     server_transports=servers)
-
-
 def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     """Run one campaign against ``cluster``; returns scalar outcomes.
 
@@ -188,30 +131,41 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     is_rr = cluster.config.transport == "rdma-rr"
     payload = Payload.tile(bytes(range(256)), params.record_bytes)
     records = max(1, params.file_bytes // params.record_bytes)
-    mal_servers: list = []
+    stack = cluster.server_stacks[0]
+    mal_nodes: set = set()
+
+    def mal_node(name: str):
+        mal_nodes.add(name)
+        return cluster.add_client_node(name)
+
+    def mal_mount(name: str, client_cls) -> Mount:
+        """A full NFS mount for a protocol-speaking adversary."""
+        node = mal_node(name)
+        client = stack.connect(node, client_cls=client_cls)
+        return Mount(node=node, transport=client,
+                     nfs=NfsClient(client, stack.nfs_server.root_handle(),
+                                   name=f"{name}.nfs"))
 
     # -- malicious mounts --------------------------------------------------
     # Withhold/replay are Read-Read protocol attacks; against Read-Write
     # they degrade to ordinary clients (nothing to pin, nothing to
-    # replay) — the comparison fig12 exists to show.
+    # replay) — the comparison fig12 exists to show.  Raw adversaries
+    # redial through the stack, which refuses a quarantined node.
     withholder = replayer = guesser = flooder = None
     if "withhold" in params.adversaries:
-        cls = DoneWithholdingClient if is_rr else ReadWriteClient
-        withholder = _mal_client_mount(cluster, _add_mal_node(cluster, "malwh"),
-                                       cls, mal_servers)
+        withholder = mal_mount(
+            "malwh", DoneWithholdingClient if is_rr else ReadWriteClient)
     if "replay" in params.adversaries:
-        cls = StaleChunkReplayAdversary if is_rr else ReadWriteClient
-        replayer = _mal_client_mount(cluster, _add_mal_node(cluster, "malrp"),
-                                     cls, mal_servers)
+        replayer = mal_mount(
+            "malrp", StaleChunkReplayAdversary if is_rr else ReadWriteClient)
     if "guess" in params.adversaries:
-        node = _add_mal_node(cluster, "malsg")
+        node = mal_node("malsg")
         guesser = StagGuessingAdversary(
-            node, _qp_factory(cluster, node, mal_servers), seed=params.seed)
+            node, partial(stack.open_qp, node), seed=params.seed)
     if "flood" in params.adversaries:
-        node = _add_mal_node(cluster, "malfl")
+        node = mal_node("malfl")
         flooder = FloodAdversary(
-            node, _qp_factory(cluster, node, mal_servers, with_ready=True),
-            seed=params.seed + 1)
+            node, partial(stack.open_qp, node), seed=params.seed + 1)
 
     # -- setup: pre-write every file (untimed) -----------------------------
     def write_file(nfs, tag: str) -> Generator:
@@ -283,8 +237,7 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
             return
         yield sim.timeout(max(mid - sim.now, params.replay_grace_us))
         if isinstance(mm.transport, StaleChunkReplayAdversary):
-            yield from mm.transport.replay(
-                _qp_factory(cluster, mm.node, mal_servers))
+            yield from mm.transport.replay(partial(stack.open_qp, mm.node))
 
     def guess_loop() -> Generator:
         yield sim.timeout(params.duration_us * 0.25)
@@ -332,12 +285,9 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     pinned_final = 0
     pinned_peak = 0
     for transport in cluster.server_transports:
-        pending = getattr(transport, "pending_done", None)
-        if pending is not None:
-            pinned_final += sum(r.length for rs in pending.values()
-                                for r in rs)
-            pinned_peak = max(pinned_peak,
-                              getattr(transport, "exposed_bytes_peak", 0))
+        if hasattr(transport, "pending_done"):
+            pinned_final += transport.exposed_bytes
+            pinned_peak = max(pinned_peak, transport.exposed_bytes_peak)
         result.malformed_wrs += transport.malformed_received.events
         leases = getattr(transport, "lease_reclaims", None)
         if leases is not None:
@@ -358,7 +308,6 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     if flooder is not None:
         result.flood_garbage = flooder.garbage_sent.events
 
-    stack = cluster.server_stacks[0]
     policy = stack.security_policy
     if policy is not None:
         result.quarantined = len(policy.quarantined)
@@ -367,14 +316,13 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     if stack.rpcrdma.aes_payload:
         result.aes_crypt_bytes = int(stack.node.cpu.crypt_bytes.value)
 
-    # -- drain: disconnect every malicious connection so the sanitizer's
+    # -- drain: drop every malicious connection so the sanitizer's
     # teardown leak check sees only what the mitigations failed to
     # reclaim on the *legitimate* transports (which is: nothing).
     def drain() -> Generator:
-        for server in mal_servers:
-            if server in stack.server_transports:
-                stack.server_transports.remove(server)
-            yield from server.disconnect()
+        for server in [s for s in stack.server_transports
+                       if s.client_id in mal_nodes]:
+            yield from stack.drop(server)
 
     cluster.run(drain())
     return result

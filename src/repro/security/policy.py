@@ -56,8 +56,9 @@ class SecurityPolicy:
     def __init__(self, sim: Simulator, transports: list,
                  quarantine_enabled: bool = True, name: str = "secpolicy"):
         self.sim = sim
-        #: the server's live transports (its stack's list, which a
-        #: redial prunes); eviction and exposure read them by client.
+        #: the server's transports (its stack's list, which only
+        #: ``ServerStack.drop`` prunes; an evicted one stays, closed);
+        #: eviction and exposure read them by client.
         self.transports = transports
         #: escalate on score; off, the policy only keeps the ledger.
         self.quarantine_enabled = quarantine_enabled
@@ -153,8 +154,6 @@ class SecurityPolicy:
         """Currently exposed (pending-DONE) bytes per client."""
         out: dict[str, int] = {}
         for t in self.transports:
-            pending = getattr(t, "pending_done", None)
-            out[t.client_id] = out.get(t.client_id, 0) + (
-                sum(r.length for rs in pending.values() for r in rs)
-                if pending else 0)
+            out[t.client_id] = (out.get(t.client_id, 0)
+                                + getattr(t, "exposed_bytes", 0))
         return out

@@ -30,8 +30,9 @@ def _fmt(value: float) -> str:
     return f"{value:.0f}" if float(value).is_integer() else f"{value:.1f}"
 
 
-def _verb_section(telemetry: Any) -> str:
-    """Per-verb table: client ops (all mounts merged), server ops, latency."""
+def _verbs(telemetry: Any) -> dict[str, tuple]:
+    """Per verb, in name order: client ops (all mounts merged), server
+    ops, and the merged client latency summary (None if unrecorded)."""
     counts: dict[str, float] = {}
     recorders: dict[str, LatencyRecorder] = {}
     for labels, child in telemetry.client_ops.items():
@@ -41,13 +42,21 @@ def _verb_section(telemetry: Any) -> str:
         merged.extend(child.recorder)
     server_counts = {labels["verb"]: child.value
                      for labels, child in telemetry.server_ops.items()}
+    return {
+        verb: (counts.get(verb, 0.0), server_counts.get(verb, 0.0),
+               recorders[verb].summarize() if verb in recorders else None)
+        for verb in sorted(set(counts) | set(server_counts))
+    }
+
+
+def _verb_section(telemetry: Any) -> str:
+    """Per-verb table: client ops (all mounts merged), server ops, latency."""
     rows = []
-    for verb in sorted(set(counts) | set(server_counts)):
-        summary = recorders[verb].summarize() if verb in recorders else None
+    for verb, (client_ops, server_ops, summary) in _verbs(telemetry).items():
         rows.append([
             verb,
-            _fmt(counts.get(verb, 0.0)),
-            _fmt(server_counts.get(verb, 0.0)),
+            _fmt(client_ops),
+            _fmt(server_ops),
             f"{summary.mean:.1f}" if summary else "-",
             f"{summary.p50:.1f}" if summary else "-",
             f"{summary.p99:.1f}" if summary else "-",
@@ -250,23 +259,10 @@ def stats_dict(cluster: Any) -> dict:
     through ``json.dumps``/``loads`` is lossless.
     """
     telemetry = _require_telemetry(cluster)
-    counts: dict[str, float] = {}
-    recorders: dict[str, LatencyRecorder] = {}
-    for labels, child in telemetry.client_ops.items():
-        counts[labels["verb"]] = counts.get(labels["verb"], 0.0) + child.value
-    for labels, child in telemetry.client_latency.items():
-        merged = recorders.setdefault(labels["verb"], LatencyRecorder())
-        merged.extend(child.recorder)
-    server_counts = {labels["verb"]: child.value
-                     for labels, child in telemetry.server_ops.items()}
     verbs = {}
-    for verb in sorted(set(counts) | set(server_counts)):
-        entry = {
-            "client_ops": counts.get(verb, 0.0),
-            "server_ops": server_counts.get(verb, 0.0),
-        }
-        if verb in recorders:
-            s = recorders[verb].summarize()
+    for verb, (client_ops, server_ops, s) in _verbs(telemetry).items():
+        entry = {"client_ops": client_ops, "server_ops": server_ops}
+        if s is not None:
             entry["latency_us"] = {
                 "count": s.count, "mean": s.mean, "p50": s.p50,
                 "p90": s.p90, "p99": s.p99, "max": s.maximum,

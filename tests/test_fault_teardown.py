@@ -288,3 +288,36 @@ def test_repeated_redials_leave_no_cycles_and_no_growth(core):
         for i, garbage in enumerate(got["garbage"], 1):
             assert garbage == "[]", f"{shape} round {i} left cyclic garbage"
         assert got["growth"] == {}, f"{shape}: tracked objects grew"
+
+
+# ------------------------------------------------- closing mid-setup
+# A connection's ``ready`` process registers its inline pools (or opens
+# its SRQ inbox) over several microseconds.  A close that lands before
+# it finishes must wait for it, or setup keeps registering into a
+# connection that is already gone.
+def test_quarantine_mid_setup_deregisters_per_connection_rings():
+    cluster = Cluster(ClusterConfig(transport="rdma-rr", nclients=2,
+                                    quarantine=True, sanitizer=True))
+    cluster.sim.run(until=500.0)
+    evicted = cluster.server_transports[0]
+    assert not evicted.ready.processed
+    cluster.security_policy.quarantine("client0")
+    cluster.sim.run(until=cluster.sim.now + 1_000_000.0)
+    # Only the survivor's 32 send and 64 receive buffers stay registered.
+    assert evicted.send_pool.regions == evicted.recv_pool.regions == []
+    assert cluster.server_node.hca.tpt.live_entries == 96
+    assert cluster.sim.sanitizer.leak_report(cluster) == []
+
+
+def test_disconnect_mid_setup_leaves_no_srq_inbox():
+    cluster = Cluster(ClusterConfig(transport="rdma-rw", srq=True,
+                                    nclients=2))
+    cluster.sim.run(until=100.0)
+    server = cluster.server_transports[0]
+    assert not server.ready.processed
+    cluster.sim.process(server.disconnect())
+    cluster.sim.run(until=cluster.sim.now + 1_000_000.0)
+    live = [t for t in cluster.server_transports
+            if t.qp in cluster.server_node.hca.qps]
+    assert len(live) == 1
+    assert cluster.srq.connections == 1

@@ -31,14 +31,13 @@ RECORD = 128 * 1024
 
 
 def _withholder_cluster(**knobs):
-    """An RR cluster plus a DONE-withholding mount wired through the
-    cluster's own hardened transport factory (leases/quota/policy)."""
+    """An RR cluster plus a DONE-withholding mount dialed through the
+    server stack, so its server end is hardened (leases/quota/policy)."""
     c = Cluster(ClusterConfig(transport="rdma-rr", **knobs))
-    qc, qs = c.fabric.connect(c.mounts[0].node, c.server_node)
-    withholder = DoneWithholdingClient(
-        c.mounts[0].node, qc, c.rpcrdma, c.mounts[0].transport.strategy)
-    server = c.server_stacks[0].make_transport(qs)
-    withholder.peer_ready = server.ready
+    stack = c.server_stacks[0]
+    withholder = stack.connect(c.mounts[0].node,
+                               client_cls=DoneWithholdingClient)
+    server = stack.server_transports[-1]
     nfs = NfsClient(withholder, c.nfs_server.root_handle())
     return c, nfs, withholder, server
 
@@ -75,8 +74,7 @@ def test_uniform_guess_hits_match_analytic_bound():
     assert p == exposed / 2**32
 
     def qp_factory():
-        qc, _qs = c.fabric.connect(mount.node, c.server_node)
-        return qc
+        return c.server_stacks[0].open_qp(mount.node)
 
     adversary = StagGuessingAdversary(mount.node, qp_factory, seed=11)
     guesses = 200
@@ -131,6 +129,38 @@ def test_quota_caps_pinned_exposure():
     assert c.security_policy.quota_evictions.value >= 6 * RECORD
 
 
+def test_running_exposure_total_settles_on_every_retire_path():
+    """DONE, quota eviction, lease expiry and close each keep the
+    server's running ``exposed_bytes`` equal to what is still exposed."""
+    def exposed(server):
+        return sum(r.length for r in server.exposed_regions())
+
+    c, nfs, _, server = _withholder_cluster(exposure_quota_bytes=2 * RECORD)
+    _withhold_eight(c, nfs)
+    assert server.quota_evictions.events >= 6
+    assert server.exposed_bytes == exposed(server) > 0
+    honest = c.server_transports[0]
+    mount = c.mounts[0].nfs
+
+    def read_back():
+        fh, _ = yield from mount.lookup(mount.root, "pinned")
+        yield from mount.read(fh, 0, RECORD)
+
+    c.run(read_back())
+    c.sim.run(until=c.sim.now + 1_000.0)  # the DONE lands
+    assert honest.dones_received.events == 1
+    assert honest.exposed_bytes == exposed(honest) == 0
+    c.run(c.server_stacks[0].drop(server))
+    assert server.exposed_bytes == exposed(server) == 0
+
+    c, nfs, _, server = _withholder_cluster(lease_timeout_us=5_000.0)
+    _withhold_eight(c, nfs)
+    assert server.exposed_bytes == exposed(server) > 0
+    c.sim.run(until=c.sim.now + 200_000.0)
+    assert server.lease_reclaims.events == 8
+    assert server.exposed_bytes == exposed(server) == 0
+
+
 # ---------------------------------------------------------------- AES payloads
 def test_aes_payload_charges_crypt_on_both_ends():
     plain = Cluster(ClusterConfig(transport="rdma-rr"))
@@ -177,14 +207,14 @@ def test_policy_holds_only_live_transports_across_redials():
     ))
     stack = c.server_stacks[0]
     made = [weakref.ref(stack.server_transports[0])]
-    make = stack.make_transport
+    open_qp = stack.open_qp
 
-    def tracked(qp_s):
-        server = make(qp_s)
-        made.append(weakref.ref(server))
-        return server
+    def tracked(host):
+        dialed = open_qp(host)
+        made.append(weakref.ref(stack.server_transports[-1]))
+        return dialed
 
-    stack.make_transport = tracked
+    stack.open_qp = tracked
     nfs = c.mounts[0].nfs
 
     def workload():
@@ -269,6 +299,21 @@ def test_campaign_rw_immune():
     assert result.guess_hits == 0
     assert result.replay_hits == 0
     assert result.legit_ops > 0
+
+
+def test_campaign_on_all_physical_read_read():
+    """Adversaries dial through the server stack like every mount, so
+    they get the cluster's node options (an all-physical cluster's
+    nodes honour the global stag), and the drain drops every malicious
+    server end, quarantined ones included."""
+    c = Cluster(ClusterConfig(transport="rdma-rr", strategy="all-physical",
+                              lease_timeout_us=5_000.0, quarantine=True))
+    result = run_campaign(c, CampaignParams(duration_us=15_000.0))
+    assert result.legit_ops > 0
+    assert result.quarantined >= 1
+    stack = c.server_stacks[0]
+    assert [t.client_id for t in stack.server_transports] == ["client0"]
+    assert len(c.server_node.hca.qps) == len(stack.server_transports)
 
 
 # ---------------------------------------------------------------- sanitized flood

@@ -40,8 +40,7 @@ def _adversary_cluster(transport):
     mount = c.mounts[0]
 
     def qp_factory():
-        qc, qs = c.fabric.connect(mount.node, c.server_node)
-        return qc
+        return c.server_stacks[0].open_qp(mount.node)
 
     return c, mount, StagGuessingAdversary(mount.node, qp_factory, seed=9)
 
@@ -117,8 +116,7 @@ def test_targeted_guess_hits_live_rr_exposure():
     # An adversary aiming at recorded stags (e.g. leaked via a bug) gets
     # NAKed only because the windows were since closed by DONE...
     def qp_factory():
-        qc, qs = c.fabric.connect(mount.node, c.server_node)
-        return qc
+        return c.server_stacks[0].open_qp(mount.node)
 
     adversary = StagGuessingAdversary(mount.node, qp_factory, seed=3)
     c.run(adversary.run(guesses=20, target_stags=exposed_ever))
