@@ -1,83 +1,30 @@
 #!/usr/bin/env python
-"""A complete NFS deployment, bootstrapped the way real ones are.
+"""A mounted NFS client doing cached and large I/O.
 
-Walks the full stack: portmapper lookup → MOUNT with an export
-allow-list → FSINFO negotiation → client-side caching with
-close-to-open consistency → large I/O split at the negotiated transfer
-size — all over the Read-Write RPC/RDMA transport with the server
-registration cache.
+Walks the full stack from an already-mounted client: FSINFO
+negotiation → client-side caching with close-to-open consistency →
+large I/O split at the negotiated transfer size — all over the
+Read-Write RPC/RDMA transport with the server registration cache.
 
 Run:  python examples/full_deployment.py
 """
 
 from repro.api import Cluster, ClusterConfig
-from repro.nfs import (
-    CachingNfsClient,
-    ClientCacheConfig,
-    Export,
-    MountClient,
-    MountServer,
-    NfsClient,
-    Portmapper,
-)
-from repro.nfs.mountd import MOUNT_PROG, MOUNT_VERS, MountError
+from repro.nfs import CachingNfsClient, ClientCacheConfig
 
 
 def main() -> None:
-    cluster = Cluster(ClusterConfig(transport="rdma-rw", strategy="cache",
-                                    nclients=2))
-
-    # Server-side services beyond NFS itself.
-    pmap = Portmapper(cluster.rpc_server)
-    pmap.set(MOUNT_PROG, MOUNT_VERS, 20048)
-    exports = [
-        Export("/pub"),
-        Export("/home", allowed_clients=frozenset({"workstation-0"})),
-    ]
-    mountd = MountServer(cluster.rpc_server, cluster.fs, exports)
-
-    def server_setup():
-        # Carve the namespace the exports point at.
-        fs = cluster.fs
-        yield from fs.mkdir(fs.root_id, "pub")
-        yield from fs.mkdir(fs.root_id, "home")
-
-    cluster.run(server_setup())
-
-    # -- client 0: full bootstrap -----------------------------------------
-    mc0 = MountClient(cluster.mounts[0].transport, "workstation-0")
-
-    def bootstrap():
-        port = yield from mc0.getport(MOUNT_PROG, MOUNT_VERS)
-        print(f"portmapper says mountd is at port {port}")
-        print(f"exports: {(yield from mc0.list_exports())}")
-        home_fh = yield from mc0.mount("/home")
-        return home_fh
-
-    home_fh = cluster.run(bootstrap())
-    print("mounted /home (allow-listed client)")
-
-    # -- client 1 is not on /home's allow-list -------------------------------
-    mc1 = MountClient(cluster.mounts[1].transport, "laptop-7")
-
-    def denied():
-        try:
-            yield from mc1.mount("/home")
-        except MountError as exc:
-            return exc.status
-        return None
-
-    print(f"laptop-7 mounting /home -> MNT3ERR status {cluster.run(denied())} "
-          "(ACCES: export list enforced before any NFS op)")
+    cluster = Cluster(ClusterConfig(transport="rdma-rw", strategy="cache"))
+    raw = cluster.mounts[0].nfs
+    root = raw.root
 
     # -- cached I/O on the mounted tree -------------------------------------
-    raw = NfsClient(cluster.mounts[0].transport, home_fh)
     cached = CachingNfsClient(raw, cluster.sim, ClientCacheConfig())
 
     def work():
-        info = yield from raw.fsinfo(home_fh)
+        info = yield from raw.fsinfo(root)
         print(f"FSINFO: rtmax={info.rtmax >> 10}KB wtmax={info.wtmax >> 10}KB")
-        fh, _ = yield from raw.create(home_fh, "thesis.tex")
+        fh, _ = yield from raw.create(root, "thesis.tex")
         handle = yield from cached.open(fh)
         chapter = b"\\section{NFS over RDMA}\n" * 20_000   # ~480 KB
         yield from cached.write(handle, 0, chapter)

@@ -8,10 +8,8 @@ from repro.analysis.calibration import (
     TestbedProfile,
 )
 from repro.analysis.latency import LatencyRecorder, LatencySummary
-from repro.analysis.stats import BandwidthWindow, summarize_mb_s
 
 __all__ = [
-    "BandwidthWindow",
     "LatencyRecorder",
     "LatencySummary",
     "LINUX_DDR_RAID",
@@ -19,5 +17,4 @@ __all__ = [
     "PROFILES",
     "SOLARIS_SDR",
     "TestbedProfile",
-    "summarize_mb_s",
 ]

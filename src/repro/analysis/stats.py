@@ -1,46 +1,10 @@
-"""Metric helpers: bandwidth windows and result formatting."""
+"""Result formatting for benchmark output."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-__all__ = ["BandwidthWindow", "summarize_mb_s", "format_table"]
-
-
-@dataclass
-class BandwidthWindow:
-    """Accumulates (bytes, elapsed) over a measurement window.
-
-    Simulated microseconds and MB/s have the happy property that
-    ``bytes / microseconds == MB/s`` exactly.
-    """
-
-    bytes_moved: float = 0.0
-    t_start: float = 0.0
-    t_end: float = 0.0
-
-    def open(self, now: float) -> None:
-        self.t_start = now
-        self.t_end = now
-        self.bytes_moved = 0.0
-
-    def account(self, nbytes: int, now: float) -> None:
-        self.bytes_moved += nbytes
-        self.t_end = max(self.t_end, now)
-
-    @property
-    def elapsed_us(self) -> float:
-        return self.t_end - self.t_start
-
-    @property
-    def mb_s(self) -> float:
-        return self.bytes_moved / self.elapsed_us if self.elapsed_us > 0 else 0.0
-
-
-def summarize_mb_s(nbytes: float, elapsed_us: float) -> float:
-    """Bytes over simulated microseconds → MB/s."""
-    return nbytes / elapsed_us if elapsed_us > 0 else 0.0
+__all__ = ["format_table"]
 
 
 def format_table(headers: list[str], rows: Iterable[Iterable]) -> str:

@@ -400,14 +400,15 @@ class Sanitizer:
                     f"{transport.name}: {len(pending)} exposure(s) still "
                     f"awaiting RDMA_DONE (client-controlled lifetime)"
                 )
-        # Connection lifecycle on every HCA an RDMA transport uses: a QP
-        # no transport holds was never destroyed, and a closed transport
-        # (its QP destroyed) must have deregistered its inline pools.
+        # Connection lifecycle on every HCA on the fabric, attacker hosts
+        # included: a QP no transport holds was never destroyed, and a
+        # closed transport (its QP destroyed) must have deregistered its
+        # inline pools.
         rdma = [t for t in (*cluster.client_transports,
                             *cluster.server_transports)
                 if getattr(t, "qp", None) is not None]
         held = {t.qp for t in rdma}
-        hcas = dict.fromkeys(t.qp.hca for t in rdma)
+        hcas = [node.hca for node in cluster.fabric.nodes.values()]
         for hca in hcas:
             stale = sum(qp not in held for qp in hca.qps)
             if stale:

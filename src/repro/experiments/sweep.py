@@ -21,7 +21,6 @@ message size or a simulated timestamp.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,7 +28,7 @@ from typing import Optional
 from repro.experiments.cluster import Cluster
 from repro.experiments.topology import config_from_spec
 
-__all__ = ["Point", "default_jobs", "run_point", "sweep"]
+__all__ = ["Point", "run_point", "sweep"]
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,6 @@ def run_point(point: Point, cluster=None) -> dict:
         cluster.sim.run(until=cluster.sim.now + 1_000_000.0)
         san.check_teardown(cluster)
     return out
-
-
-def default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 def sweep(points: list[Point], jobs: int = 1,

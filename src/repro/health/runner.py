@@ -7,16 +7,15 @@ bound), then hands the registry to :func:`repro.health.checks.run_checks`
 and folds the verdicts into a :class:`HealthReport` whose worst status
 is the Nagios exit code.
 
-Three attachment modes:
+Two attachment modes, both grading each cluster through
+:func:`health_of_cluster`:
 
 * ``figN`` — every point of the figure's quick/full grid, each on a
   fresh telemetry-enabled cluster (results identical to ``repro run``:
   the same :func:`~repro.experiments.sweep.run_point` executes);
 * ``chaos`` — one :func:`~repro.experiments.chaos.run_chaos_soak` run,
   optionally with seeded server crash-restarts, graded after the soak's
-  own invariant sweep;
-* any pre-built cluster via :func:`health_of_cluster` (used by the
-  replay example and tests).
+  own invariant sweep.
 """
 
 from __future__ import annotations

@@ -18,16 +18,11 @@ from repro.nfs.protocol import Nfs3Proc, Nfs3Status, NfsError, NFS3_PROG, NFS3_V
 from repro.nfs.server import NfsServer
 from repro.nfs.client import NfsClient
 from repro.nfs.cache import CachingNfsClient, ClientCacheConfig
-from repro.nfs.mountd import Export, MountClient, MountServer, Portmapper
 
 __all__ = [
     "CachingNfsClient",
     "ClientCacheConfig",
-    "Export",
     "FileHandle",
-    "MountClient",
-    "MountServer",
-    "Portmapper",
     "NFS3_PROG",
     "NFS3_VERS",
     "Nfs3Proc",

@@ -55,16 +55,14 @@ class NfsClient:
                      else "client")
 
     # -- plumbing -----------------------------------------------------------
-    def _call(self, proc: Nfs3Proc, header: bytes, span_args=None,
-              **kwargs) -> Generator:
+    def _call(self, proc: Nfs3Proc, header: bytes, **kwargs) -> Generator:
         call = RpcCall(prog=NFS3_PROG, vers=NFS3_VERS, proc=int(proc),
                        header=header, **kwargs)
         telemetry = self._sim.telemetry if self._sim is not None else None
         if telemetry is None:
             reply = yield from self.transport.call(call)
         else:
-            reply = yield from self._call_traced(call, proc.name, telemetry,
-                                                 span_args)
+            reply = yield from self._call_traced(call, proc.name, telemetry)
         self.ops.add()
         dec = XdrDecoder(reply.header)
         status = dec.u32()
@@ -72,20 +70,13 @@ class NfsClient:
             raise NfsError(Nfs3Status(status), proc)
         return dec, reply
 
-    def _call_traced(self, call: RpcCall, verb: str, telemetry,
-                     span_args=None) -> Generator:
-        """Traced transport call: a client op span + per-verb latency.
-
-        ``span_args`` (READ/WRITE offset and count) ride on the span so
-        a recorded trace preserves the op-mix *and* size/offset
-        distributions for :mod:`repro.workloads.replay`.
-        """
+    def _call_traced(self, call: RpcCall, verb: str, telemetry) -> Generator:
+        """Traced transport call: a client op span + per-verb latency."""
         tracer = telemetry.tracer
         span = prev = None
         if tracer is not None:
             span = tracer.begin(f"nfs.{verb}", "client", self._pid, "nfs",
-                                parent=tracer.task_span(), xid=call.xid,
-                                **(span_args or {}))
+                                parent=tracer.task_span(), xid=call.xid)
             prev = tracer.push_task(span)
         start = self._sim.now
         try:
@@ -157,7 +148,6 @@ class NfsClient:
         enc.u32(count)
         dec, reply = yield from self._call(
             Nfs3Proc.READ, enc.take(),
-            span_args={"offset": offset, "count": count},
             read_len_hint=count, read_buffer=read_buffer,
         )
         attrs = decode_fattr(dec)
@@ -182,7 +172,6 @@ class NfsClient:
         enc.u32(1 if stable else 0)
         dec, _ = yield from self._call(
             Nfs3Proc.WRITE, enc.take(),
-            span_args={"offset": offset, "count": len(data)},
             write_payload=data, write_buffer=write_buffer,
         )
         attrs = decode_fattr(dec)

@@ -2,7 +2,7 @@
 
 A deployment with K metadata/file servers needs each new mount steered
 to one of them.  Real fleets do this with a referral service (NFSv4
-``fs_locations``) or a mountd-level redirector; here the policy is the
+``fs_locations``) or a MOUNT-level redirector; here the policy is the
 deterministic heart of it: *least-loaded, lowest index wins ties*.
 Determinism matters doubly — placement happens at cluster build time,
 before the simulation runs, and the check suite requires identical

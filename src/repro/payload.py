@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
-__all__ = ["Payload", "PayloadLike", "as_payload", "join_parts"]
+__all__ = ["Payload", "PayloadLike", "join_parts"]
 
 PayloadLike = Union[bytes, bytearray, memoryview, "Payload"]
 
@@ -275,10 +275,6 @@ class Payload:
 
 _EMPTY = Payload()
 _new_payload = object.__new__
-
-
-def as_payload(data: PayloadLike) -> Payload:
-    return Payload.wrap(data)
 
 
 def join_parts(parts: list) -> PayloadLike:

@@ -132,11 +132,11 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     payload = Payload.tile(bytes(range(256)), params.record_bytes)
     records = max(1, params.file_bytes // params.record_bytes)
     stack = cluster.server_stacks[0]
-    mal_nodes: set = set()
+    mal_nodes: dict = {}    # name → node, in creation order
 
     def mal_node(name: str):
-        mal_nodes.add(name)
-        return cluster.add_client_node(name)
+        node = mal_nodes[name] = cluster.add_client_node(name)
+        return node
 
     def mal_mount(name: str, client_cls) -> Mount:
         """A full NFS mount for a protocol-speaking adversary."""
@@ -316,13 +316,22 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     if stack.rpcrdma.aes_payload:
         result.aes_crypt_bytes = int(stack.node.cpu.crypt_bytes.value)
 
-    # -- drain: drop every malicious connection so the sanitizer's
-    # teardown leak check sees only what the mitigations failed to
-    # reclaim on the *legitimate* transports (which is: nothing).
+    # -- drain: close both ends of every malicious connection so the
+    # sanitizer's teardown leak check sees only what the mitigations
+    # failed to reclaim on the *legitimate* transports (which is:
+    # nothing).  The mounts' client ends close like any transport; the
+    # bare QPs the adversaries dialed have no owner, so the HCA destroys
+    # whatever is left on each attacker host.
     def drain() -> Generator:
         for server in [s for s in stack.server_transports
                        if s.client_id in mal_nodes]:
             yield from stack.drop(server)
+        for mm in (withholder, replayer):
+            if mm is not None:
+                yield from mm.transport.close("campaign over")
+        for node in mal_nodes.values():
+            for qp in list(node.hca.qps):
+                node.hca.destroy_qp(qp)
 
     cluster.run(drain())
     return result

@@ -10,7 +10,7 @@ whichever saturates first caps throughput.
 """
 
 from repro.tcpip.nic import GIGE_PROFILE, IPOIB_PROFILE, NicProfile
-from repro.tcpip.tcp import TcpConnection, TcpEndpoint, TcpListener
+from repro.tcpip.tcp import TcpConnection, TcpEndpoint
 
 __all__ = [
     "GIGE_PROFILE",
@@ -18,5 +18,4 @@ __all__ = [
     "NicProfile",
     "TcpConnection",
     "TcpEndpoint",
-    "TcpListener",
 ]

@@ -23,7 +23,7 @@ from repro.sim import Counter, Resource, Simulator, Store
 
 from repro.tcpip.nic import NicProfile
 
-__all__ = ["TcpConnection", "TcpEndpoint", "TcpListener"]
+__all__ = ["TcpConnection", "TcpEndpoint"]
 
 _conn_ids = itertools.count(1)
 
@@ -196,20 +196,3 @@ class TcpConnection:
     def close(self) -> None:
         self.closed = True
 
-
-class TcpListener:
-    """Accept queue for inbound connections (server-side convenience)."""
-
-    def __init__(self, endpoint: TcpEndpoint):
-        self.endpoint = endpoint
-        self._backlog: Store = Store(endpoint.sim)
-
-    def connect_from(self, client: TcpEndpoint) -> TcpConnection:
-        """Client-side connect; returns the established connection."""
-        conn = TcpConnection(client, self.endpoint)
-        self._backlog.put(conn)
-        return conn
-
-    def accept(self):
-        """Event firing with the next established connection."""
-        return self._backlog.get()

@@ -1,32 +1,14 @@
 """Coverage for analysis helpers and the CLI."""
 
+import json
+
 import pytest
 
-from repro.analysis import LatencyRecorder, LatencySummary, summarize_mb_s
-from repro.analysis.stats import BandwidthWindow, format_table
+from repro.analysis import LatencyRecorder, LatencySummary
+from repro.analysis.stats import format_table
 
 
 # ---------------------------------------------------------------- stats
-def test_bandwidth_window_accounting():
-    win = BandwidthWindow()
-    win.open(100.0)
-    win.account(1000, 150.0)
-    win.account(1000, 200.0)
-    assert win.elapsed_us == 100.0
-    assert win.mb_s == pytest.approx(20.0)
-
-
-def test_bandwidth_window_empty_is_zero():
-    win = BandwidthWindow()
-    win.open(5.0)
-    assert win.mb_s == 0.0
-
-
-def test_summarize_mb_s():
-    assert summarize_mb_s(131072, 131.072) == pytest.approx(1000.0)
-    assert summarize_mb_s(100, 0) == 0.0
-
-
 def test_format_table_alignment():
     out = format_table(["name", "v"], [["a", 1], ["long-name", 22]])
     lines = out.splitlines()
@@ -117,6 +99,33 @@ def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         main(["run", "fig99"])
 
+
+
+def test_cli_stats_json_roundtrip(capsys):
+    from repro.__main__ import main
+
+    assert main(["stats", "--figure", "fig5", "--quick", "--point", "0",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)   # valid JSON end to end
+    assert payload["figure"] == "fig5"
+    assert payload["label"]
+    read = payload["verbs"]["READ"]
+    assert read["client_ops"] == read["server_ops"] > 0
+    assert read["latency_us"]["p50"] <= read["latency_us"]["p99"]
+    names = {s["name"] for s in payload["samples"]}
+    assert {"rpc_calls_sent", "hca_qps", "nfs_client_ops"} <= names
+    # Lossless round trip.
+    assert json.loads(json.dumps(payload)) == payload
+
+
+def test_cli_stats_text_unchanged(capsys):
+    from repro.__main__ import main
+
+    assert main(["stats", "--figure", "fig5", "--quick", "--point", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "NFS per-verb operations:" in out
+    assert "credit waits" in out
+    assert "low-watermark" not in out    # fig5 point 0 has no SRQ
 
 # ---------------------------------------------------------------- plots
 def test_bar_chart_scales_to_max():

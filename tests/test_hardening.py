@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check.sanitizer import Sanitizer
 from repro.core.readread import ReadReadServer
 from repro.experiments import Cluster, ClusterConfig
 from repro.faults import FaultPlan, QpKill
@@ -315,6 +316,22 @@ def test_campaign_on_all_physical_read_read():
     assert [t.client_id for t in stack.server_transports] == ["client0"]
     assert len(c.server_node.hca.qps) == len(stack.server_transports)
 
+
+
+@pytest.mark.parametrize("transport", ["rdma-rr", "rdma-rw"])
+def test_campaign_drain_leaves_no_attacker_qp(transport):
+    """The drain closes both ends of every malicious connection: the
+    mounts' client transports and the adversaries' bare QPs are gone
+    from their HCAs, and the leak report, which walks every HCA on the
+    fabric, finds nothing on attacker hosts."""
+    c = Cluster(ClusterConfig(transport=transport, nclients=2))
+    run_campaign(c, CampaignParams(duration_us=15_000.0))
+    c.sim.run(until=c.sim.now + 1_000_000.0)
+    attackers = {name: len(node.hca.qps)
+                 for name, node in c.fabric.nodes.items()
+                 if name.startswith("mal")}
+    assert attackers == {"malwh": 0, "malrp": 0, "malsg": 0, "malfl": 0}
+    assert Sanitizer(c.sim).leak_report(c) == []
 
 # ---------------------------------------------------------------- sanitized flood
 def test_flood_under_sanitizer_yields_typed_naks_only():

@@ -298,3 +298,38 @@ def test_nfs_pathconf():
     conf = c.run(proc())
     assert conf.name_max == 255
     assert conf.no_trunc
+
+
+# ---------------------------------------------------------------- large I/O
+def test_read_write_large_split_at_limit():
+    c = Cluster(ClusterConfig(transport="rdma-rw"))
+    nfs = c.mounts[0].nfs
+    blob = bytes(i % 249 for i in range(700_000))
+
+    def proc():
+        fh, _ = yield from nfs.create(nfs.root, "big")
+        info = yield from nfs.fsinfo()
+        before = nfs.ops.events
+        yield from nfs.write_large(fh, 0, blob, limit=256 * 1024)
+        writes = nfs.ops.events - before
+        data, eof = yield from nfs.read_large(fh, 0, len(blob), limit=256 * 1024)
+        return info, writes, data, eof
+
+    info, writes, data, eof = c.run(proc())
+    assert info.rtmax == 1 << 20
+    assert writes == 3  # ceil(700000 / 262144)
+    assert data == blob and eof
+
+
+def test_large_io_validation():
+    c = Cluster(ClusterConfig(transport="rdma-rw"))
+    nfs = c.mounts[0].nfs
+
+    def proc():
+        fh, _ = yield from nfs.create(nfs.root, "f")
+        with pytest.raises(ValueError):
+            yield from nfs.read_large(fh, 0, 10, limit=0)
+        with pytest.raises(ValueError):
+            yield from nfs.write_large(fh, 0, b"x", limit=0)
+
+    c.run(proc())

@@ -7,7 +7,7 @@ same operation on real bytes.
 
 import pytest
 
-from repro.payload import Payload, as_payload, join_parts
+from repro.payload import Payload, join_parts
 
 
 PATTERN = bytes(range(1, 32))
@@ -111,8 +111,8 @@ def test_resident_bytes_counts_only_real_runs():
     assert p.resident_bytes == 6
 
 
-def test_as_payload_and_join_parts():
-    assert as_payload(b"abc").tobytes() == b"abc"
+def test_wrap_and_join_parts():
+    assert Payload.wrap(b"abc").tobytes() == b"abc"
     assert join_parts([b"a", b"b"]) == b"ab"        # all-real stays bytes
     mixed = join_parts([b"a", Payload.zeros(3)])
     assert isinstance(mixed, Payload)

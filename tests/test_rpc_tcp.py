@@ -6,7 +6,7 @@ from repro.osmodel import CPU, CPUConfig, InterruptController
 from repro.rpc import RpcCall, RpcReply, RpcServer, TcpRpcClient, TcpRpcServerTransport
 from repro.rpc.msg import RpcCall as Call
 from repro.sim import Simulator
-from repro.tcpip import GIGE_PROFILE, IPOIB_PROFILE, TcpConnection, TcpEndpoint, TcpListener
+from repro.tcpip import GIGE_PROFILE, IPOIB_PROFILE, TcpConnection, TcpEndpoint
 from tests._cores import CORES, run_json
 
 
@@ -122,21 +122,6 @@ def test_ipoib_faster_than_gige_but_below_wire():
     # 2007-era IPoIB was host-cost-bound (copies, checksums, small MTU).
     assert results["ipoib"] > 1.5 * results["gige"]
     assert results["ipoib"] < 500.0
-
-
-def test_listener_accept():
-    sim, c, s = make_endpoints()
-    listener = TcpListener(s)
-    conn = listener.connect_from(c)
-    got = []
-
-    def server():
-        accepted = yield listener.accept()
-        got.append(accepted)
-
-    sim.process(server())
-    sim.run()
-    assert got == [conn]
 
 
 SEND_SNIPPET = """

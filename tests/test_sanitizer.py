@@ -25,6 +25,7 @@ from repro.errors import (
     SrqViolation,
     StaleStagViolation,
 )
+from repro.experiments import Cluster, ClusterConfig
 from repro.ib import (
     AccessFlags,
     Fabric,
@@ -259,12 +260,26 @@ def test_unbalanced_strategy_counters_report_as_leak():
         client_transports=[],
         server_transports=[SimpleNamespace(name="rr0",
                                            pending_done={0x9: ["region"]})],
+        fabric=SimpleNamespace(nodes={}),
     )
     report = san.leak_report(cluster)
     assert len(report) == 2  # one held region + one pending DONE
     with pytest.raises(LeakViolation):
         san.check_teardown(cluster)
 
+
+
+def test_qp_on_unlisted_host_reports_as_leak():
+    """Every HCA on the fabric is walked, not only those a listed
+    transport uses: a QP left on a host no transport runs on leaks."""
+    c = Cluster(ClusterConfig(transport="rdma-rw"))
+    host = c.add_client_node("stray")
+    c.fabric.connect(host, c.server_node)
+    report = Sanitizer(c.sim).leak_report(c)
+    assert report == [
+        "server.hca: 1 QP(s) held by no transport were never destroyed",
+        "stray.hca: 1 QP(s) held by no transport were never destroyed",
+    ]
 
 # ------------------------------------------------------------- clean traffic
 def test_clean_rdma_traffic_records_no_violations():
