@@ -403,7 +403,7 @@ class Sanitizer:
         # Connection lifecycle on every HCA on the fabric, attacker hosts
         # included: a QP no transport holds was never destroyed, and a
         # closed transport (its QP destroyed) must have deregistered its
-        # inline pools.
+        # inline pools and, on a Read-Read client, its bounce buffers.
         rdma = [t for t in (*cluster.client_transports,
                             *cluster.server_transports)
                 if getattr(t, "qp", None) is not None]
@@ -419,6 +419,10 @@ class Sanitizer:
                   for t in rdma if t.qp not in live and any(
                       pool is not None and pool.regions
                       for pool in (t.send_pool, t.recv_pool))]
+        leaks += [f"{t.name}: closed with bounce buffers still registered"
+                  for t in rdma if t.qp not in live
+                  and getattr(t, "bounce_pool", None) is not None
+                  and t.bounce_pool.regions]
         return leaks
 
     def check_teardown(self, cluster) -> None:

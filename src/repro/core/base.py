@@ -163,6 +163,15 @@ class _InlinePool:
             self.regions.append(region)
             self.free.put(region)
 
+    def release(self) -> Generator:
+        """Process: deregister and free every buffer; a second call
+        finds none."""
+        tpt = self.node.hca.tpt
+        regions, self.regions = self.regions, []
+        for region in regions:
+            yield from tpt.deregister(region.mr)
+            self.node.arena.free(region.buffer)
+
 
 class _RdmaEndpoint:
     """Send-path plumbing shared by client and server endpoints, and the
@@ -213,14 +222,16 @@ class _RdmaEndpoint:
         self._posted: deque = deque()
         self.ready = self.sim.process(self._setup_pools(), name=f"{name}.setup")
 
-    def close(self, cause: str) -> Generator:
+    def close(self, cause: str, redial: bool = False) -> Generator:
         """Process: end the connection and give back what it holds: both
         ends of the QP enter ERROR (a CM disconnect reaches the peer), the
         HCA destroys this end, the SRQ inbox closes, the design's pinned
         state is released and the inline pools are deregistered and
         freed.  A connection closed while ``ready`` still runs waits for
         its setup first, so no pool is registered or inbox attached after
-        the close.  Closing twice is harmless."""
+        the close.  Closing twice is harmless.  A ``redial``'s close keeps
+        what outlives the connection (the Read-Read client's bounce
+        buffers); any other close is final."""
         self.qp.kill(cause)
         self.node.hca.destroy_qp(self.qp)
         if not self.ready.processed:
@@ -228,14 +239,9 @@ class _RdmaEndpoint:
         if self.srq is not None:
             self.srq.detach(self.qp)  # also one attached after the QP died
         yield from self._reclaim_on_close()
-        tpt = self.node.hca.tpt
         for pool in (self.send_pool, self.recv_pool):
-            if pool is None:
-                continue
-            regions, pool.regions = pool.regions, []
-            for region in regions:
-                yield from tpt.deregister(region.mr)
-                self.node.arena.free(region.buffer)
+            if pool is not None:
+                yield from pool.release()
 
     def _reclaim_on_close(self) -> Generator:
         """Subclass hook: release design-specific pinned state."""
@@ -560,9 +566,9 @@ class RpcRdmaClientBase(_RdmaEndpoint, RpcClientTransport):
             try:
                 new_qp, peer_ready = yield from self.reconnector(self)
             except TransportError:
-                yield from self.close("client-initiated redial")
+                yield from self.close("client-initiated redial", redial=True)
                 raise
-            yield from self.close("client-initiated redial")
+            yield from self.close("client-initiated redial", redial=True)
             # Re-run the CM handshake: re-register the inline pools,
             # pre-post receives, wait for the peer.
             self._open(new_qp)

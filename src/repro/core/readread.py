@@ -70,6 +70,11 @@ class ReadReadClient(RpcRdmaClientBase):
         if not self.bounce_pool.regions:
             yield from self.bounce_pool.setup()
 
+    def close(self, cause: str, redial: bool = False) -> Generator:
+        yield from super().close(cause, redial)
+        if not redial:
+            yield from self.bounce_pool.release()
+
     def _prepare_reply_resources(self, call: RpcCall, chunks: ChunkList, ctx: dict) -> Generator:
         # Nothing to advertise: the server will expose *its* buffers in
         # the reply — the defining (and insecure) move of this design.

@@ -54,7 +54,30 @@ __all__ = [
 ]
 
 
-class StagGuessingAdversary:
+class _ScratchOwner:
+    """An adversary's own registered buffers, which the campaign drain
+    gives back with :meth:`release_scratch`."""
+
+    #: (buffer, MR) per registered scratch buffer; set on ``node``'s HCA.
+    _scratch: tuple = ()
+
+    def _register_scratch(self, nbytes: int) -> Generator:
+        """Process: allocate and register an ``nbytes`` local-write
+        buffer; returns ``(buffer, mr)``."""
+        buffer = self.node.arena.alloc(nbytes)
+        mr = yield from self.node.hca.tpt.register(buffer, AccessFlags.LOCAL_WRITE)
+        self._scratch = (*self._scratch, (buffer, mr))
+        return buffer, mr
+
+    def release_scratch(self) -> Generator:
+        """Process: deregister and free every scratch buffer."""
+        held, self._scratch = self._scratch, ()
+        for buffer, mr in held:
+            yield from self.node.hca.tpt.deregister(mr)
+            self.node.arena.free(buffer)
+
+
+class StagGuessingAdversary(_ScratchOwner):
     """Fires RDMA Reads at guessed steering tags over a live RC QP.
 
     Each guess that draws a NAK kills the QP (as real RC semantics
@@ -78,13 +101,7 @@ class StagGuessingAdversary:
     def run(self, guesses: int, target_stags=None) -> Generator:
         """Process: make ``guesses`` attempts; optionally bias draws to a
         candidate list (models an attacker with partial knowledge)."""
-        scratch = self.node.arena.alloc(self.probe_bytes)
-
-        def reg():
-            return (yield from self.node.hca.tpt.register(
-                scratch, AccessFlags.LOCAL_WRITE))
-
-        lmr = yield from reg()
+        scratch, lmr = yield from self._register_scratch(self.probe_bytes)
         qp, _ = self.qp_factory()
         for _ in range(guesses):
             if target_stags and self.rng.uniform() < 0.5:
@@ -168,7 +185,7 @@ class OutOfBoundsProbe:
         return wr.cqe
 
 
-class StaleChunkReplayAdversary(ReadReadClient):
+class StaleChunkReplayAdversary(_ScratchOwner, ReadReadClient):
     """Fetch legitimately, DONE promptly — then replay the stale stags.
 
     Unlike the withholder this client is indistinguishable from an
@@ -206,8 +223,7 @@ class StaleChunkReplayAdversary(ReadReadClient):
         targets = self.recorded if limit is None else self.recorded[:limit]
         if not targets:
             return
-        scratch = self.node.arena.alloc(max(s.length for s in targets))
-        lmr = yield from self.node.hca.tpt.register(scratch, AccessFlags.LOCAL_WRITE)
+        _, lmr = yield from self._register_scratch(max(s.length for s in targets))
         try:
             qp, _ = qp_factory()
         except TransportError:
@@ -246,7 +262,7 @@ class StaleChunkReplayAdversary(ReadReadClient):
 _GARBAGE = bytes(48)
 
 
-class FloodAdversary:
+class FloodAdversary(_ScratchOwner):
     """Garbage-send bursts plus wild RDMA Reads: the quarantine trigger.
 
     Each burst delivers ``burst`` undecodable inline sends (the server
@@ -288,8 +304,7 @@ class FloodAdversary:
 
     def run(self, bursts: int) -> Generator:
         """Process: ``bursts`` rounds of garbage + one wild read each."""
-        scratch = self.node.arena.alloc(4096)
-        lmr = yield from self.node.hca.tpt.register(scratch, AccessFlags.LOCAL_WRITE)
+        _, lmr = yield from self._register_scratch(4096)
         qp = yield from self._redial()
         if qp is None:
             return

@@ -319,9 +319,11 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
     # -- drain: close both ends of every malicious connection so the
     # sanitizer's teardown leak check sees only what the mitigations
     # failed to reclaim on the *legitimate* transports (which is:
-    # nothing).  The mounts' client ends close like any transport; the
+    # nothing).  The mounts' client ends close like any transport (a
+    # Read-Read mount's final close gives its bounce buffers back); the
     # bare QPs the adversaries dialed have no owner, so the HCA destroys
-    # whatever is left on each attacker host.
+    # whatever is left on each attacker host, and each adversary
+    # deregisters its own scratch buffers.
     def drain() -> Generator:
         for server in [s for s in stack.server_transports
                        if s.client_id in mal_nodes]:
@@ -332,6 +334,13 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
         for node in mal_nodes.values():
             for qp in list(node.hca.qps):
                 node.hca.destroy_qp(qp)
+        owners = [guesser, flooder]
+        if replayer is not None and isinstance(
+                replayer.transport, StaleChunkReplayAdversary):
+            owners.append(replayer.transport)
+        for adversary in owners:
+            if adversary is not None:
+                yield from adversary.release_scratch()
 
     cluster.run(drain())
     return result

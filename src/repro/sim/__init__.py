@@ -14,7 +14,9 @@ Public surface::
 
 Resources (:mod:`repro.sim.resources`) provide contention primitives:
 ``Resource`` (counted semaphore with FIFO/priority queueing), ``Store``
-(item queue) and ``Container`` (continuous level).  ``repro.sim.trace``
+(item queue) and ``Container`` (continuous level);
+``SegmentPipeline`` (:mod:`repro.sim.pipeline`) carries a segmented
+message through sender CPU, wire and receiver CPU.  ``repro.sim.trace``
 provides time-weighted utilization and counter instrumentation used by
 the analysis layer to compute CPU utilization and bandwidth.
 """
@@ -29,6 +31,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
+from repro.sim.pipeline import SegmentPipeline
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import DeterministicRNG
 from repro.sim.trace import Counter, UtilizationMeter
@@ -43,6 +46,7 @@ __all__ = [
     "Interrupt",
     "Process",
     "Resource",
+    "SegmentPipeline",
     "SimulationError",
     "Simulator",
     "Store",

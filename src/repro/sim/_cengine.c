@@ -2,10 +2,14 @@
  *
  * A CPython extension implementing the hot half of repro.sim:
  * Event, Timeout, Process, the _Wakeup boot/interrupt carrier and the
- * Simulator event loop.  Semantics are defined by the pure-python
- * reference (repro.sim._pyengine); the contract between the two cores
- * is BIT-IDENTICAL schedules — events fire in (time, scheduling order)
- * under both.  repro.sim.engine selects between them at import
+ * Simulator event loop; Request, Resource and Store (repro.sim.resources)
+ * with the Hold iterator behind Resource.hold; Counter and
+ * UtilizationMeter (repro.sim.trace); and SegmentPipeline with its
+ * Segment iterator (repro.sim.pipeline).  Semantics are defined by the
+ * pure-python reference (repro.sim._pyengine and the modules named);
+ * the contract between the two cores is BIT-IDENTICAL schedules —
+ * events fire in (time, scheduling order) under both.
+ * repro.sim.engine selects between them at import
  * (REPRO_SIM_CORE=auto|python|c) and tests/test_compiled_core.py plus
  * the golden grids enforce the equivalence.
  *
@@ -661,22 +665,11 @@ static PyTypeObject Resume_Type = {
 /* ------------------------------------------------------------------ */
 /* Process                                                             */
 
+/* bind a checked generator and its resolved name, and schedule the boot */
 static int
-process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
+process_setup(ProcessObject *self, PyObject *sim, PyObject *generator,
+              PyObject *name)
 {
-    PyObject *sim, *generator, *name = NULL;
-    static char *kwlist[] = {"sim", "generator", "name", NULL};
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist,
-                                     &sim, &generator, &name))
-        return -1;
-    if (!PyGen_CheckExact(generator) &&
-        (!PyObject_HasAttrString(generator, "send") ||
-         !PyObject_HasAttrString(generator, "throw"))) {
-        raise_formatted(SimulationError,
-                        "Process requires a generator, got %s",
-                        Py_TYPE(generator)->tp_name);
-        return -1;
-    }
     PyObject *cb = PyList_New(0);
     if (cb == NULL)
         return -1;
@@ -689,20 +682,7 @@ process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
     ev->processed = 0;
     ev->defused = 0;
     Py_XSETREF(self->generator, Py_NewRef(generator));
-    if (name == NULL || name == Py_None ||
-        (PyUnicode_Check(name) && PyUnicode_GET_LENGTH(name) == 0)) {
-        PyObject *gname = PyObject_GetAttrString(generator, "__name__");
-        if (gname == NULL) {
-            PyErr_Clear();
-            gname = PyUnicode_FromString("process");
-            if (gname == NULL)
-                return -1;
-        }
-        Py_XSETREF(self->name, gname);
-    }
-    else {
-        Py_XSETREF(self->name, Py_NewRef(name));
-    }
+    Py_XSETREF(self->name, Py_NewRef(name));
     ResumeObject *rc = PyObject_GC_New(ResumeObject, &Resume_Type);
     if (rc == NULL)
         return -1;
@@ -719,6 +699,39 @@ process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
     }
     Py_XSETREF(self->waiting_on, (PyObject *)boot);
     return 0;
+}
+
+static int
+process_init(ProcessObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sim, *generator, *name = NULL;
+    static char *kwlist[] = {"sim", "generator", "name", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O", kwlist,
+                                     &sim, &generator, &name))
+        return -1;
+    if (!PyGen_CheckExact(generator) &&
+        (!PyObject_HasAttrString(generator, "send") ||
+         !PyObject_HasAttrString(generator, "throw"))) {
+        raise_formatted(SimulationError,
+                        "Process requires a generator, got %s",
+                        Py_TYPE(generator)->tp_name);
+        return -1;
+    }
+    if (name == NULL || name == Py_None ||
+        (PyUnicode_Check(name) && PyUnicode_GET_LENGTH(name) == 0)) {
+        name = PyObject_GetAttrString(generator, "__name__");
+        if (name == NULL) {
+            PyErr_Clear();
+            name = PyUnicode_FromString("process");
+            if (name == NULL)
+                return -1;
+        }
+    }
+    else
+        Py_INCREF(name);
+    int rc = process_setup(self, sim, generator, name);
+    Py_DECREF(name);
+    return rc;
 }
 
 static int
@@ -2914,11 +2927,13 @@ fail:
     return PYGEN_ERROR;
 }
 
+/* tp_iternext and send of the compiled iterators (Hold, Segment), over
+ * their type's am_send; each returns None when it finishes */
 static PyObject *
-hold_iternext(HoldObject *self)
+amsend_iternext(PyObject *self)
 {
     PyObject *result;
-    PySendResult sr = hold_am_send(self, Py_None, &result);
+    PySendResult sr = Py_TYPE(self)->tp_as_async->am_send(self, Py_None, &result);
     if (sr == PYGEN_NEXT)
         return result;
     Py_XDECREF(result);   /* PYGEN_RETURN: exhausted, value None */
@@ -2926,10 +2941,10 @@ hold_iternext(HoldObject *self)
 }
 
 static PyObject *
-hold_send(HoldObject *self, PyObject *arg)
+amsend_send(PyObject *self, PyObject *arg)
 {
     PyObject *result;
-    PySendResult sr = hold_am_send(self, arg, &result);
+    PySendResult sr = Py_TYPE(self)->tp_as_async->am_send(self, arg, &result);
     if (sr == PYGEN_NEXT)
         return result;
     if (sr == PYGEN_RETURN) {
@@ -2939,25 +2954,32 @@ hold_send(HoldObject *self, PyObject *arg)
     return NULL;
 }
 
-/* throw(typ[, val[, tb]]), the generator signature `yield from` uses */
-static PyObject *
-hold_throw(HoldObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* check throw(typ[, val[, tb]]), the generator signature `yield from`
+ * uses, before the iterator undoes anything */
+static int
+thrown_check(PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs < 1 || nargs > 3) {
         PyErr_SetString(PyExc_TypeError, "throw expected 1 to 3 arguments");
-        return NULL;
+        return -1;
     }
+    if (!PyExceptionInstance_Check(args[0]) &&
+        !PyExceptionClass_Check(args[0])) {
+        PyErr_Format(PyExc_TypeError,
+                     "exceptions must be classes or instances deriving from "
+                     "BaseException, not %s", Py_TYPE(args[0])->tp_name);
+        return -1;
+    }
+    return 0;
+}
+
+/* raise what a checked throw(typ[, val[, tb]]) names; always NULL */
+static PyObject *
+thrown_raise(PyObject *const *args, Py_ssize_t nargs)
+{
     PyObject *typ = args[0];
     PyObject *val = nargs > 1 ? args[1] : Py_None;
     PyObject *tb = nargs > 2 ? args[2] : Py_None;
-    if (!PyExceptionInstance_Check(typ) && !PyExceptionClass_Check(typ)) {
-        PyErr_Format(PyExc_TypeError,
-                     "exceptions must be classes or instances deriving from "
-                     "BaseException, not %s", Py_TYPE(typ)->tp_name);
-        return NULL;
-    }
-    if (hold_abort(self) < 0)
-        return NULL;
     if (PyExceptionInstance_Check(typ))
         PyErr_SetObject((PyObject *)Py_TYPE(typ), typ);
     else
@@ -2970,6 +2992,14 @@ hold_throw(HoldObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Restore(et, ev, Py_NewRef(tb));
     }
     return NULL;
+}
+
+static PyObject *
+hold_throw(HoldObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (thrown_check(args, nargs) < 0 || hold_abort(self) < 0)
+        return NULL;
+    return thrown_raise(args, nargs);
 }
 
 static PyObject *
@@ -3021,6 +3051,39 @@ hold_get_name(HoldObject *self, void *closure)
     return PyUnicode_FromString("hold");
 }
 
+static int
+is_meter_tuple(PyObject *meters)
+{
+    int ok = PyTuple_Check(meters);
+    for (Py_ssize_t i = 0; ok && i < PyTuple_GET_SIZE(meters); i++)
+        ok = PyObject_TypeCheck(PyTuple_GET_ITEM(meters, i), &Meter_Type);
+    return ok;
+}
+
+/* a Hold over checked arguments: `meters` a tuple of UtilizationMeters,
+ * `partner` and `busy` NULL for none */
+static PyObject *
+hold_new(ResourceObject *res, PyObject *delays, long long priority,
+         PyObject *meters, ResourceObject *partner, CounterObject *busy)
+{
+    HoldObject *h = PyObject_GC_New(HoldObject, &Hold_Type);
+    if (h == NULL)
+        return NULL;
+    h->res = (ResourceObject *)Py_NewRef((PyObject *)res);
+    h->partner = (ResourceObject *)Py_XNewRef((PyObject *)partner);
+    h->meters = Py_NewRef(meters);
+    h->busy = (CounterObject *)Py_XNewRef((PyObject *)busy);
+    h->delays = Py_NewRef(delays);
+    h->is_seq = (char)(PyList_Check(delays) || PyTuple_Check(delays));
+    h->next = 0;
+    h->priority = priority;
+    h->req = h->preq = NULL;
+    h->delay = 0.0;
+    h->state = HOLD_START;
+    PyObject_GC_Track((PyObject *)h);
+    return (PyObject *)h;
+}
+
 static PyObject *
 resource_hold(ResourceObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -3037,15 +3100,10 @@ resource_hold(ResourceObject *self, PyObject *const *args, Py_ssize_t nargs)
             return NULL;
     }
     PyObject *meters = nargs > 2 ? args[2] : NULL;
-    if (meters != NULL) {
-        int ok = PyTuple_Check(meters);
-        for (Py_ssize_t i = 0; ok && i < PyTuple_GET_SIZE(meters); i++)
-            ok = PyObject_TypeCheck(PyTuple_GET_ITEM(meters, i), &Meter_Type);
-        if (!ok) {
-            PyErr_SetString(PyExc_TypeError,
-                            "hold() meters must be a tuple of UtilizationMeters");
-            return NULL;
-        }
+    if (meters != NULL && !is_meter_tuple(meters)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "hold() meters must be a tuple of UtilizationMeters");
+        return NULL;
     }
     PyObject *partner = nargs > 3 && args[3] != Py_None ? args[3] : NULL;
     if (partner != NULL && !PyObject_TypeCheck(partner, &Resource_Type)) {
@@ -3060,26 +3118,13 @@ resource_hold(ResourceObject *self, PyObject *const *args, Py_ssize_t nargs)
                      Py_TYPE(busy)->tp_name);
         return NULL;
     }
-    HoldObject *h = PyObject_GC_New(HoldObject, &Hold_Type);
-    if (h == NULL)
+    PyObject *no_meters = NULL;
+    if (meters == NULL && (meters = no_meters = PyTuple_New(0)) == NULL)
         return NULL;
-    h->res = (ResourceObject *)Py_NewRef((PyObject *)self);
-    h->partner = (ResourceObject *)Py_XNewRef(partner);
-    h->meters = meters != NULL ? Py_NewRef(meters) : PyTuple_New(0);
-    h->busy = (CounterObject *)Py_XNewRef(busy);
-    h->delays = Py_NewRef(args[0]);
-    h->is_seq = (char)(PyList_Check(args[0]) || PyTuple_Check(args[0]));
-    h->next = 0;
-    h->priority = priority;
-    h->req = h->preq = NULL;
-    h->delay = 0.0;
-    h->state = HOLD_START;
-    if (h->meters == NULL) {
-        Py_DECREF(h);
-        return NULL;
-    }
-    PyObject_GC_Track((PyObject *)h);
-    return (PyObject *)h;
+    PyObject *h = hold_new(self, args[0], priority, meters,
+                           (ResourceObject *)partner, (CounterObject *)busy);
+    Py_XDECREF(no_meters);
+    return h;
 }
 
 static PyAsyncMethods hold_as_async = {
@@ -3087,7 +3132,7 @@ static PyAsyncMethods hold_as_async = {
 };
 
 static PyMethodDef hold_methods[] = {
-    {"send", (PyCFunction)hold_send, METH_O,
+    {"send", (PyCFunction)amsend_send, METH_O,
      "Resume with a value; the next event to wait on."},
     {"throw", (PyCFunction)(void (*)(void))hold_throw, METH_FASTCALL,
      "Raise an exception at the current wait, releasing what it holds."},
@@ -3109,12 +3154,752 @@ static PyTypeObject Hold_Type = {
     .tp_doc = "A timed claim on a Resource (see Resource.hold).",
     .tp_as_async = &hold_as_async,
     .tp_iter = PyObject_SelfIter,
-    .tp_iternext = (iternextfunc)hold_iternext,
+    .tp_iternext = amsend_iternext,
     .tp_dealloc = (destructor)hold_dealloc,
     .tp_traverse = (traverseproc)hold_traverse,
     .tp_clear = (inquiry)hold_clear,
     .tp_methods = hold_methods,
     .tp_getset = hold_getset,
+};
+
+/* ------------------------------------------------------------------ */
+/* SegmentPipeline: the compiled TCP segment                           */
+/*
+ * The reference is repro.sim.pipeline.SegmentPipeline: `transmit(plan)`
+ * claims the message's tx-stage slot and boots segment 0, and each
+ * segment is a process whose body, the generator `_segment`, hands the
+ * slot on and carries one segment through the sender's CPU, the wire and
+ * the receiver's CPU.  Here that body is the Segment iterator: the
+ * generator's state machine, one state per yield:
+ *
+ *   SEG_START    not started
+ *   SEG_SLOT     segment 0, waiting for the message's tx-stage slot
+ *   SEG_TX       in the sender's CPU hold (CPU.consume)
+ *   SEG_SPIKE    waiting out a fault hook's spike, the wire hold made
+ *                but not started (Route.carry's _after_spike)
+ *   SEG_WIRE     in the wire hold (Route.carry)
+ *   SEG_RXCLAIM  waiting for the rx stage
+ *   SEG_IRQ      rx stage held, in the receive interrupt's CPU hold
+ *                (InterruptController.charge)
+ *   SEG_RX       rx stage held, in the receiver's CPU hold
+ *   SEG_DONE     finished, failed or closed
+ *
+ * Each hold is a compiled Hold driven through hold_am_send, and every
+ * boot, request, grant, counter add and release happens in the
+ * generator's order, so schedules and event counts are identical to the
+ * reference.  A throw or close runs the generator's `finally` clauses
+ * for the state it reaches.  The pipeline reads the claim ingredients
+ * of its model objects once, when it is built: each CPU's cores, meter
+ * tuple and busy counter (what CPU.consume passes to hold), the
+ * receiver's interrupt counter, cost and CPU, its profile's coalescing
+ * window, and the route's counters, arbiters and meters.  The sending
+ * port's `fault_hook` and the receiver's `_rx_irq_last` change during a
+ * run, so each segment reads them, as the reference does.
+ */
+
+enum { SEG_START, SEG_SLOT, SEG_TX, SEG_SPIKE, SEG_WIRE, SEG_RXCLAIM,
+       SEG_IRQ, SEG_RX, SEG_DONE };
+
+static PyTypeObject Pipeline_Type;
+static PyTypeObject Segment_Type;
+static PyObject *str_fault_hook;    /* interned "fault_hook" */
+static PyObject *str_rx_irq_last;   /* interned "_rx_irq_last" */
+static PyObject *str_segment;       /* interned "_segment" */
+
+/* what CPU.consume claims: one of the cores, its meters, its busy tally */
+typedef struct {
+    ResourceObject *cores;
+    PyObject *meters;
+    CounterObject *busy;
+} CpuClaim;
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *sim;
+    PyObject *sender, *receiver, *route;    /* the model objects */
+    ResourceObject *tx_stage, *rx_stage;
+    CpuClaim tx_cpu, irq_cpu, rx_cpu;
+    CounterObject *irq_delivered;
+    PyObject *irq_cost_us;
+    double coalesce_us;
+    CounterObject *tx_bytes, *rx_bytes;     /* Route.carry's ingredients */
+    ResourceObject *arbiter, *partner;
+    PyObject *wire_meters;
+    PyObject *port;                         /* the sending port */
+} PipelineObject;
+
+typedef struct {
+    PyObject_HEAD
+    PipelineObject *pipe;
+    PyObject *plan;         /* list of (bytes, tx_us, wire, rx_us) */
+    PyObject *entry;        /* plan[k] */
+    Py_ssize_t k;
+    PyObject *slot;         /* the message's tx-stage claim */
+    PyObject *left;         /* [segments of the message still running] */
+    PyObject *done;         /* fires when `left` reaches zero */
+    RequestObject *rreq;    /* this segment's rx-stage claim */
+    PyObject *sub;          /* the Hold being driven */
+    char state;
+} SegmentObject;
+
+/* ---- SegmentPipeline --------------------------------------------- */
+
+/* getattr(obj, name), which must be a `type` */
+static PyObject *
+typed_attr(PyObject *obj, const char *name, PyTypeObject *type)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (v != NULL && !PyObject_TypeCheck(v, type)) {
+        PyErr_Format(PyExc_TypeError,
+                     "SegmentPipeline needs %s to be a %s, not %s",
+                     name, type->tp_name, Py_TYPE(v)->tp_name);
+        Py_CLEAR(v);
+    }
+    return v;
+}
+
+/* getattr(obj, name), which must be a tuple of UtilizationMeters */
+static PyObject *
+meters_attr(PyObject *obj, const char *name)
+{
+    PyObject *v = PyObject_GetAttrString(obj, name);
+    if (v != NULL && !is_meter_tuple(v)) {
+        PyErr_Format(PyExc_TypeError,
+                     "SegmentPipeline needs %s to be a tuple of "
+                     "UtilizationMeters", name);
+        Py_CLEAR(v);
+    }
+    return v;
+}
+
+/* the claim CPU.consume makes on `owner.cpu` */
+static int
+cpu_claim_load(CpuClaim *c, PyObject *owner)
+{
+    PyObject *cpu = PyObject_GetAttrString(owner, "cpu");
+    if (cpu == NULL)
+        return -1;
+    c->cores = (ResourceObject *)typed_attr(cpu, "cores", &Resource_Type);
+    c->meters = c->cores != NULL ? meters_attr(cpu, "_meters") : NULL;
+    c->busy = c->meters != NULL
+        ? (CounterObject *)typed_attr(cpu, "_busy", &Counter_Type) : NULL;
+    Py_DECREF(cpu);
+    return c->busy != NULL ? 0 : -1;
+}
+
+static int
+cpu_claim_traverse(CpuClaim *c, visitproc visit, void *arg)
+{
+    Py_VISIT((PyObject *)c->cores);
+    Py_VISIT(c->meters);
+    Py_VISIT((PyObject *)c->busy);
+    return 0;
+}
+
+static void
+cpu_claim_clear(CpuClaim *c)
+{
+    Py_CLEAR(c->cores);
+    Py_CLEAR(c->meters);
+    Py_CLEAR(c->busy);
+}
+
+static int
+pipeline_traverse(PipelineObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sim);
+    Py_VISIT(self->sender);
+    Py_VISIT(self->receiver);
+    Py_VISIT(self->route);
+    Py_VISIT((PyObject *)self->tx_stage);
+    Py_VISIT((PyObject *)self->rx_stage);
+    Py_VISIT((PyObject *)self->irq_delivered);
+    Py_VISIT(self->irq_cost_us);
+    Py_VISIT((PyObject *)self->tx_bytes);
+    Py_VISIT((PyObject *)self->rx_bytes);
+    Py_VISIT((PyObject *)self->arbiter);
+    Py_VISIT((PyObject *)self->partner);
+    Py_VISIT(self->wire_meters);
+    Py_VISIT(self->port);
+    int rc = cpu_claim_traverse(&self->tx_cpu, visit, arg);
+    if (rc == 0)
+        rc = cpu_claim_traverse(&self->irq_cpu, visit, arg);
+    return rc ? rc : cpu_claim_traverse(&self->rx_cpu, visit, arg);
+}
+
+static int
+pipeline_clear(PipelineObject *self)
+{
+    Py_CLEAR(self->sim);
+    Py_CLEAR(self->sender);
+    Py_CLEAR(self->receiver);
+    Py_CLEAR(self->route);
+    Py_CLEAR(self->tx_stage);
+    Py_CLEAR(self->rx_stage);
+    Py_CLEAR(self->irq_delivered);
+    Py_CLEAR(self->irq_cost_us);
+    Py_CLEAR(self->tx_bytes);
+    Py_CLEAR(self->rx_bytes);
+    Py_CLEAR(self->arbiter);
+    Py_CLEAR(self->partner);
+    Py_CLEAR(self->wire_meters);
+    Py_CLEAR(self->port);
+    cpu_claim_clear(&self->tx_cpu);
+    cpu_claim_clear(&self->irq_cpu);
+    cpu_claim_clear(&self->rx_cpu);
+    return 0;
+}
+
+static void
+pipeline_dealloc(PipelineObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    pipeline_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+pipeline_init(PipelineObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sim, *sender, *receiver, *route;
+    static char *kwlist[] = {"sim", "sender", "receiver", "route", NULL};
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOO", kwlist,
+                                     &sim, &sender, &receiver, &route))
+        return -1;
+    pipeline_clear(self);
+    self->sim = Py_NewRef(sim);
+    self->sender = Py_NewRef(sender);
+    self->receiver = Py_NewRef(receiver);
+    self->route = Py_NewRef(route);
+    self->tx_stage = (ResourceObject *)PyObject_CallOneArg(
+        (PyObject *)&Resource_Type, sim);
+    self->rx_stage = (ResourceObject *)PyObject_CallOneArg(
+        (PyObject *)&Resource_Type, sim);
+    if (self->tx_stage == NULL || self->rx_stage == NULL ||
+        cpu_claim_load(&self->tx_cpu, sender) < 0 ||
+        cpu_claim_load(&self->rx_cpu, receiver) < 0)
+        return -1;
+    /* InterruptController.charge: its counter, cost and CPU */
+    PyObject *irq = PyObject_GetAttrString(receiver, "irq");
+    if (irq == NULL)
+        return -1;
+    if (cpu_claim_load(&self->irq_cpu, irq) == 0) {
+        self->irq_delivered = (CounterObject *)typed_attr(irq, "delivered",
+                                                          &Counter_Type);
+        if (self->irq_delivered != NULL)
+            self->irq_cost_us = PyObject_GetAttrString(irq, "cost_us");
+    }
+    Py_DECREF(irq);
+    if (self->irq_cost_us == NULL)
+        return -1;
+    PyObject *profile = PyObject_GetAttrString(receiver, "profile");
+    PyObject *window = profile != NULL
+        ? PyObject_GetAttrString(profile, "rx_interrupt_coalesce_us") : NULL;
+    Py_XDECREF(profile);
+    if (window == NULL)
+        return -1;
+    self->coalesce_us = PyFloat_AsDouble(window);
+    Py_DECREF(window);
+    if (self->coalesce_us == -1.0 && PyErr_Occurred())
+        return -1;
+    /* Route.carry: both ports' byte counters, the egress arbiter with
+     * the ingress one as partner, their meters, and the sending port */
+    self->tx_bytes = (CounterObject *)typed_attr(route, "tx_bytes", &Counter_Type);
+    if (self->tx_bytes != NULL)
+        self->rx_bytes = (CounterObject *)typed_attr(route, "rx_bytes",
+                                                     &Counter_Type);
+    if (self->rx_bytes != NULL)
+        self->arbiter = (ResourceObject *)typed_attr(route, "arbiter",
+                                                     &Resource_Type);
+    if (self->arbiter != NULL)
+        self->partner = (ResourceObject *)typed_attr(route, "partner",
+                                                     &Resource_Type);
+    if (self->partner != NULL)
+        self->wire_meters = meters_attr(route, "meters");
+    if (self->wire_meters != NULL)
+        self->port = PyObject_GetAttrString(route, "src");
+    return self->port != NULL ? 0 : -1;
+}
+
+/* a new segment `k` of the message priced as `plan` */
+static SegmentObject *
+segment_new(PipelineObject *pipe, PyObject *plan, Py_ssize_t k,
+            PyObject *slot, PyObject *left, PyObject *done)
+{
+    PyObject *entry = PyList_GET_ITEM(plan, k);
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "a plan entry is a (bytes, tx_us, wire, rx_us) tuple");
+        return NULL;
+    }
+    SegmentObject *s = PyObject_GC_New(SegmentObject, &Segment_Type);
+    if (s == NULL)
+        return NULL;
+    s->pipe = (PipelineObject *)Py_NewRef((PyObject *)pipe);
+    s->plan = Py_NewRef(plan);
+    s->entry = Py_NewRef(entry);
+    s->k = k;
+    s->slot = Py_NewRef(slot);
+    s->left = Py_NewRef(left);
+    s->done = Py_NewRef(done);
+    s->rreq = NULL;
+    s->sub = NULL;
+    s->state = SEG_START;
+    PyObject_GC_Track((PyObject *)s);
+    return s;
+}
+
+/* sim.process(segment k): straight onto the compiled Simulator, else
+ * through the simulator's own method (the perturbation checker's) */
+static int
+segment_boot(PipelineObject *pipe, PyObject *plan, Py_ssize_t k,
+             PyObject *slot, PyObject *left, PyObject *done)
+{
+    SegmentObject *seg = segment_new(pipe, plan, k, slot, left, done);
+    if (seg == NULL)
+        return -1;
+    PyObject *proc;
+    if (Py_TYPE(pipe->sim) == &Simulator_Type) {
+        proc = Process_Type.tp_alloc(&Process_Type, 0);
+        if (proc != NULL &&
+            process_setup((ProcessObject *)proc, pipe->sim, (PyObject *)seg,
+                          str_segment) < 0)
+            Py_CLEAR(proc);
+    }
+    else
+        proc = PyObject_CallMethod(pipe->sim, "process", "O", (PyObject *)seg);
+    Py_DECREF(seg);
+    int rc = proc != NULL ? 0 : -1;
+    Py_XDECREF(proc);
+    return rc;
+}
+
+static PyObject *
+pipeline_transmit(PipelineObject *self, PyObject *plan)
+{
+    if (!PyList_Check(plan) || PyList_GET_SIZE(plan) == 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "transmit() needs a non-empty list of segments");
+        return NULL;
+    }
+    PyObject *done = Py_TYPE(self->sim) == &Simulator_Type
+        ? (PyObject *)event_new_for(self->sim)
+        : PyObject_CallMethod(self->sim, "event", NULL);
+    if (done == NULL)
+        return NULL;
+    PyObject *slot = (PyObject *)resource_request_impl(self->tx_stage, 0);
+    PyObject *left = slot != NULL
+        ? Py_BuildValue("[n]", PyList_GET_SIZE(plan)) : NULL;
+    int rc = left != NULL ? segment_boot(self, plan, 0, slot, left, done) : -1;
+    Py_XDECREF(slot);
+    Py_XDECREF(left);
+    if (rc < 0)
+        Py_CLEAR(done);
+    return done;
+}
+
+static PyMemberDef pipeline_members[] = {
+    {"sim", T_OBJECT, offsetof(PipelineObject, sim), READONLY, NULL},
+    {"sender", T_OBJECT, offsetof(PipelineObject, sender), READONLY, NULL},
+    {"receiver", T_OBJECT, offsetof(PipelineObject, receiver), READONLY, NULL},
+    {"route", T_OBJECT, offsetof(PipelineObject, route), READONLY, NULL},
+    {"tx_stage", T_OBJECT, offsetof(PipelineObject, tx_stage), READONLY, NULL},
+    {"rx_stage", T_OBJECT, offsetof(PipelineObject, rx_stage), READONLY, NULL},
+    {NULL},
+};
+
+static PyMethodDef pipeline_methods[] = {
+    {"transmit", (PyCFunction)pipeline_transmit, METH_O,
+     "Send the message priced as `plan`, one process per segment; the "
+     "returned event fires when the last segment to finish is delivered."},
+    {NULL},
+};
+
+static PyTypeObject Pipeline_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cengine.SegmentPipeline",
+    .tp_basicsize = sizeof(PipelineObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One direction of a message pipe (see repro.sim.pipeline).",
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)pipeline_init,
+    .tp_dealloc = (destructor)pipeline_dealloc,
+    .tp_traverse = (traverseproc)pipeline_traverse,
+    .tp_clear = (inquiry)pipeline_clear,
+    .tp_members = pipeline_members,
+    .tp_methods = pipeline_methods,
+};
+
+/* ---- Segment ----------------------------------------------------- */
+
+/* step the driven hold: 1 when it waits (its event in *presult), 0 when
+ * it has finished, -1 on error */
+static int
+segment_drive(SegmentObject *self, PyObject *arg, PyObject **presult)
+{
+    if (hold_am_send((HoldObject *)self->sub, arg, presult) == PYGEN_NEXT)
+        return 1;
+    Py_CLEAR(self->sub);
+    if (*presult == NULL)
+        return -1;
+    Py_CLEAR(*presult);   /* the hold's return value, None */
+    return 0;
+}
+
+/* CPU.consume(us, priority) on `cpu`: nothing to claim for no demand */
+static int
+segment_consume(SegmentObject *self, CpuClaim *cpu, PyObject *us,
+                long long priority, PyObject **presult)
+{
+    double d = PyFloat_AsDouble(us);
+    if (d == -1.0 && PyErr_Occurred())
+        return -1;
+    if (d < 0.0) {
+        PyErr_Format(PyExc_ValueError, "negative CPU demand %R", us);
+        return -1;
+    }
+    if (d == 0.0)
+        return 0;
+    self->sub = hold_new(cpu->cores, us, priority, cpu->meters, NULL,
+                         cpu->busy);
+    if (self->sub == NULL)
+        return -1;
+    return segment_drive(self, Py_None, presult);
+}
+
+/* the tx `finally`: boot the successor, or after the last segment
+ * release the slot */
+static int
+segment_pass_slot(SegmentObject *self)
+{
+    if (self->k + 1 < PyList_GET_SIZE(self->plan))
+        return segment_boot(self->pipe, self->plan, self->k + 1, self->slot,
+                            self->left, self->done);
+    return resource_release_impl(self->pipe->tx_stage, self->slot);
+}
+
+/* the rx `finally`: release the rx stage */
+static int
+segment_release_rx(SegmentObject *self)
+{
+    RequestObject *rreq = self->rreq;
+    self->rreq = NULL;
+    int rc = resource_release_impl(self->pipe->rx_stage, (PyObject *)rreq);
+    Py_DECREF(rreq);
+    return rc;
+}
+
+/* run a `finally` clause with any raised exception set aside; an error
+ * of the clause's own replaces it.  -1 when an exception is left. */
+static int
+segment_finally(SegmentObject *self, int (*clause)(SegmentObject *))
+{
+    PyObject *et, *ev, *etb;
+    PyErr_Fetch(&et, &ev, &etb);
+    if (clause(self) < 0) {
+        Py_XDECREF(et);
+        Py_XDECREF(ev);
+        Py_XDECREF(etb);
+        return -1;
+    }
+    PyErr_Restore(et, ev, etb);
+    return et != NULL ? -1 : 0;
+}
+
+/* done.succeed() */
+static int
+event_succeed_any(PyObject *ev)
+{
+    if (Py_TYPE(ev) == &Event_Type)
+        return event_trigger((EventObject *)ev, Py_None, 1, 0.0);
+    PyObject *r = PyObject_CallMethod(ev, "succeed", NULL);
+    int rc = r != NULL ? 0 : -1;
+    Py_XDECREF(r);
+    return rc;
+}
+
+static PySendResult
+segment_am_send(SegmentObject *self, PyObject *arg, PyObject **presult)
+{
+    PipelineObject *pipe = self->pipe;
+    PyObject *entry = self->entry;
+    PyObject *hook, *spike, *value;
+    double nbytes, delay, now, last;
+    Py_ssize_t left;
+    int rc;
+    *presult = NULL;
+    switch (self->state) {
+    case SEG_START:
+        if (arg != Py_None) {
+            PyErr_SetString(PyExc_TypeError,
+                            "can't send non-None value to a just-started "
+                            "generator");
+            return PYGEN_ERROR;
+        }
+        if (self->k > 0)
+            goto tx;
+        self->state = SEG_SLOT;
+        *presult = Py_NewRef(self->slot);
+        return PYGEN_NEXT;
+    case SEG_SLOT:
+        goto tx;
+    case SEG_TX:
+        if (segment_drive(self, arg, presult) > 0)
+            return PYGEN_NEXT;
+        goto pass_slot;
+    case SEG_SPIKE:
+        goto wire;
+    case SEG_WIRE:
+        rc = segment_drive(self, arg, presult);
+        if (rc > 0)
+            return PYGEN_NEXT;
+        if (rc < 0)
+            goto fail;
+        goto rx_claim;
+    case SEG_RXCLAIM:
+        goto irq;
+    case SEG_IRQ:
+        rc = segment_drive(self, arg, presult);
+        if (rc > 0)
+            return PYGEN_NEXT;
+        if (rc < 0)
+            goto release_rx;
+        goto rx_cpu;
+    case SEG_RX:
+        if (segment_drive(self, arg, presult) > 0)
+            return PYGEN_NEXT;
+        goto release_rx;
+    default:
+        *presult = Py_NewRef(Py_None);
+        return PYGEN_RETURN;
+    }
+tx:
+    /* the sender: copy into the stack, checksum, protocol work */
+    self->state = SEG_TX;
+    if (segment_consume(self, &pipe->tx_cpu, PyTuple_GET_ITEM(entry, 1), 0,
+                        presult) > 0)
+        return PYGEN_NEXT;
+pass_slot:
+    if (segment_finally(self, segment_pass_slot) < 0)
+        goto fail;
+    /* Route.carry: count the bytes on both ports, make the wire hold,
+     * then consult the sending port's fault hook */
+    value = PyTuple_GET_ITEM(entry, 0);
+    nbytes = PyFloat_AsDouble(value);
+    if ((nbytes == -1.0 && PyErr_Occurred()) ||
+        counter_add_impl(pipe->tx_bytes, nbytes) < 0 ||
+        counter_add_impl(pipe->rx_bytes, nbytes) < 0)
+        goto fail;
+    self->sub = hold_new(pipe->arbiter, PyTuple_GET_ITEM(entry, 2), 0,
+                         pipe->wire_meters, pipe->partner, NULL);
+    if (self->sub == NULL)
+        goto fail;
+    hook = PyObject_GetAttr(pipe->port, str_fault_hook);
+    if (hook == NULL)
+        goto fail;
+    if (hook != Py_None) {
+        spike = PyObject_CallMethod(hook, "transfer_delay_us", "OO",
+                                    pipe->port, value);
+        Py_DECREF(hook);
+        delay = spike != NULL ? PyFloat_AsDouble(spike) : -1.0;
+        if (delay == -1.0 && PyErr_Occurred()) {
+            Py_XDECREF(spike);
+            goto fail;
+        }
+        if (delay > 0.0) {
+            /* the congestion spike delays the whole transfer */
+            *presult = timeout_make(pipe->sim, delay, spike);
+            Py_DECREF(spike);
+            if (*presult == NULL)
+                goto fail;
+            self->state = SEG_SPIKE;
+            return PYGEN_NEXT;
+        }
+        Py_DECREF(spike);
+    }
+    else
+        Py_DECREF(hook);
+wire:
+    self->state = SEG_WIRE;
+    rc = segment_drive(self, Py_None, presult);
+    if (rc > 0)
+        return PYGEN_NEXT;
+    if (rc < 0)
+        goto fail;
+rx_claim:
+    self->rreq = resource_request_impl(pipe->rx_stage, 0);
+    if (self->rreq == NULL)
+        goto fail;
+    self->state = SEG_RXCLAIM;
+    *presult = Py_NewRef((PyObject *)self->rreq);
+    return PYGEN_NEXT;
+irq:
+    /* the receiver: an interrupt, unless one was charged within the
+     * endpoint's coalescing window, then the copy out of the stack */
+    if (get_sim_now(pipe->sim, &now) < 0)
+        goto release_rx;
+    value = PyObject_GetAttr(pipe->receiver, str_rx_irq_last);
+    if (value == NULL)
+        goto release_rx;
+    last = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    if (last == -1.0 && PyErr_Occurred())
+        goto release_rx;
+    if (now - last >= pipe->coalesce_us) {
+        value = PyFloat_FromDouble(now);
+        rc = value != NULL
+            ? PyObject_SetAttr(pipe->receiver, str_rx_irq_last, value) : -1;
+        Py_XDECREF(value);
+        if (rc < 0 || counter_add_impl(pipe->irq_delivered, 1.0) < 0)
+            goto release_rx;
+        self->state = SEG_IRQ;
+        rc = segment_consume(self, &pipe->irq_cpu, pipe->irq_cost_us, -1,
+                             presult);
+        if (rc > 0)
+            return PYGEN_NEXT;
+        if (rc < 0)
+            goto release_rx;
+    }
+rx_cpu:
+    self->state = SEG_RX;
+    if (segment_consume(self, &pipe->rx_cpu, PyTuple_GET_ITEM(entry, 3), 0,
+                        presult) > 0)
+        return PYGEN_NEXT;
+release_rx:
+    if (segment_finally(self, segment_release_rx) < 0)
+        goto fail;
+    /* the last segment to finish completes the message */
+    left = PyLong_AsSsize_t(PyList_GET_ITEM(self->left, 0)) - 1;
+    if (left == -2 && PyErr_Occurred())
+        goto fail;
+    value = PyLong_FromSsize_t(left);
+    if (value == NULL)
+        goto fail;
+    PyList_SetItem(self->left, 0, value);
+    if (left == 0 && event_succeed_any(self->done) < 0)
+        goto fail;
+    self->state = SEG_DONE;
+    *presult = Py_NewRef(Py_None);
+    return PYGEN_RETURN;
+fail:
+    self->state = SEG_DONE;
+    Py_CLEAR(self->sub);
+    Py_CLEAR(self->rreq);
+    return PYGEN_ERROR;
+}
+
+/* a throw or close reached the current yield: undo the wait, then run
+ * the `finally` clause it sits in */
+static int
+segment_abort(SegmentObject *self)
+{
+    int state = self->state;
+    self->state = SEG_DONE;
+    int rc = 0;
+    if (state == SEG_TX || state == SEG_WIRE || state == SEG_IRQ ||
+        state == SEG_RX)
+        rc = hold_abort((HoldObject *)self->sub);
+    Py_CLEAR(self->sub);
+    if (state == SEG_TX)
+        rc = segment_finally(self, segment_pass_slot);
+    else if (state == SEG_IRQ || state == SEG_RX)
+        rc = segment_finally(self, segment_release_rx);
+    Py_CLEAR(self->rreq);
+    return rc;
+}
+
+static PyObject *
+segment_throw(SegmentObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (thrown_check(args, nargs) < 0 || segment_abort(self) < 0)
+        return NULL;
+    return thrown_raise(args, nargs);
+}
+
+static PyObject *
+segment_close(SegmentObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (segment_abort(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+segment_traverse(SegmentObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT((PyObject *)self->pipe);
+    Py_VISIT(self->plan);
+    Py_VISIT(self->entry);
+    Py_VISIT(self->slot);
+    Py_VISIT(self->left);
+    Py_VISIT(self->done);
+    Py_VISIT((PyObject *)self->rreq);
+    Py_VISIT(self->sub);
+    return 0;
+}
+
+static int
+segment_clear(SegmentObject *self)
+{
+    Py_CLEAR(self->pipe);
+    Py_CLEAR(self->plan);
+    Py_CLEAR(self->entry);
+    Py_CLEAR(self->slot);
+    Py_CLEAR(self->left);
+    Py_CLEAR(self->done);
+    Py_CLEAR(self->rreq);
+    Py_CLEAR(self->sub);
+    self->state = SEG_DONE;
+    return 0;
+}
+
+static void
+segment_dealloc(SegmentObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    segment_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+segment_get_name(SegmentObject *self, void *closure)
+{
+    return Py_NewRef(str_segment);
+}
+
+static PyAsyncMethods segment_as_async = {
+    .am_send = (sendfunc)segment_am_send,
+};
+
+static PyMethodDef segment_methods[] = {
+    {"send", (PyCFunction)amsend_send, METH_O,
+     "Resume with a value; the next event to wait on."},
+    {"throw", (PyCFunction)(void (*)(void))segment_throw, METH_FASTCALL,
+     "Raise an exception at the current wait, as the generator would."},
+    {"close", (PyCFunction)segment_close, METH_NOARGS,
+     "Finish early, running the current wait's `finally` clause."},
+    {NULL},
+};
+
+static PyGetSetDef segment_getset[] = {
+    {"__name__", (getter)segment_get_name, NULL, NULL, NULL},
+    {NULL},
+};
+
+static PyTypeObject Segment_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cengine.Segment",
+    .tp_basicsize = sizeof(SegmentObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One segment of a SegmentPipeline message, as a process body.",
+    .tp_as_async = &segment_as_async,
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = amsend_iternext,
+    .tp_dealloc = (destructor)segment_dealloc,
+    .tp_traverse = (traverseproc)segment_traverse,
+    .tp_clear = (inquiry)segment_clear,
+    .tp_methods = segment_methods,
+    .tp_getset = segment_getset,
 };
 
 /* ------------------------------------------------------------------ */
@@ -3159,7 +3944,12 @@ PyInit__cengine(void)
     str_throw = PyUnicode_InternFromString("throw");
     str_value = PyUnicode_InternFromString("value");
     str_timeout = PyUnicode_InternFromString("timeout");
-    if (str_throw == NULL || str_value == NULL || str_timeout == NULL)
+    str_fault_hook = PyUnicode_InternFromString("fault_hook");
+    str_rx_irq_last = PyUnicode_InternFromString("_rx_irq_last");
+    str_segment = PyUnicode_InternFromString("_segment");
+    if (str_throw == NULL || str_value == NULL || str_timeout == NULL ||
+        str_fault_hook == NULL || str_rx_irq_last == NULL ||
+        str_segment == NULL)
         return NULL;
     /* defining tp_richcompare suppresses tp_hash inheritance; Request
      * compares by (priority, seq) but hashes by identity, like the
@@ -3176,7 +3966,9 @@ PyInit__cengine(void)
         PyType_Ready(&Store_Type) < 0 ||
         PyType_Ready(&Counter_Type) < 0 ||
         PyType_Ready(&Meter_Type) < 0 ||
-        PyType_Ready(&Hold_Type) < 0)
+        PyType_Ready(&Hold_Type) < 0 ||
+        PyType_Ready(&Pipeline_Type) < 0 ||
+        PyType_Ready(&Segment_Type) < 0)
         return NULL;
     PyObject *mod = PyModule_Create(&cengine_module);
     if (mod == NULL)
@@ -3191,6 +3983,7 @@ PyInit__cengine(void)
         PyModule_AddObjectRef(mod, "Store", (PyObject *)&Store_Type) < 0 ||
         PyModule_AddObjectRef(mod, "Counter", (PyObject *)&Counter_Type) < 0 ||
         PyModule_AddObjectRef(mod, "UtilizationMeter", (PyObject *)&Meter_Type) < 0 ||
+        PyModule_AddObjectRef(mod, "SegmentPipeline", (PyObject *)&Pipeline_Type) < 0 ||
         PyModule_AddObjectRef(mod, "SimulationError", SimulationError) < 0 ||
         PyModule_AddObjectRef(mod, "Interrupt", InterruptExc) < 0) {
         Py_DECREF(mod);

@@ -19,7 +19,7 @@ from typing import Generator
 
 from repro.ib.link import DuplexLink, Route
 from repro.osmodel import CPU, InterruptController
-from repro.sim import Counter, Resource, Simulator, Store
+from repro.sim import Counter, SegmentPipeline, Simulator, Store
 
 from repro.tcpip.nic import NicProfile
 
@@ -49,6 +49,9 @@ class TcpEndpoint:
         #: else the endpoint gets a port of its own.
         self.port: DuplexLink = (profile.port(sim, f"{name}.{profile.name}")
                                  if port is None else port)
+        #: when this endpoint last charged a receive interrupt; every
+        #: SegmentPipeline into it reads and advances it, so connections
+        #: sharing the endpoint share one coalescing window.
         self._rx_irq_last = -float("inf")
 
     def _tx_cpu_us(self, nbytes: int) -> float:
@@ -62,19 +65,16 @@ class TcpEndpoint:
 
 class _Direction:
     """One direction of a connection: the sender, the receiver, the wire
-    between their ports, the two pipeline stages its segments pass
-    through, and the receiver's inbox."""
+    between their ports, the pipeline its segments pass through, and the
+    receiver's inbox."""
 
-    __slots__ = ("side", "peer", "route", "tx_stage", "rx_stage", "inbox")
+    __slots__ = ("side", "peer", "route", "pipeline", "inbox")
 
     def __init__(self, sim: Simulator, side: TcpEndpoint, peer: TcpEndpoint):
         self.side = side
         self.peer = peer
         self.route = Route(side.port, peer.port)
-        # Pipeline stages keep segments ordered within the direction
-        # while letting CPU work overlap wire time.
-        self.tx_stage = Resource(sim)
-        self.rx_stage = Resource(sim)
+        self.pipeline = SegmentPipeline(sim, side, peer, self.route)
         self.inbox = Store(sim)
 
 
@@ -129,61 +129,13 @@ class TcpConnection:
         if tail or not full:
             plan.append((tail, side._tx_cpu_us(tail), route.delays(tail),
                          peer._rx_cpu_us(tail)))
-        # Three-stage pipeline per segment: tx CPU, wire, rx CPU.  Stages
-        # are FIFO resources so segments stay ordered within a direction
-        # while stage N+1 of one segment overlaps stage N of the next —
-        # which is how a real TCP stack keeps the wire busy.  The tx slot
-        # is claimed HERE, once per message and in message order, so the
-        # pipeline's FIFO order never rests on the boot order of sibling
-        # processes, which the schedule perturbation checker
-        # (repro.check.races) deliberately breaks.  Segment 0 takes the
-        # slot and the segments pass it down a chain: each boots its
-        # successor when its tx work ends, and the last one releases it.
-        # Segments can finish out of index order (on GigE a short tail
-        # overtakes the two-chunk segments before it), so ``done`` fires
-        # when the last one to *finish* counts ``left`` down to zero.
-        done = self.sim.event()
-        req = direction.tx_stage.request()
-        self.sim.process(self._segment(direction, plan, 0, req, [len(plan)], done))
-        yield done
+        # One process per segment through tx CPU, wire and rx CPU
+        # (repro.sim.pipeline); ``transmit`` fires when the last segment
+        # to finish has been delivered.
+        yield direction.pipeline.transmit(plan)
         self.bytes_sent.add(total)
         self.messages_sent.add(1)
         yield direction.inbox.put(message)
-
-    def _segment(self, direction: _Direction, plan: list[tuple], k: int, req,
-                 left: list[int], done) -> Generator:
-        side = direction.side
-        peer = direction.peer
-        seg, tx_us, wire, rx_us = plan[k]
-        if k == 0:
-            yield req
-        try:
-            # Sender: copy into the stack + checksum + protocol work.
-            yield from side.cpu.consume(tx_us)
-        finally:
-            # Hand the slot on: the successor starts its tx work only
-            # once this segment's ends, which keeps the stage FIFO.
-            if k + 1 < len(plan):
-                self.sim.process(self._segment(direction, plan, k + 1, req, left, done))
-            else:
-                direction.tx_stage.release(req)
-        # Wire: occupies sender egress and receiver ingress.
-        yield from direction.route.carry(seg, wire)
-        rx_stage = direction.rx_stage
-        req = rx_stage.request()
-        yield req
-        try:
-            # Receiver: interrupt (coalesced) then copy out of the stack.
-            now = self.sim.now
-            if now - peer._rx_irq_last >= peer.profile.rx_interrupt_coalesce_us:
-                peer._rx_irq_last = now
-                yield from peer.irq.charge()
-            yield from peer.cpu.consume(rx_us)
-        finally:
-            rx_stage.release(req)
-        left[0] -= 1
-        if not left[0]:
-            done.succeed()
 
     def recv(self, side: TcpEndpoint):
         """Event firing with the next message addressed to ``side``."""

@@ -333,6 +333,20 @@ def test_campaign_drain_leaves_no_attacker_qp(transport):
     assert attackers == {"malwh": 0, "malrp": 0, "malsg": 0, "malfl": 0}
     assert Sanitizer(c.sim).leak_report(c) == []
 
+
+def test_campaign_drain_leaves_no_attacker_mr():
+    """The drain empties every attacker HCA's TPT: the Read-Read mounts'
+    final closes deregister their bounce buffers (kept across redials),
+    and the guesser, flooder and replayer deregister their own scratch
+    buffers."""
+    c = Cluster(ClusterConfig(transport="rdma-rr", nclients=2))
+    run_campaign(c, CampaignParams(duration_us=15_000.0))
+    c.sim.run(until=c.sim.now + 1_000_000.0)
+    attackers = {name: node.hca.tpt.live_entries
+                 for name, node in c.fabric.nodes.items()
+                 if name.startswith("mal")}
+    assert attackers == {"malwh": 0, "malrp": 0, "malsg": 0, "malfl": 0}
+
 # ---------------------------------------------------------------- sanitized flood
 def test_flood_under_sanitizer_yields_typed_naks_only():
     """Attack traffic is NAKed with typed causes; none of it escapes as

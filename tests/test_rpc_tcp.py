@@ -1,5 +1,7 @@
 """Tests for TCP substrate and RPC-over-TCP end-to-end."""
 
+import functools
+
 import pytest
 
 from repro.osmodel import CPU, CPUConfig, InterruptController
@@ -292,6 +294,291 @@ def test_segment_costs_bit_identical(core, profile, expected):
     """
     got = run_json(core, PLAN_SNIPPET.format(core=core, profile=profile))
     assert got == expected
+
+# ---------------------------------------------------------------- segment
+SEGMENT_SNIPPET = """
+import gc, json
+from repro.ib.link import LinkFaultHook
+from repro.osmodel import CPU, CPUConfig, InterruptController
+from repro.sim import Interrupt, Simulator
+from repro.sim.engine import ACTIVE_CORE
+from repro.tcpip import IPOIB_PROFILE, TcpConnection, TcpEndpoint
+
+assert ACTIVE_CORE == {core!r}, ACTIVE_CORE
+#: every simulator stays referenced until the garbage check has run
+KEEP = []
+
+
+def rig(client_cores=2, server_cores=2):
+    sim = Simulator()
+    KEEP.append(sim)
+    eps = []
+    for name, cores in (("client", client_cores), ("server", server_cores)):
+        cpu = CPU(sim, CPUConfig(cores=cores), name=name + ".cpu")
+        irq = InterruptController(sim, cpu, cost_us=4.0, name=name + ".irq")
+        eps.append(TcpEndpoint(sim, cpu, irq, IPOIB_PROFILE, name=name))
+    c, s = eps
+    return sim, c, s, TcpConnection(c, s)
+
+
+def state(sim, c, s):
+    ports = (c.port.tx, c.port.rx, s.port.tx, s.port.rx)
+    return {{
+        "now": sim.now, "steps": sim.steps,
+        "busy_us": [c.cpu.busy_us_total, s.cpu.busy_us_total],
+        "cores": [c.cpu.cores.count, c.cpu.cores.queue_length,
+                  s.cpu.cores.count, s.cpu.cores.queue_length],
+        "arbiters": [p.arbiter.count for p in ports]
+                    + [p.arbiter.queue_length for p in ports],
+        "port_busy_us": [p.meter.busy_time() for p in ports],
+        "bytes_carried": [p.bytes_carried.value for p in ports],
+        "irq_delivered": [c.irq.delivered.events, s.irq.delivered.events],
+    }}
+
+
+class Spike(LinkFaultHook):
+    def transfer_delay_us(self, link, nbytes):
+        return 7.5 if link.name.startswith("client") and nbytes % 2 == 0 else 0.0
+
+
+def spiked():
+    # Segments of 8192, 8192 and 3616 bytes leave the client, the odd
+    # 20001-byte tail does not spike, and the server's replies are
+    # never spiked: the hook is on the client's port only.
+    sim, c, s, conn = rig()
+    c.port.fault_hook = Spike()
+    returns = []
+
+    def sender(side, sizes):
+        for size in sizes:
+            yield from conn.send(side, bytes(size))
+            returns.append([side.name, size, sim.now])
+
+    def receiver(side, n):
+        for _ in range(n):
+            yield conn.recv(side)
+
+    sim.process(sender(c, [20000, 20001, 0]))
+    sim.process(sender(s, [20000, 8192]))
+    sim.process(receiver(s, 3))
+    sim.process(receiver(c, 2))
+    sim.run()
+    return {{"returns": returns, **state(sim, c, s)}}
+
+
+def aborted(where, how):
+    # The victim segment waits, at 50 us, for the client's CPU (queued
+    # behind a 100 us competitor on the one core) or for the client's
+    # egress (a 100 us competitor holds it), or at 80 us for the
+    # server's rx stage (the segment ahead of it holds that stage while
+    # it waits for the server's one core, busy until 100 us).
+    sim, c, s, conn = rig(client_cores=1 if where == "tx" else 2,
+                          server_cores=1 if where == "rx" else 2)
+    blocked = {{"tx": c.cpu.cores, "wire": c.port.tx.arbiter,
+               "rx": s.cpu.cores}}[where]
+    size = {{"tx": 10000, "wire": 1000, "rx": 10000}}[where]
+    log = []
+
+    def competitor():
+        yield from blocked.hold(100.0)
+
+    def sender(size, at):
+        yield sim.timeout(at)
+        yield from conn.send(c, bytes(size))
+        log.append(["sent", size, sim.now])
+
+    def receiver():
+        while True:
+            msg = yield conn.recv(s)
+            log.append(["received", len(msg), sim.now])
+
+    def watcher(proc):
+        try:
+            value = yield proc
+            log.append(["victim returned", value, sim.now])
+        except BaseException as exc:
+            log.append(["victim raised", type(exc).__name__, sim.now])
+
+    def waits_for(proc):
+        resource = getattr(proc._waiting_on, "resource", None)
+        return resource is not None and (resource is blocked) == (where != "rx")
+
+    def actor():
+        yield sim.timeout(80.0 if where == "rx" else 50.0)
+        victims = [o for o in gc.get_objects()
+                   if type(o).__name__ == "Process" and o.name == "_segment"
+                   and o.sim is sim and o.is_alive and waits_for(o)]
+        assert len(victims) == 1, victims
+        victim = victims[0]
+        log.append(["waits on", victim._waiting_on.resource.name or "stage"])
+        if how == "throw":
+            victim.interrupt("stop")
+        else:
+            victim._generator.close()
+            log.append(["closed", sim.now])
+        log.append(["at abort", state(sim, c, s)["cores"],
+                    state(sim, c, s)["arbiters"]])
+        sim.process(watcher(victim))
+
+    sim.process(competitor())
+    sim.process(sender(size, 0.0))
+    sim.process(sender(3000, 200.0))    # does the pipeline still flow?
+    sim.process(receiver())
+    sim.process(actor())
+    sim.run()
+    end = state(sim, c, s)
+    return {{"log": log,
+             "end": [end["now"], end["steps"], *end["busy_us"],
+                     end["bytes_carried"][0], *end["irq_delivered"]],
+             "claims": end["cores"] + end["arbiters"]}}
+
+
+def segments_alive():
+    return sum(1 for o in gc.get_objects()
+               if type(o).__name__ == "Segment"
+               or (type(o).__name__ == "generator" and o.__name__ == "_segment"))
+
+
+def garbage():
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    spiked()
+    gc.collect()
+    refcount_only = sorted(type(o).__qualname__ for o in gc.garbage)
+    gc.set_debug(0)
+    gc.garbage.clear()
+    KEEP.clear()
+    gc.collect()
+    gc.collect()
+
+    def pending():
+        sim, c, s, conn = rig(client_cores=1, server_cores=1)
+
+        def sender(side):
+            yield from conn.send(side, bytes(100_000))
+
+        sim.process(sender(c))
+        sim.process(sender(s))
+        sim.run(until=150.0)            # segments claiming all three stages
+        return segments_alive()
+
+    alive = pending()
+    KEEP.clear()
+    # The python core's generators close when collected, and a segment
+    # closed in its tx work boots its successor: the first pass only
+    # runs those finalizers, the second frees what they left.
+    gc.collect()
+    gc.collect()
+    gc.enable()
+    return {{"refcount_only": refcount_only, "pending": alive,
+             "after_drop": segments_alive()}}
+
+
+print(json.dumps({{"spiked": spiked(),
+                  "aborted": {{f"{{where}}-{{how}}": aborted(where, how)
+                              for where in ("tx", "wire", "rx")
+                              for how in ("throw", "close")}},
+                  "garbage": garbage()}}))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def segment_report(core: str) -> dict:
+    return run_json(core, SEGMENT_SNIPPET.format(core=core))
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_fault_hook_spike_delays_the_sending_ports_segments(core):
+    """A hook installed on the client's port after wiring spikes the even
+    segments the client sends, through ``Route.carry``'s ``_after_spike``
+    path; the literals were recorded before segments were compiled."""
+    got = segment_report(core)["spiked"]
+    assert got["returns"] == [
+        ["server", 20000, 168.14210526315787],
+        ["client", 20000, 175.64210526315787],
+        ["server", 8192, 259.38421052631577],
+        ["client", 20001, 351.2873355263158],
+        ["client", 0, 395.3262828947369],
+    ]
+    assert got["busy_us"] == [380.1025000000001, 399.4831250000001]
+    assert got["port_busy_us"] == [45.878947368421095, 31.831578947368413,
+                                   31.831578947368413, 45.878947368421095]
+    assert got["bytes_carried"] == [40001.0, 28192.0, 28192.0, 40001.0]
+    assert got["irq_delivered"] == [4, 7]
+    assert [got["now"], got["steps"]] == [395.3262828947369, 166]
+    assert got["cores"] + got["arbiters"] == [0] * 12
+
+
+#: per (wait, abort): the victim's log, then [now, steps, client and
+#: server CPU busy, client egress bytes, client and server interrupts]
+ABORTED = {
+    "tx-throw": ([["waits on", "client.cpu.cores"],
+                  ["at abort", [1, 1, 0, 0], [0] * 8],
+                  ["victim raised", "Interrupt", 50.0],
+                  ["received", 3000, 256.57184210526316],
+                  ["sent", 3000, 256.57184210526316]],
+                 [256.57184210526316, 48, 44.019999999999996, 55.025, 4808.0, 0, 2]),
+    "tx-close": ([["waits on", "client.cpu.cores"],
+                  ["closed", 50.0],
+                  ["at abort", [1, 1, 0, 0], [0] * 8],
+                  ["victim raised", "SimulationError", 50.0],
+                  ["received", 3000, 256.57184210526316],
+                  ["sent", 3000, 256.57184210526316]],
+                 [256.57184210526316, 47, 44.019999999999996, 55.025, 4808.0, 0, 2]),
+    "wire-throw": ([["waits on", "client.ipoib.tx.arbiter"],
+                    ["at abort", [0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0]],
+                    ["victim raised", "Interrupt", 50.0],
+                    ["received", 3000, 256.57184210526316],
+                    ["sent", 3000, 256.57184210526316]],
+                   [256.57184210526316, 38, 42.0, 29.375, 4000.0, 0, 1]),
+    "wire-close": ([["waits on", "client.ipoib.tx.arbiter"],
+                    ["closed", 50.0],
+                    ["at abort", [0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0]],
+                    ["victim raised", "SimulationError", 50.0],
+                    ["received", 3000, 256.57184210526316],
+                    ["sent", 3000, 256.57184210526316]],
+                   [256.57184210526316, 37, 42.0, 29.375, 4000.0, 0, 1]),
+    # Waiting for the rx stage holds nothing to give back: the victim's
+    # stage claim stays queued, so once granted the stage is never
+    # released and the later 3000-byte message is never delivered.
+    "rx-throw": ([["waits on", "stage"],
+                  ["at abort", [0, 0, 1, 1], [0] * 8],
+                  ["victim raised", "Interrupt", 80.0]],
+                 [227.19684210526316, 43, 80.5, 45.6, 13000.0, 0, 1]),
+    "rx-close": ([["waits on", "stage"],
+                  ["closed", 80.0],
+                  ["at abort", [0, 0, 1, 1], [0] * 8],
+                  ["victim returned", None, 145.6]],
+                 [227.19684210526316, 42, 80.5, 45.6, 13000.0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("core", CORES)
+@pytest.mark.parametrize("case", sorted(ABORTED))
+def test_throw_and_close_run_the_segments_finally_clauses(core, case):
+    """A throw or close reaching a segment that waits for the tx CPU, the
+    wire or the rx stage releases what the reference generator's
+    ``finally`` clauses release, and the victim fails with the same
+    exception at the same instant under both cores.
+
+    In its tx work the victim still hands the slot on, so the message's
+    second segment and a later message go through; in the wire its
+    claims go back and the later message goes through.  The victim
+    never counts down, so its own message never completes.
+    """
+    got = segment_report(core)["aborted"][case]
+    assert (got["log"], got["end"]) == ABORTED[case]
+    assert got["claims"] == [0] * 12
+
+
+@pytest.mark.parametrize("core", CORES)
+def test_segments_leave_no_cyclic_garbage(core):
+    """A run of segments frees everything by reference counting, and a
+    simulation dropped with segments claiming every stage is collected
+    whole."""
+    assert segment_report(core)["garbage"] == {
+        "refcount_only": [], "pending": 8, "after_drop": 0}
 
 
 # ---------------------------------------------------------------- rpc messages

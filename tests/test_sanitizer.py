@@ -281,6 +281,20 @@ def test_qp_on_unlisted_host_reports_as_leak():
         "stray.hca: 1 QP(s) held by no transport were never destroyed",
     ]
 
+
+@pytest.mark.parametrize("redial", [False, True])
+def test_closed_read_read_client_keeps_no_bounce_buffers(redial):
+    """A final close gives a Read-Read client's bounce buffers back; a
+    redial's close keeps them for the next connection, so a transport
+    left closed after one reports them."""
+    c = Cluster(ClusterConfig(transport="rdma-rr"))
+    mount = c.mounts[0]
+    c.run(mount.transport.close("unmount", redial=redial))
+    assert mount.node.hca.tpt.live_entries == (32 if redial else 0)
+    assert Sanitizer(c.sim).leak_report(c) == (
+        [f"{mount.transport.name}: closed with bounce buffers still registered"]
+        if redial else [])
+
 # ------------------------------------------------------------- clean traffic
 def test_clean_rdma_traffic_records_no_violations():
     sim, a, b, qa, qb = make_pair()
