@@ -39,6 +39,7 @@ from repro.ib.verbs import (
     RecvWR,
     Segment,
     SendWR,
+    node_of,
 )
 from repro.rpc.lanes import LaneLedger
 from repro.rpc.msg import RpcCall, RpcReply, frame_message, unframe_message
@@ -701,22 +702,21 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
     design = "base"
 
     def __init__(self, node, qp, config, strategy, name="", credit_policy=None,
-                 srq=None, policy=None):
+                 srq=None):
         name = name or f"{node.name}.rpcrdmad-{self.design}"
         super().__init__(node, qp, config, strategy, name, srq=srq)
         #: the node name of the client this transport serves.
-        self.client_id: str = qp.peer.hca.name.split(".")[0]
+        self.client_id: str = node_of(qp.peer)
         self.server: Optional[RpcServer] = None
+        #: the dispatcher's security ledger (misbehavior scoring,
+        #: throttle, exposure peak), bound by :meth:`attach`.
+        self.policy = None
         self.calls_received = Counter(f"{name}.calls")
         #: server-side credit policy (§7 future work); defaults to the
         #: static grant from the transport config.
         self.credit_policy = credit_policy
         if credit_policy is not None:
             credit_policy.register_connection(qp.qp_num)
-        #: security policy (misbehavior scoring / throttle / quarantine);
-        #: None keeps every hardening hook off the hot path.
-        self.policy = policy
-        self.malformed_received = Counter(f"{name}.malformed")
         #: per-lane ledger, created lazily on the first version-2 call;
         #: stays None (zero cost) on dedicated connections.
         self.lanes: Optional[LaneLedger] = None
@@ -733,6 +733,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
         if self.server is not None:
             raise RuntimeError("transport already attached")
         self.server = server
+        self.policy = server.security_policy
         self.sim.process(self._receiver(), name=f"{self.name}.rx")
 
     # -- receive path ---------------------------------------------------------
@@ -753,9 +754,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             except XdrError:
                 # Garbage frame (flooding/fuzzing client): drop it, score
                 # the sender, keep the receive loop alive.
-                self.malformed_received.add()
-                if self.policy is not None:
-                    self.policy.record_malformed(self.client_id)
+                self.policy.record_malformed(self.client_id)
                 continue
             # Handle each message off the receive loop so long fetches
             # don't head-of-line-block subsequent requests; a connection
@@ -783,9 +782,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
                 header = RpcRdmaHeader.decode(raw)
             except XdrError:
                 self.srq.recycle(wr)
-                self.malformed_received.add()
-                if self.policy is not None:
-                    self.policy.record_malformed(self.client_id)
+                self.policy.record_malformed(self.client_id)
                 continue
             self.srq.recycle(wr)
             self.sim.process(self._handle_message_safely(header),
@@ -819,11 +816,10 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             span.end()
 
     def _handle_message_inner(self, header: RpcRdmaHeader) -> Generator:
-        if self.policy is not None:
-            # Throttled clients wait out their penalty before dispatch.
-            penalty = self.policy.throttle_penalty_us(self.client_id)
-            if penalty > 0:
-                yield self.sim.timeout(penalty)
+        # Throttled clients wait out their penalty before dispatch.
+        penalty = self.policy.throttle_penalty_us(self.client_id)
+        if penalty > 0:
+            yield self.sim.timeout(penalty)
         yield from self.node.cpu.consume(PER_OP_CPU_US)
         if header.lane is not None:
             if self.lanes is None:
@@ -869,8 +865,7 @@ class RpcRdmaServerBase(_RdmaEndpoint, RpcServerTransport):
             yield from self._crypt(length)
             call.write_payload = region.peek(length)
         self.calls_received.add()
-        if self.policy is not None:
-            call.client_id = self.client_id
+        call.client_id = self.client_id
         assert self.server is not None
         # Blocking submit: a full bounded run queue stalls this request
         # process (not the receive loop), which withholds the reply and

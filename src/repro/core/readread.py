@@ -146,9 +146,9 @@ class ReadReadServer(RpcRdmaServerBase):
     design = "read-read"
 
     def __init__(self, node, qp, config, strategy, name="", credit_policy=None,
-                 srq=None, policy=None):
+                 srq=None):
         super().__init__(node, qp, config, strategy, name,
-                         credit_policy=credit_policy, srq=srq, policy=policy)
+                         credit_policy=credit_policy, srq=srq)
         # DONE messages consume receives beyond the credit grant; post
         # double the receives so bulk-heavy workloads never go RNR.
         # (In shared-pool mode the wiring layer sizes the pool instead.)
@@ -159,9 +159,6 @@ class ReadReadServer(RpcRdmaServerBase):
         #: bytes across ``pending_done`` (kept running, never re-summed).
         self.exposed_bytes = 0
         self.dones_received = Counter(f"{self.name}.dones")
-        self.exposed_bytes_peak = 0
-        self.lease_reclaims = Counter(f"{self.name}.lease_reclaims")
-        self.quota_evictions = Counter(f"{self.name}.quota_evictions")
 
     def _respond(self, ctx: dict, reply: RpcReply) -> Generator:
         reply_chunks = ChunkList()
@@ -210,8 +207,7 @@ class ReadReadServer(RpcRdmaServerBase):
             # the single DONE must release both generations.
             self.pending_done.setdefault(reply.xid, []).extend(exposed)
             self.exposed_bytes += sum(r.length for r in exposed)
-            self.exposed_bytes_peak = max(self.exposed_bytes_peak,
-                                          self.exposed_bytes)
+            self.policy.record_exposure(self.exposed_bytes)
             san = self.sim.sanitizer
             if san is not None:
                 san.advertise(self.node.hca.tpt.name, reply.xid,
@@ -224,28 +220,26 @@ class ReadReadServer(RpcRdmaServerBase):
         yield from self.send_header(wire)
 
     # -- retiring exposures -------------------------------------------------
-    def _retire(self, xid: int, reclaimed: Optional[Counter] = None,
-                score=None) -> Generator:
+    def _retire(self, xid: int, reclaim=None) -> Generator:
         """Process: end exposure ``xid`` if it is still pending.
 
         Every way an exposure ends comes here: DONE, lease expiry, quota
         eviction and close.  Bookkeeping runs before the first release
-        yield — the running total, the ``reclaimed`` counter, the
-        sanitizer's un-advertise, then ``score(client, nbytes)`` (which
-        may spawn a quarantine) — and the windows are released last.
+        yield — the running total, the sanitizer's un-advertise, then
+        ``reclaim(client, nbytes)``, the ledger's count and score for a
+        reclaimed exposure (which may spawn a quarantine) — and the
+        windows are released last.
         """
         regions = self.pending_done.pop(xid, None)
         if regions is None:
             return  # DONE (or quota/lease/close reclaim) got there first
         nbytes = sum(r.length for r in regions)
         self.exposed_bytes -= nbytes
-        if reclaimed is not None:
-            reclaimed.add(nbytes)
         san = self.sim.sanitizer
         if san is not None:
             san.retire(self.node.hca.tpt.name, xid)
-        if score is not None:
-            score(self.client_id, nbytes)
+        if reclaim is not None:
+            reclaim(self.client_id, nbytes)
         for region in regions:
             yield from self.strategy.release(region)
 
@@ -259,18 +253,14 @@ class ReadReadServer(RpcRdmaServerBase):
         quota = self.config.exposure_quota_bytes
         while len(self.pending_done) > 1 and self.exposed_bytes > quota:
             oldest = next(x for x in self.pending_done if x != current_xid)
-            yield from self._retire(
-                oldest, self.quota_evictions,
-                self.policy and self.policy.record_quota_eviction)
+            yield from self._retire(oldest, self.policy.record_quota_eviction)
 
     def _lease_timer(self, xid: int) -> Generator:
         """Deadline-based reclamation: if the DONE has not arrived when
         the lease expires, deregister the windows (a sanitizer-visible
         epoch bump) and score the client."""
         yield self.sim.timeout(self.config.lease_timeout_us)
-        yield from self._retire(
-            xid, self.lease_reclaims,
-            self.policy and self.policy.record_lease_reclaim)
+        yield from self._retire(xid, self.policy.record_lease_reclaim)
 
     def _handle_done(self, header: RpcRdmaHeader) -> Generator:
         yield from self.node.cpu.consume(DONE_HANDLER_CPU_US)

@@ -132,9 +132,9 @@ class ReadWriteServer(RpcRdmaServerBase):
     design = "read-write"
 
     def __init__(self, node, qp, config, strategy, name="", credit_policy=None,
-                 srq=None, policy=None):
+                 srq=None):
         super().__init__(node, qp, config, strategy, name,
-                         credit_policy=credit_policy, srq=srq, policy=policy)
+                         credit_policy=credit_policy, srq=srq)
         self.rdma_writes_issued = Counter(f"{self.name}.writes")
         self.long_replies = Counter(f"{self.name}.long_replies")
 

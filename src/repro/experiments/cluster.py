@@ -235,9 +235,9 @@ class Naming:
 class ServerStack:
     """One server node's complete serving stack.
 
-    The only place the backend file system, DRC, RPC dispatcher, NFS
-    program, server registration strategy, shared receive pool, credit
-    clamp, hardening overrides and misbehavior policy are wired.  Flow
+    The only place the backend file system, DRC, security ledger, RPC
+    dispatcher, NFS program, server registration strategy, shared
+    receive pool, credit clamp and hardening overrides are wired.  Flow
     control waits for :meth:`size_flow_control`, because it is sized
     from the cluster's full lane plan.  Every connection to the node is
     dialed through :meth:`connect` (a wired client transport) or
@@ -247,6 +247,8 @@ class ServerStack:
     """
 
     def __init__(self, cluster: "Cluster", name: str):
+        from repro.security.policy import SecurityPolicy
+
         config = cluster.config
         profile = config.profile
         self.sim = cluster.sim
@@ -266,8 +268,14 @@ class ServerStack:
         # non-idempotent procedures.
         service = cluster.names.service(name)
         self.drc = DuplicateRequestCache(name=f"{service}.drc")
+        # The stack's one security ledger: every server end, the
+        # dispatcher and the HCA's NAKs report into it; escalation
+        # (throttle, quarantine) runs only with quarantine configured.
+        self.security_policy = SecurityPolicy(
+            self, quarantine_enabled=config.quarantine)
+        self.node.hca.protection_nak_hook = self.security_policy.record_nak
         self.rpc_server = RpcServer(
-            self.sim, self.node.cpu,
+            self.sim, self.node.cpu, self.security_policy,
             nthreads=config.server_workers or profile.server_threads,
             costs=RpcServerCosts(), drc=self.drc, name=service,
             max_queue=config.server_queue_depth,
@@ -280,7 +288,6 @@ class ServerStack:
         self.server_transports: list = []
         self.srq: Optional[SharedReceivePool] = None
         self.credit_policy = None
-        self.security_policy = None
         self.rpcrdma = profile.rpcrdma
         #: TCP NIC profile (None on RDMA), and the one physical server
         #: port every accepted endpoint shares so aggregate bandwidth is
@@ -292,7 +299,7 @@ class ServerStack:
 
     def size_flow_control(self, lanes: int, connections: int,
                           credits: Optional[int] = None) -> None:
-        """Shared pool, credit clamp, hardening and misbehavior policy.
+        """Shared pool, credit clamp and hardening overrides.
 
         ``lanes`` mounts reach this stack over ``connections`` QPs
         (equal unless mounts are multiplexed); ``credits`` overrides the
@@ -319,9 +326,8 @@ class ServerStack:
             overrides["credits"] = per_conn
             self.credit_policy = SrqCreditPolicy(self.srq, max_grant=per_conn)
         # Hardened data plane: fold the mitigation knobs into the
-        # transport config and stand up the misbehavior policy.  At
-        # defaults nothing below runs and security_policy stays None —
-        # zero hooks on the hot path.
+        # transport config.  At defaults nothing below runs: no lease
+        # timer, quota check or crypt on the data path.
         if config.lease_timeout_us is not None:
             overrides["lease_timeout_us"] = config.lease_timeout_us
         if config.exposure_quota_bytes is not None:
@@ -329,14 +335,6 @@ class ServerStack:
         if config.aes_payload:
             overrides["aes_payload"] = True
         self.rpcrdma = replace(self.rpcrdma, **overrides)
-        if config.quarantine or config.lease_timeout_us is not None or \
-                config.exposure_quota_bytes is not None:
-            from repro.security.policy import SecurityPolicy
-
-            policy = SecurityPolicy(self.sim, self.server_transports,
-                                    quarantine_enabled=config.quarantine)
-            self.node.hca.protection_nak_hook = policy.record_nak
-            self.rpc_server.security_policy = self.security_policy = policy
 
     # -- connections --------------------------------------------------------
     def connect(self, host: IBNode, name: str = "", client_cls=None):
@@ -390,8 +388,7 @@ class ServerStack:
         cls = (ReadWriteServer if self.config.transport == "rdma-rw"
                else ReadReadServer)
         server = cls(self.node, qp_s, self.rpcrdma, self.strategy,
-                     credit_policy=self.credit_policy, srq=self.srq,
-                     policy=self.security_policy)
+                     credit_policy=self.credit_policy, srq=self.srq)
         server.attach(self.rpc_server)
         self.server_transports.append(server)
         return server
@@ -408,7 +405,7 @@ class ServerStack:
         never gets a fresh one.
         """
         policy = self.security_policy
-        if policy is not None and policy.is_banned(client):
+        if policy.is_banned(client):
             policy.redials_refused.add()
             raise TransportError(f"{client}: redial refused (quarantined)")
 

@@ -113,9 +113,9 @@ class HCA:
         )
         self.qps: list[QueuePair] = []
         #: Called with ``(offender_qp, ProtectionError)`` when *this* HCA
-        #: NAKs a remote operation against its memory.  ``None`` (the
-        #: default) keeps the data path hook-free; the security policy
-        #: installs its misbehavior scorer here.
+        #: NAKs a remote operation against its memory.  A server stack
+        #: installs its security ledger's scorer here; ``None`` (a
+        #: client host) leaves NAKs unscored.
         self.protection_nak_hook = None
         self.sends = Counter(f"{name}.sends")
         self.writes = Counter(f"{name}.writes")

@@ -39,6 +39,7 @@ __all__ = [
     "RecvWR",
     "Segment",
     "SendWR",
+    "node_of",
 ]
 
 _wr_ids = itertools.count(1)
@@ -306,6 +307,11 @@ class CompletionQueue:
 
     def __len__(self) -> int:
         return len(self._cqes)
+
+
+def node_of(qp: "QueuePair") -> str:
+    """The node name behind a QP (HCAs are named ``<node>.hca``)."""
+    return qp.hca.name.partition(".")[0]
 
 
 class QueuePair:

@@ -87,6 +87,9 @@ class RpcCall:
     lane: Optional[int] = None
     #: Per-lane send sequence number (see :attr:`lane`).
     lane_seq: int = 0
+    #: Node name of the caller, set by the server transport that
+    #: received the call (None over TCP); not encoded.
+    client_id: Optional[str] = None
 
     def encode(self) -> bytes:
         """Wire encoding of the call *header* (bulk rides separately)."""

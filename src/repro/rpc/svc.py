@@ -39,6 +39,7 @@ class RpcServer:
         self,
         sim: Simulator,
         cpu: CPU,
+        security_policy,
         nthreads: int = 8,
         costs: Optional[RpcServerCosts] = None,
         drc: Optional[DuplicateRequestCache] = None,
@@ -55,9 +56,10 @@ class RpcServer:
                                      name=f"{name}.pool", max_queue=max_queue)
         self.calls_served = Counter(f"{name}.calls")
         self.calls_failed = Counter(f"{name}.failed")
-        #: security policy hook; failed dispatches count against the
-        #: originating client's misbehavior score when set.
-        self.security_policy = None
+        #: the security ledger (repro.security.SecurityPolicy) failed
+        #: dispatches count against, and the one the server transports
+        #: attached here report into.
+        self.security_policy = security_policy
 
     def register_program(self, prog: int, vers: int, handler: RpcProgramHandler) -> None:
         key = (prog, vers)
@@ -119,11 +121,6 @@ class RpcServer:
     def backlog(self) -> int:
         return self.pool.backlog
 
-    def _record_bad_call(self, call: RpcCall) -> None:
-        if self.security_policy is not None:
-            self.security_policy.record_bad_call(
-                getattr(call, "client_id", None))
-
     def _handle(self, worker: int, task) -> Generator:
         call, respond, qspan = task
         if qspan is not None:
@@ -148,14 +145,14 @@ class RpcServer:
         handler = self._programs.get((call.prog, call.vers))
         if handler is None:
             self.calls_failed.add()
-            self._record_bad_call(call)
+            self.security_policy.record_bad_call(call.client_id)
             reply = RpcReply(xid=call.xid, stat=1, header=b"")  # PROG_UNAVAIL-ish
         else:
             try:
                 reply = yield from handler(call)
             except RpcError:
                 self.calls_failed.add()
-                self._record_bad_call(call)
+                self.security_policy.record_bad_call(call.client_id)
                 reply = RpcReply(xid=call.xid, stat=1, header=b"")
         if not isinstance(reply, RpcReply):
             raise TypeError(

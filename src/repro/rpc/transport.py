@@ -32,6 +32,12 @@ class RpcClientTransport(abc.ABC):
 class RpcServerTransport(abc.ABC):
     """Server half: receive calls, feed the dispatcher, return replies."""
 
+    #: bytes of server memory this connection exposes to the client's
+    #: RDMA Reads, and the exposures behind them (Read-Read replies
+    #: awaiting RDMA_DONE); nothing on designs that expose nothing.
+    exposed_bytes = 0
+    pending_done_count = 0
+
     @abc.abstractmethod
     def attach(self, server: RpcServer) -> None:
         """Bind to a dispatcher and start the receive path."""

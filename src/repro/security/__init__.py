@@ -12,8 +12,9 @@ Table 1's primitive-property matrix by probing the verbs layer.
 
 :mod:`repro.security.campaign` runs those adversaries as long-lived
 malicious mounts mixed with legitimate traffic, and
-:mod:`repro.security.policy` is the server-side misbehavior ledger that
-the hardened data plane (leases, quotas, quarantine) reports into.
+:mod:`repro.security.policy` is each server stack's security ledger,
+which every server end, the RPC dispatcher and the HCA's NAK hook
+report into, and which escalates to throttle and quarantine.
 """
 
 from repro.security.adversary import (

@@ -141,9 +141,8 @@ def audit_server_exposure(server_node, server_transports) -> dict:
     recv_bytes = 0
     shared_pools: set[int] = set()
     for transport in server_transports:
-        if hasattr(transport, "pending_done"):
-            pending += len(transport.pending_done)
-            pending_bytes += transport.exposed_bytes
+        pending += transport.pending_done_count
+        pending_bytes += transport.exposed_bytes
         srq = getattr(transport, "srq", None)
         if srq is not None:
             if id(srq) not in shared_pools:

@@ -282,21 +282,17 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
 
     tpt = cluster.server_node.hca.tpt
     result.protection_naks = tpt.protection_faults.events
-    pinned_final = 0
-    pinned_peak = 0
-    for transport in cluster.server_transports:
-        if hasattr(transport, "pending_done"):
-            pinned_final += transport.exposed_bytes
-            pinned_peak = max(pinned_peak, transport.exposed_bytes_peak)
-        result.malformed_wrs += transport.malformed_received.events
-        leases = getattr(transport, "lease_reclaims", None)
-        if leases is not None:
-            result.lease_reclaimed_bytes += int(leases.value)
-        quota = getattr(transport, "quota_evictions", None)
-        if quota is not None:
-            result.quota_evicted_bytes += int(quota.value)
-    result.pinned_final_bytes = pinned_final
-    result.pinned_peak_bytes = pinned_peak
+    # What the mitigations did comes from the stack's ledger, which
+    # keeps the totals of connections a quarantine already dropped.
+    policy = stack.security_policy
+    result.pinned_final_bytes = sum(t.exposed_bytes
+                                    for t in stack.server_transports)
+    result.pinned_peak_bytes = policy.exposed_bytes_peak
+    result.malformed_wrs = policy.malformed_wrs.events
+    result.lease_reclaimed_bytes = int(policy.lease_reclaims.value)
+    result.quota_evicted_bytes = int(policy.quota_evictions.value)
+    result.quarantined = len(policy.quarantined)
+    result.redials_refused = policy.redials_refused.events
 
     if guesser is not None:
         result.guess_attempts = guesser.attempts.events
@@ -307,11 +303,6 @@ def run_campaign(cluster, params: CampaignParams) -> CampaignResult:
         result.replay_hits = replayer.transport.replay_hits.events
     if flooder is not None:
         result.flood_garbage = flooder.garbage_sent.events
-
-    policy = stack.security_policy
-    if policy is not None:
-        result.quarantined = len(policy.quarantined)
-        result.redials_refused = policy.redials_refused.events
 
     if stack.rpcrdma.aes_payload:
         result.aes_crypt_bytes = int(stack.node.cpu.crypt_bytes.value)

@@ -3788,16 +3788,22 @@ fail:
     return PYGEN_ERROR;
 }
 
-/* a throw or close reached the current yield: undo the wait, then run
- * the `finally` clause it sits in */
+/* a throw or close reached the current yield: undo the wait (a stage
+ * claim still waiting is withdrawn), then run the `finally` clause it
+ * sits in */
 static int
 segment_abort(SegmentObject *self)
 {
     int state = self->state;
     self->state = SEG_DONE;
     int rc = 0;
-    if (state == SEG_TX || state == SEG_WIRE || state == SEG_IRQ ||
-        state == SEG_RX)
+    if (state == SEG_SLOT)
+        rc = resource_withdraw(self->pipe->tx_stage,
+                               (RequestObject *)self->slot);
+    else if (state == SEG_RXCLAIM)
+        rc = resource_withdraw(self->pipe->rx_stage, self->rreq);
+    else if (state == SEG_TX || state == SEG_WIRE || state == SEG_IRQ ||
+             state == SEG_RX)
         rc = hold_abort((HoldObject *)self->sub);
     Py_CLEAR(self->sub);
     if (state == SEG_TX)

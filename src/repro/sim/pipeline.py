@@ -76,7 +76,13 @@ class SegmentPipeline:
         peer = self.receiver
         seg, tx_us, wire, rx_us = plan[k]
         if k == 0:
-            yield req
+            try:
+                yield req
+            except BaseException:
+                # Aborted before its tx work: withdraw the message's
+                # claim on the slot, so later messages still get it.
+                self.tx_stage._withdraw(req)
+                raise
         try:
             # Sender: copy into the stack + checksum + protocol work.
             yield from side.cpu.consume(tx_us)
@@ -91,7 +97,11 @@ class SegmentPipeline:
         yield from self.route.carry(seg, wire)
         rx_stage = self.rx_stage
         req = rx_stage.request()
-        yield req
+        try:
+            yield req
+        except BaseException:
+            rx_stage._withdraw(req)
+            raise
         try:
             # Receiver: interrupt (coalesced) then copy out of the stack.
             now = self.sim.now

@@ -166,7 +166,9 @@ class Telemetry:
         clients = sorted({m.node.name for m in cluster.mounts})
         for stack in cluster.all_stacks:
             self._attach_pagecache(stack)
-            if stack.security_policy is not None:
+            config = stack.config
+            if (config.quarantine or config.lease_timeout_us is not None
+                    or config.exposure_quota_bytes is not None):
                 self._attach_security(stack, clients)
 
         if cluster.faults is not None:
@@ -300,7 +302,7 @@ class Telemetry:
                    "pages currently cached", **labels)
 
     def _attach_security(self, stack: Any, clients: list) -> None:
-        """One stack's misbehavior-policy gauges (hardened data plane)."""
+        """One stack's security-ledger gauges (hardened data plane)."""
         from repro.security.policy import NAK_CAUSES
 
         reg = self.registry
@@ -329,9 +331,11 @@ class Telemetry:
         reg.attach("security_quota_evicted_bytes",
                    _value(policy.quota_evictions),
                    "bytes un-exposed by quota eviction", **labels)
-        reg.attach("security_warnings", _events(policy.warnings),
+        reg.attach("security_warnings",
+                   lambda p=policy: float(len(p.warned)),
                    "clients that crossed the WARN threshold", **labels)
-        reg.attach("security_throttles", _events(policy.throttles),
+        reg.attach("security_throttles",
+                   lambda p=policy: float(len(p.throttled)),
                    "clients escalated to throttling", **labels)
         reg.attach("security_quarantined_mounts",
                    lambda p=policy: float(len(p.quarantined)),
@@ -341,8 +345,7 @@ class Telemetry:
                    "redial attempts refused for banned clients", **labels)
         reg.attach("security_active_exposures",
                    lambda st=stack: float(sum(
-                       len(getattr(t, "pending_done", ()) or ())
-                       for t in st.server_transports)),
+                       t.pending_done_count for t in st.server_transports)),
                    "chunk exposures currently awaiting RDMA_DONE", **labels)
         for client in clients:
             reg.attach("security_exposure_bytes",

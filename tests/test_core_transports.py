@@ -19,6 +19,7 @@ from repro.core.regcache import RegistrationCacheStrategy
 from repro.core.strategies import AllPhysicalStrategy, FmrStrategy
 from repro.ib import Fabric
 from repro.rpc import RpcCall, RpcReply, RpcServer
+from repro.security import SecurityPolicy
 from repro.sim import Simulator
 
 NFS_PROG, NFS_VERS = 100003, 3
@@ -45,7 +46,7 @@ class Rig:
             self.client = ReadReadClient(self.client_node, qc, self.config, c_strat)
             self.server = ReadReadServer(self.server_node, qs, self.config, s_strat)
         self.rpc_server = RpcServer(self.sim, self.server_node.cpu,
-                                    nthreads=server_threads)
+                                    SecurityPolicy(), nthreads=server_threads)
         self.server.attach(self.rpc_server)
 
     def _make_strategy(self, kind, node):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.check.sanitizer import Sanitizer
 from repro.core.readread import ReadReadServer
 from repro.experiments import Cluster, ClusterConfig
+from repro.experiments.topology import TopologyConfig
 from repro.faults import FaultPlan, QpKill
 from repro.nfs import NfsClient
 from repro.security import (
@@ -97,7 +98,7 @@ def test_withheld_pins_unbounded_without_leases():
     # No deadline: all eight windows stay pinned forever.
     assert withholder.dones_suppressed.events == 8
     assert server.pending_done_count == 8
-    assert server.lease_reclaims.events == 0
+    assert c.security_policy.lease_reclaims.events == 0
 
 
 def test_leases_reclaim_withheld_pins():
@@ -107,11 +108,9 @@ def test_leases_reclaim_withheld_pins():
     assert withholder.dones_suppressed.events == 8
     # Every withheld window was reclaimed at its lease deadline.
     assert server.pending_done_count == 0
-    assert server.lease_reclaims.events == 8
-    assert server.lease_reclaims.value == 8 * RECORD
-    # The policy saw the reclaims (misbehavior signal) and the TPT holds
-    # no remote exposure.
-    assert c.security_policy is not None
+    # The stack's ledger counted the reclaims (a misbehavior signal)
+    # and the TPT holds no remote exposure.
+    assert c.security_policy.lease_reclaims.events == 8
     assert c.security_policy.lease_reclaims.value == 8 * RECORD
     report = audit_server_exposure(c.server_node, c.server_transports)
     assert report["exposed_regions_now"] == 0
@@ -126,7 +125,7 @@ def test_quota_caps_pinned_exposure():
     report = audit_server_exposure(c.server_node, [server])
     assert report["pending_done_bytes"] <= quota
     # Six of the eight windows were evicted by admission control.
-    assert server.quota_evictions.events >= 6
+    assert c.security_policy.quota_evictions.events >= 6
     assert c.security_policy.quota_evictions.value >= 6 * RECORD
 
 
@@ -138,7 +137,7 @@ def test_running_exposure_total_settles_on_every_retire_path():
 
     c, nfs, _, server = _withholder_cluster(exposure_quota_bytes=2 * RECORD)
     _withhold_eight(c, nfs)
-    assert server.quota_evictions.events >= 6
+    assert c.security_policy.quota_evictions.events >= 6
     assert server.exposed_bytes == exposed(server) > 0
     honest = c.server_transports[0]
     mount = c.mounts[0].nfs
@@ -158,7 +157,7 @@ def test_running_exposure_total_settles_on_every_retire_path():
     _withhold_eight(c, nfs)
     assert server.exposed_bytes == exposed(server) > 0
     c.sim.run(until=c.sim.now + 200_000.0)
-    assert server.lease_reclaims.events == 8
+    assert c.security_policy.lease_reclaims.events == 8
     assert server.exposed_bytes == exposed(server) == 0
 
 
@@ -236,6 +235,53 @@ def test_policy_holds_only_live_transports_across_redials():
     c.sim.run(until=c.sim.now + 1_000.0)
     assert live.failed
     assert policy.is_banned("client0")
+
+
+@pytest.mark.parametrize("shape", ["one-server", "two-servers"])
+def test_quarantine_drops_evicted_connections_from_the_stack(shape):
+    """A quarantine evicts through ``ServerStack.drop``: the evicted end
+    leaves ``server_transports``, so ``qp_count()`` equals the QPs the
+    server HCAs still hold, and the other mount keeps its connection."""
+    if shape == "one-server":
+        c = Cluster(ClusterConfig(transport="rdma-rr", nclients=2,
+                                  quarantine=True))
+    else:
+        c = Cluster(TopologyConfig(servers=2, transport="rdma-rr",
+                                   nclients=4, quarantine=True))
+    run_iozone(c, IozoneParams(nthreads=1, ops_per_thread=2))
+    stack = next(s for s in c.server_stacks
+                 if any(t.client_id == "client0"
+                        for t in s.server_transports))
+    before = c.qp_count()
+    stack.security_policy.quarantine("client0")
+    c.sim.run(until=c.sim.now + 1_000.0)
+    assert c.qp_count() == before - 1
+    assert c.qp_count() == sum(len(n.hca.qps) for n in c.server_nodes)
+    assert "client0" not in [t.client_id for t in c.server_transports]
+
+
+def test_ledger_keeps_what_a_redialed_connection_reported():
+    """A connection whose leases were reclaimed, then dropped by the
+    mount's redial, still counts in the stack's ledger: its reclaimed
+    bytes and the exposure peak it reached outlive it."""
+    c, nfs, withholder, server = _withholder_cluster(lease_timeout_us=5_000.0)
+    _withhold_eight(c, nfs)
+    c.sim.run(until=c.sim.now + 200_000.0)
+    stack = c.server_stacks[0]
+    withholder.qp.kill("test")
+
+    def getattr_root():
+        yield from nfs.getattr(nfs.root)
+
+    c.run(getattr_root())
+    assert withholder.reconnects.events == 1
+    assert server not in stack.server_transports
+    policy = c.security_policy
+    assert policy.lease_reclaims.events == 8
+    assert policy.lease_reclaims.value == 8 * RECORD
+    # Six windows were pinned at once before the first lease ran out.
+    assert policy.exposed_bytes_peak == 6 * RECORD
+    assert policy.scores == {"client0": 8}
 
 
 @settings(max_examples=4, deadline=None)
@@ -375,10 +421,20 @@ def test_hardening_knobs_validated():
 
 
 def test_mitigations_off_by_default():
-    """Hardening knobs default off: no policy object, no lease timers,
-    no quota checks — the inertness the golden figures pin."""
+    """Hardening knobs default off: the stack keeps its ledger, but
+    with escalation off and no lease timers or quota checks, and an
+    honest run leaves it empty — the inertness the golden figures pin."""
     c = Cluster(ClusterConfig(transport="rdma-rr"))
-    assert c.security_policy is None
+    policy = c.security_policy
+    assert not policy.quarantine_enabled
     assert c.rpcrdma.lease_timeout_us is None
     assert c.rpcrdma.exposure_quota_bytes is None
     assert not c.rpcrdma.aes_payload
+    run_iozone(c, IozoneParams(nthreads=1, ops_per_thread=4))
+    assert c.server_transports[0].dones_received.events > 0
+    assert policy.scores == {}
+    assert [policy.naks.events, policy.malformed_wrs.events,
+            policy.bad_calls.events, policy.lease_reclaims.events,
+            policy.quota_evictions.events, policy.redials_refused.events,
+            ] == [0] * 6
+    assert policy.warned == policy.throttled == policy.quarantined == set()

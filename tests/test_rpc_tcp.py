@@ -7,6 +7,7 @@ import pytest
 from repro.osmodel import CPU, CPUConfig, InterruptController
 from repro.rpc import RpcCall, RpcReply, RpcServer, TcpRpcClient, TcpRpcServerTransport
 from repro.rpc.msg import RpcCall as Call
+from repro.security import SecurityPolicy
 from repro.sim import Simulator
 from repro.tcpip import GIGE_PROFILE, IPOIB_PROFILE, TcpConnection, TcpEndpoint
 from tests._cores import CORES, run_json
@@ -371,16 +372,20 @@ def aborted(where, how):
     # behind a 100 us competitor on the one core) or for the client's
     # egress (a 100 us competitor holds it), or at 80 us for the
     # server's rx stage (the segment ahead of it holds that stage while
-    # it waits for the server's one core, busy until 100 us).
-    sim, c, s, conn = rig(client_cores=1 if where == "tx" else 2,
+    # it waits for the server's one core, busy until 100 us).  In the
+    # slot case it is segment 0 of a 1000-byte message sent at 20 us,
+    # waiting for the tx slot that the message sent at 0 holds while
+    # its first segment waits for the client's one core.
+    sim, c, s, conn = rig(client_cores=1 if where in ("tx", "slot") else 2,
                           server_cores=1 if where == "rx" else 2)
     blocked = {{"tx": c.cpu.cores, "wire": c.port.tx.arbiter,
-               "rx": s.cpu.cores}}[where]
-    size = {{"tx": 10000, "wire": 1000, "rx": 10000}}[where]
+               "rx": s.cpu.cores,
+               "slot": conn._direction(c).pipeline.tx_stage}}[where]
+    size = {{"tx": 10000, "wire": 1000, "rx": 10000, "slot": 10000}}[where]
     log = []
 
     def competitor():
-        yield from blocked.hold(100.0)
+        yield from (c.cpu.cores if where == "slot" else blocked).hold(100.0)
 
     def sender(size, at):
         yield sim.timeout(at)
@@ -422,6 +427,8 @@ def aborted(where, how):
 
     sim.process(competitor())
     sim.process(sender(size, 0.0))
+    if where == "slot":
+        sim.process(sender(1000, 20.0))
     sim.process(sender(3000, 200.0))    # does the pipeline still flow?
     sim.process(receiver())
     sim.process(actor())
@@ -477,7 +484,7 @@ def garbage():
 
 print(json.dumps({{"spiked": spiked(),
                   "aborted": {{f"{{where}}-{{how}}": aborted(where, how)
-                              for where in ("tx", "wire", "rx")
+                              for where in ("tx", "slot", "wire", "rx")
                               for how in ("throw", "close")}},
                   "garbage": garbage()}}))
 """
@@ -526,6 +533,26 @@ ABORTED = {
                   ["received", 3000, 256.57184210526316],
                   ["sent", 3000, 256.57184210526316]],
                  [256.57184210526316, 47, 44.019999999999996, 55.025, 4808.0, 0, 2]),
+    # Segment 0 of the second message, waiting for the slot the first
+    # holds: its claim is withdrawn, so the first message and the later
+    # 3000-byte one go through.
+    "slot-throw": ([["waits on", "stage"],
+                    ["at abort", [1, 1, 0, 0], [0] * 8],
+                    ["victim raised", "Interrupt", 50.0],
+                    ["received", 10000, 216.8921052631579],
+                    ["sent", 10000, 216.8921052631579],
+                    ["received", 3000, 256.57184210526316],
+                    ["sent", 3000, 256.57184210526316]],
+                   [256.57184210526316, 66, 80.5, 100.625, 13000.0, 0, 3]),
+    "slot-close": ([["waits on", "stage"],
+                    ["closed", 50.0],
+                    ["at abort", [1, 1, 0, 0], [0] * 8],
+                    ["victim raised", "SimulationError", 50.0],
+                    ["received", 10000, 216.8921052631579],
+                    ["sent", 10000, 216.8921052631579],
+                    ["received", 3000, 256.57184210526316],
+                    ["sent", 3000, 256.57184210526316]],
+                   [256.57184210526316, 65, 80.5, 100.625, 13000.0, 0, 3]),
     "wire-throw": ([["waits on", "client.ipoib.tx.arbiter"],
                     ["at abort", [0, 0, 0, 0], [1, 0, 0, 0, 1, 0, 0, 0]],
                     ["victim raised", "Interrupt", 50.0],
@@ -539,33 +566,38 @@ ABORTED = {
                     ["received", 3000, 256.57184210526316],
                     ["sent", 3000, 256.57184210526316]],
                    [256.57184210526316, 37, 42.0, 29.375, 4000.0, 0, 1]),
-    # Waiting for the rx stage holds nothing to give back: the victim's
-    # stage claim stays queued, so once granted the stage is never
-    # released and the later 3000-byte message is never delivered.
+    # Waiting for the rx stage, the victim withdraws its queued stage
+    # claim, so the later 3000-byte message is delivered.
     "rx-throw": ([["waits on", "stage"],
                   ["at abort", [0, 0, 1, 1], [0] * 8],
-                  ["victim raised", "Interrupt", 80.0]],
-                 [227.19684210526316, 43, 80.5, 45.6, 13000.0, 0, 1]),
+                  ["victim raised", "Interrupt", 80.0],
+                  ["received", 3000, 256.57184210526316],
+                  ["sent", 3000, 256.57184210526316]],
+                 [256.57184210526316, 53, 80.5, 74.975, 13000.0, 0, 2]),
     "rx-close": ([["waits on", "stage"],
                   ["closed", 80.0],
                   ["at abort", [0, 0, 1, 1], [0] * 8],
-                  ["victim returned", None, 145.6]],
-                 [227.19684210526316, 42, 80.5, 45.6, 13000.0, 0, 1]),
+                  ["victim raised", "SimulationError", 80.0],
+                  ["received", 3000, 256.57184210526316],
+                  ["sent", 3000, 256.57184210526316]],
+                 [256.57184210526316, 52, 80.5, 74.975, 13000.0, 0, 2]),
 }
 
 
 @pytest.mark.parametrize("core", CORES)
 @pytest.mark.parametrize("case", sorted(ABORTED))
 def test_throw_and_close_run_the_segments_finally_clauses(core, case):
-    """A throw or close reaching a segment that waits for the tx CPU, the
-    wire or the rx stage releases what the reference generator's
-    ``finally`` clauses release, and the victim fails with the same
-    exception at the same instant under both cores.
+    """A throw or close reaching a segment that waits for the message's
+    tx slot, the tx CPU, the wire or the rx stage withdraws the claim it
+    waits on and releases what the reference generator's ``finally``
+    clauses release, and the victim fails with the same exception at
+    the same instant under both cores.
 
     In its tx work the victim still hands the slot on, so the message's
-    second segment and a later message go through; in the wire its
-    claims go back and the later message goes through.  The victim
-    never counts down, so its own message never completes.
+    second segment and a later message go through; waiting for the
+    slot, the wire or the rx stage its claims go back and the later
+    message goes through.  The victim never counts down, so its own
+    message never completes.
     """
     got = segment_report(core)["aborted"][case]
     assert (got["log"], got["end"]) == ABORTED[case]
@@ -608,7 +640,7 @@ def echo_rig(profile=IPOIB_PROFILE):
     conn = TcpConnection(c, s)
     client = TcpRpcClient(c, conn)
     server_transport = TcpRpcServerTransport(s, conn)
-    rpc_server = RpcServer(sim, s.cpu, nthreads=4)
+    rpc_server = RpcServer(sim, s.cpu, SecurityPolicy(), nthreads=4)
 
     def echo_handler(call):
         yield sim.timeout(5.0)  # pretend the FS did something
